@@ -11,16 +11,15 @@ from .benchmarks import (
     make_case,
     verify_terminal,
 )
-from .coupling import SkorohodPath, bridge_sample, couple
+from .coupling import bridge_sample_batch
 from .exit_time import (
     ExitTimeCdf,
-    TauSequence,
     cdf_laplace_inversion,
     cdf_series,
     laplace_transform,
     sample_sigma,
-    sample_tau_sequence,
     tabulate,
+    tau_ladder,
 )
 from .experiment import (
     ErrorRow,
@@ -32,17 +31,11 @@ from .experiment import (
     regress_loglog,
     run_mc,
 )
-from .lattice import (
-    LatticeGeometry,
-    RademacherPath,
-    enumerate_paths,
-    node_coordinate,
-    walk_values,
-)
+from .lattice import LatticeGeometry, level_coordinates, node_coordinate, sign_matrix, walk_sums
 from .solver import (
     BsdeProblem,
     SolutionLattice,
-    evaluate_along_path,
+    evaluate_walks,
     solve_explicit,
     solve_implicit,
     z_by_representation,

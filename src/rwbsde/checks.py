@@ -1,0 +1,157 @@
+"""Oracle and property checks shared by `rwbsde verify` and the acceptance gate.
+
+Each check runs one acceptance criterion (1-5) at its stated tolerance and
+returns a Check; nothing here asserts or prints, so the CLI reports the
+results as lines and the test suite asserts on them.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .benchmarks import _sqrt_abs_moment, make_case, sqrt_abs_moment_reference, verify_terminal
+from .exit_time import (
+    cdf_laplace_inversion,
+    cdf_series,
+    sample_sigma,
+    tabulate,
+    tabulated_moment,
+    tau_ladder,
+)
+from .lattice import sign_matrix, walk_sums
+from .solver import BsdeProblem, solve_explicit, z_by_representation
+
+T = 1.0
+SEED = 20250809
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of one criterion: whether it passed, and the measured values."""
+
+    criterion: int
+    name: str
+    ok: bool
+    detail: str
+
+    def line(self) -> str:
+        return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}  ({self.detail})"
+
+
+def enumeration_oracle() -> Check:
+    """f == 0: the root equals the average of g over all 2**n walk endpoints."""
+    rng = np.random.default_rng(101)
+    worst = 0.0
+    for n in range(1, 13):
+        c = rng.normal(size=4)
+        g = lambda x, c=c: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
+        problem = BsdeProblem(T=T, n=n, g=g, f=lambda t, x, y, z: 0.0 * y)
+        root = solve_explicit(problem).y[0][0]
+        ends = problem.geometry.sqrt_h * sign_matrix(n).sum(axis=1, dtype=np.int64)
+        worst = max(worst, abs(root - float(np.mean(g(ends.astype(float))))))
+    return Check(1, "enumeration oracle (f=0, n=1..12)", worst <= 1e-12,
+                 f"max gap {worst:.2e}")
+
+
+def z_representation() -> Check:
+    """The swept Z equals its Malliavin-weight representation node by node."""
+    drivers = (
+        lambda t, x, y, z: y + z,
+        lambda t, x, y, z: np.sin(x) + y - z,
+    )
+    worst = 0.0
+    for n in (4, 8, 10):
+        for f in drivers:
+            problem = BsdeProblem(T=T, n=n, g=lambda x: x * x, f=f)
+            sol = solve_explicit(problem)
+            for k in (0, n // 2):
+                for i in range(k + 1):
+                    worst = max(worst, abs(z_by_representation(problem, sol, k, i) - sol.z[k][i]))
+    return Check(2, "Z Malliavin-weight representation", worst <= 1e-10,
+                 f"max node dev {worst:.2e}")
+
+
+def exit_time_distribution() -> Check:
+    """Talbot inversion agrees with the series CDF; the table mean is h."""
+    sup = mean_gap = 0.0
+    ok = True
+    for h in (0.25, 0.4):
+        grid = np.geomspace(h / 100, 20 * h, 200)
+        gap = float(np.max(np.abs(cdf_laplace_inversion(grid, h) - cdf_series(grid, h))))
+        rel = abs(tabulated_moment(tabulate(h), 1.0) - h) / h
+        ok &= gap <= 1e-6 and rel <= 1e-6
+        sup, mean_gap = max(sup, gap), max(mean_gap, rel)
+    return Check(3, "exit-time distribution (inversion + mean)", ok,
+                 f"sup {sup:.2e}, relative mean gap {mean_gap:.2e}")
+
+
+def skorohod_coupling() -> Check:
+    """Coupled skeletons step exactly one lattice node per exit time, the
+    ladders increase strictly, and E(B_tau_m - B_tau_k)^2 = t_m - t_k."""
+    rng = np.random.default_rng(SEED)
+    n, h = 64, T / 64
+    paths = 1000
+    walks = walk_sums(rng.integers(0, 2, (paths, n)).astype(np.int8) * 2 - 1)
+    u = rng.random((paths, n))
+    u[u == 0.0] = 2.0**-53
+    taus = tau_ladder(sample_sigma(tabulate(h), u.ravel()), n)
+    exact = bool(np.all(np.abs(np.diff(walks, axis=1)) == 1))
+    increasing = bool(np.all(taus[:, 0] > 0.0) and np.all(np.diff(taus, axis=1) > 0.0))
+
+    paths, k, m = 10_000, 16, 48
+    signs = rng.integers(0, 2, (paths, n)) * 2 - 1
+    seg = signs[:, k:m].sum(axis=1, dtype=np.int64).astype(float) * math.sqrt(h)
+    sq = seg * seg
+    gap = abs(float(sq.mean()) - (m - k) * h)
+    bound = 3.0 * float(sq.std(ddof=1)) / math.sqrt(paths)
+    return Check(4, "Skorohod coupling (exact steps, increasing ladders, variance)",
+                 exact and increasing and gap <= bound,
+                 f"gap {gap:.2e} vs 3SE {bound:.2e}")
+
+
+def benchmark_sanity() -> Check:
+    """Terminal consistency, Z = dY/db, the square-case PDE residual and the
+    sqrt-case quadrature against its closed form."""
+    b_grid = np.linspace(-3 * math.sqrt(T), 3 * math.sqrt(T), 33)
+    cases = {name: make_case(name, T) for name in ("exp", "square", "sqrt")}
+    terminal_tol = {"exp": 1e-10, "square": 1e-10, "sqrt": 1e-7}
+    ok = True
+    worst_terminal = 0.0
+    for name, case in cases.items():
+        gap = verify_terminal(case.exact, case.g, b_grid)
+        ok &= gap <= terminal_tol[name]
+        worst_terminal = max(worst_terminal, gap)
+
+    eps = 1e-5
+    for name in ("exp", "square"):
+        sol = cases[name].exact
+        for t in (0.0, 0.5, 0.9):
+            for b in (-1.1, 0.2, 1.7):
+                fd = (sol.y_fn(t, b + eps) - sol.y_fn(t, b - eps)) / (2 * eps)
+                z = sol.z_fn(t, b)
+                ok &= abs(z - fd) <= 1e-8 * max(1.0, abs(z))
+
+    sol = cases["square"].exact
+    eps = 1e-4
+    for t, b in [(0.3, 0.7), (0.5, -1.1), (0.8, 0.2), (0.2, 1.9)]:
+        u_t = (sol.y_fn(t + eps, b) - sol.y_fn(t - eps, b)) / (2 * eps)
+        u_xx = (sol.y_fn(t, b + eps) - 2 * sol.y_fn(t, b) + sol.y_fn(t, b - eps)) / eps**2
+        u_x = (sol.y_fn(t, b + eps) - sol.y_fn(t, b - eps)) / (2 * eps)
+        ok &= abs(u_t + 0.5 * u_xx + sol.y_fn(t, b) + u_x) <= 1e-4
+
+    m_grid = np.linspace(0.0, 12.0, 61)
+    quad_gap = float(np.max(np.abs(_sqrt_abs_moment(m_grid, 64) - sqrt_abs_moment_reference(m_grid))))
+    ok &= quad_gap <= 1e-8
+    return Check(5, "benchmark sanity (terminal, Z=dY/db, PDE residual, sqrt quadrature)",
+                 bool(ok), f"worst terminal gap {worst_terminal:.2e}, quadrature gap {quad_gap:.2e}")
+
+
+CHECKS = (
+    enumeration_oracle,
+    z_representation,
+    exit_time_distribution,
+    skorohod_coupling,
+    benchmark_sanity,
+)

@@ -4,9 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import benchmarks, coupling, exit_time, experiment, lattice, solver
+from . import benchmarks, checks, exit_time, experiment, solver
 
 
 def _parse_n_list(text: str) -> tuple:
@@ -44,13 +42,12 @@ def _cmd_convergence(args) -> int:
         t_eval=args.t_eval,
         seed=args.seed,
         scheme=args.scheme,
-        out=args.out,
     )
     series = experiment.run_mc(config)
     regressions = {"Y": experiment.regress_loglog(series, "e_y")}
     if series.rows[0].e_z is not None:
         regressions["Z"] = experiment.regress_loglog(series, "e_z")
-    experiment.emit_csv(series, regressions, config.out)
+    experiment.emit_csv(series, regressions, args.out)
     alpha = series.meta["alpha"]
     for label, reg in regressions.items():
         note = ""
@@ -71,90 +68,12 @@ def _cmd_tabulate_exit(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    tag = "PASS" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"[{tag}] {name}{suffix}")
-    return ok
-
-
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(20240817)
     ok = True
-
-    # enumeration oracle: f == 0 root value equals the endpoint average of g
-    n, T = 8, 1.0
-    coeffs = rng.normal(size=4)
-    g = lambda x: coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * x**3
-    problem = solver.BsdeProblem(T=T, n=n, g=g, f=lambda t, x, y, z: 0.0 * y)
-    solution = solver.solve_explicit(problem)
-    signs = lattice.sign_matrix(n)
-    endpoints = problem.geometry.sqrt_h * signs.sum(axis=1, dtype=np.int64)
-    gap = abs(solution.y[0][0] - g(endpoints.astype(float)).mean())
-    ok &= _check("enumeration oracle (f=0 martingale average)", gap <= 1e-12, f"gap {gap:.2e}")
-
-    # Z representation identity on the explicit lattice
-    case = benchmarks.make_case("square", T)
-    problem = solver.BsdeProblem(T=T, n=n, g=case.g, f=case.f, lip_f=1.0)
-    solution = solver.solve_explicit(problem)
-    worst = 0.0
-    for k in (0, n // 2):
-        for i in range(k + 1):
-            rep = solver.z_by_representation(problem, solution, k, i)
-            worst = max(worst, abs(rep - solution.z[k][i]))
-    ok &= _check("Z Malliavin-weight representation", worst <= 1e-10, f"max dev {worst:.2e}")
-
-    # exit time: inversion vs series, and the table mean
-    h = 0.4
-    grid = np.geomspace(h / 100, 20 * h, 200)
-    sup = float(np.max(np.abs(
-        exit_time.cdf_laplace_inversion(grid, h) - exit_time.cdf_series(grid, h)
-    )))
-    ok &= _check("Talbot inversion vs series CDF", sup <= 1e-6, f"sup {sup:.2e}")
-    cdf = exit_time.tabulate(h)
-    mean_gap = abs(exit_time.tabulated_moment(cdf, 1.0) - h)
-    ok &= _check("table quadrature mean = h", mean_gap <= 1e-6 * h, f"gap {mean_gap:.2e}")
-
-    # coupling: exact +-sqrt(h) increments and the variance identity
-    n_steps, n_paths = 100, 10_000
-    cdf_c = exit_time.tabulate(T / n_steps)
-    sqrt_h = np.sqrt(T / n_steps)
-    exact_incr = True
-    for _ in range(50):
-        path = lattice.RademacherPath(rng.integers(0, 2, n_steps) * 2 - 1, T / n_steps)
-        taus = exit_time.sample_tau_sequence(cdf_c, n_steps, rng)
-        spath = coupling.couple(path, taus)
-        exact_incr &= bool(np.all(np.abs(spath.increments) == sqrt_h))
-    ok &= _check("skeleton increments exactly +-sqrt(h)", exact_incr)
-    k_lo, k_hi = n_steps // 4, n_steps
-    signs = rng.integers(0, 2, (n_paths, n_steps)) * 2 - 1
-    seg = signs[:, k_lo:k_hi].sum(axis=1, dtype=np.int64).astype(float) * sqrt_h
-    sq = seg * seg
-    gap = abs(sq.mean() - (k_hi - k_lo) * T / n_steps)
-    se3 = 3.0 * sq.std(ddof=1) / np.sqrt(n_paths)
-    ok &= _check("E(B_tau_m - B_tau_k)^2 = t_m - t_k", gap <= se3, f"gap {gap:.2e} vs 3SE {se3:.2e}")
-
-    # benchmarks: terminal consistency, Z = dY/db, PDE residual, quadrature oracle
-    b_grid = np.linspace(-3 * np.sqrt(T), 3 * np.sqrt(T), 33)
-    for name, tol in (("exp", 1e-10), ("square", 1e-10), ("sqrt", 1e-7)):
-        bc = benchmarks.make_case(name, T)
-        gap = benchmarks.verify_terminal(bc.exact, bc.g, b_grid)
-        ok &= _check(f"terminal consistency ({name})", gap <= tol, f"sup {gap:.2e}")
-    sq_case = benchmarks.make_case("square", T).exact
-    t, b, eps = 0.4, 0.7, 1e-4
-    resid = (
-        (sq_case.y_fn(t + eps, b) - sq_case.y_fn(t - eps, b)) / (2 * eps)
-        + 0.5 * (sq_case.y_fn(t, b + eps) - 2 * sq_case.y_fn(t, b) + sq_case.y_fn(t, b - eps)) / eps**2
-        + sq_case.y_fn(t, b)
-        + (sq_case.y_fn(t, b + eps) - sq_case.y_fn(t, b - eps)) / (2 * eps)
-    )
-    ok &= _check("square-case PDE residual", abs(resid) <= 1e-4, f"|resid| {abs(resid):.2e}")
-    m_grid = np.linspace(0.0, 12.0, 61)
-    quad_gap = float(np.max(np.abs(
-        benchmarks._sqrt_abs_moment(m_grid, 64) - benchmarks.sqrt_abs_moment_reference(m_grid)
-    )))
-    ok &= _check("sqrt-case quadrature vs closed form", quad_gap <= 1e-8, f"sup {quad_gap:.2e}")
-
+    for check in checks.CHECKS:
+        result = check()
+        print(result.line())
+        ok &= result.ok
     print("verify:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
 
@@ -193,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tabulate_exit)
 
-    p = sub.add_parser("verify", help="run the oracle/property checks")
+    p = sub.add_parser("verify", help="run the oracle/property checks of acceptance criteria 1-5")
     p.set_defaults(func=_cmd_verify)
     return parser
 

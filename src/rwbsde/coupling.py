@@ -1,89 +1,16 @@
 """Skorohod embedding of the sign walk on a Brownian path.
 
-A sign path paired with a ladder of exit times gives the Brownian skeleton
-(tau_k, B_{tau_k}) with B_{tau_k} = sqrt(h) * (e_1 + ... + e_k) exactly;
-values of B at deterministic times are recovered by Brownian-bridge draws
-between neighbouring skeleton points. The bridge is NOT conditioned on the
-+-sqrt(h) corridor the true excursion respects; past tau_n a free Brownian
-increment is used since the embedding carries no information there.
+Rows of signs paired with ladders of exit times give Brownian skeletons
+(tau_k, B_{tau_k}) with B_{tau_k} = sqrt(h) * (e_1 + ... + e_k) exactly
+(lattice.walk_sums times sqrt(h)); values of B at deterministic times are
+recovered by Brownian-bridge draws between neighbouring skeleton points. The
+bridge is NOT conditioned on the +-sqrt(h) corridor the true excursion
+respects; past tau_n a free Brownian increment is used since the embedding
+carries no information there.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .exit_time import TauSequence
-from .lattice import RademacherPath
-
-
-@dataclass(frozen=True, eq=False)
-class SkorohodPath:
-    """Coupled walk: signs, exit times and the Brownian skeleton.
-
-    skeleton[k] = sqrt(h) * (integer sign cumsum), one rounding per value,
-    bit-identical with the lattice's node coordinates. increments holds
-    signs * sqrt(h), each element exactly +-sqrt(h) as a float.
-    """
-
-    signs: np.ndarray
-    taus: TauSequence
-    h: float
-    skeleton: np.ndarray = field(init=False, repr=False)
-    times: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        skeleton = np.empty(self.n + 1)
-        skeleton[0] = 0.0
-        skeleton[1:] = math.sqrt(self.h) * np.cumsum(self.signs, dtype=np.int64)
-        times = np.empty(self.n + 1)
-        times[0] = 0.0
-        times[1:] = self.taus.taus
-        object.__setattr__(self, "skeleton", skeleton)
-        object.__setattr__(self, "times", times)
-
-    @property
-    def n(self) -> int:
-        return int(self.signs.size)
-
-    @property
-    def increments(self) -> np.ndarray:
-        """B_{tau_k} - B_{tau_{k-1}} as exactly +-sqrt(h) floats."""
-        return self.signs * math.sqrt(self.h)
-
-
-def couple(path: RademacherPath, taus: TauSequence) -> SkorohodPath:
-    """Pair a sign path with an exit-time ladder of the same length and step."""
-    if path.n != taus.n:
-        raise ValueError(f"length mismatch: path has {path.n} steps, taus has {taus.n}")
-    if path.h != taus.h:
-        raise ValueError(f"step mismatch: path h={path.h}, taus h={taus.h}")
-    return SkorohodPath(signs=path.steps, taus=taus, h=path.h)
-
-
-def bridge_sample(spath: SkorohodPath, t: float, rng: np.random.Generator) -> float:
-    """Draw B_t given the skeleton.
-
-    Exactly on an embedding time the skeleton value is returned with no
-    randomness; strictly between tau_j and tau_{j+1} the draw is Gaussian
-    with the bridge mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} -
-    tau_j); past tau_n it is a free sqrt(t - tau_n) increment.
-    """
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got t={t}")
-    times = spath.times
-    j = int(np.searchsorted(times, t, side="right")) - 1
-    if times[j] == t:
-        return float(spath.skeleton[j])
-    if j >= spath.n:
-        return float(spath.skeleton[-1] + math.sqrt(t - times[-1]) * rng.standard_normal())
-    t0, t1 = times[j], times[j + 1]
-    b0, b1 = spath.skeleton[j], spath.skeleton[j + 1]
-    lam = (t - t0) / (t1 - t0)
-    mean = b0 + lam * (b1 - b0)
-    var = (t - t0) * (t1 - t) / (t1 - t0)
-    return float(mean + math.sqrt(var) * rng.standard_normal())
 
 
 def bridge_sample_batch(
@@ -96,12 +23,19 @@ def bridge_sample_batch(
 
     taus is (R, n) of exit times, skeletons is (R, n+1) of values at
     (0, tau_1, ..., tau_n), z is (R,) standard normal draws. Rows where t
-    falls exactly on an embedding time get variance zero; rows with
-    t >= tau_n get the free increment.
+    falls exactly on an embedding time get variance zero and return the
+    skeleton value; strictly between tau_j and tau_{j+1} the draw has the
+    bridge mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j);
+    rows with t >= tau_n get the free sqrt(t - tau_n) increment.
     """
     if t < 0.0:
         raise ValueError(f"need t >= 0, got t={t}")
     n_rows, n = taus.shape
+    if skeletons.shape != (n_rows, n + 1) or np.shape(z) != (n_rows,):
+        raise ValueError(
+            f"length mismatch: taus {taus.shape}, skeletons {skeletons.shape}, "
+            f"normals {np.shape(z)}"
+        )
     rows = np.arange(n_rows)
     j = np.count_nonzero(taus <= t, axis=1)           # index into (0, tau_1, ..)
     t0 = np.where(j > 0, taus[rows, np.maximum(j - 1, 0)], 0.0)

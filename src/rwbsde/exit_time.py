@@ -13,8 +13,8 @@ agree with each other:
 
 Everything is a function of t/h (Brownian scaling), so tables for different
 h are exact time rescales of each other. tabulate() freezes the series on a
-grid shaped for inverse-CDF sampling; sample_sigma / sample_tau_sequence
-implement the inverse-transform simulation of the tau ladder.
+grid shaped for inverse-CDF sampling; sample_sigma and tau_ladder implement
+the inverse-transform simulation of the tau ladder.
 """
 from __future__ import annotations
 
@@ -243,32 +243,13 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True, eq=False)
-class TauSequence:
-    """Strictly increasing tau_1 < ... < tau_n of cumulative exit times."""
+def tau_ladder(sigmas: ArrayLike, n: int) -> np.ndarray:
+    """Exit-time ladders tau_k = sigma_1 + ... + sigma_k, k = 1..n.
 
-    taus: np.ndarray
-    h: float
-
-    def __post_init__(self) -> None:
-        taus = np.asarray(self.taus, dtype=float)
-        if taus.ndim != 1 or taus.size == 0:
-            raise ValueError("taus must be a non-empty 1-d array")
-        if not taus[0] > 0.0 or not np.all(np.diff(taus) > 0.0):
-            raise ValueError("taus must be strictly increasing and positive")
-        object.__setattr__(self, "taus", taus)
-
-    @property
-    def n(self) -> int:
-        return int(self.taus.size)
-
-
-def sample_tau_sequence(cdf: ExitTimeCdf, n: int, rng: np.random.Generator) -> TauSequence:
-    """tau_k = sigma_1 + ... + sigma_k with sigma i.i.d. via sample_sigma."""
+    sigmas holds i.i.d. exit times for consecutive rows of n steps, as
+    sample_sigma returns them for a raveled (R, n) array of uniforms; the
+    result is (R, n) with each row strictly increasing.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    u = rng.random(n)
-    # rng.random is [0, 1); push an exact 0 inside the open interval
-    u[u == 0.0] = 2.0**-53
-    sigmas = np.atleast_1d(sample_sigma(cdf, u))
-    return TauSequence(taus=np.cumsum(sigmas), h=cdf.h)
+    return np.cumsum(np.reshape(sigmas, (-1, n)), axis=1)

@@ -6,13 +6,18 @@ read (Y^n, Z^n) along the path at the evaluation level, recover the true
 Brownian value there by a bridge draw and accumulate squared differences
 against the exact solution. Per-n L2 errors are regressed log-log against n.
 
+The replications run in batches through four stages: draw (signs, uniforms,
+normals), embed (exit-time ladders, walk skeletons, the bridge draw at t_k),
+evaluate (lattice values along each walk, exact values at the bridged point)
+and accumulate (squared-error sums per batch, combined by math.fsum).
+
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and each child spawns one stream per
 replication. Every replication draws, in this fixed order: n sign bits, n
-uniforms for the exit times, one standard normal for the bridge. Results are
-therefore bit-identical for a given config regardless of batch size, and
-accumulation uses exact partial-sum combination (math.fsum over batch sums)
-so worker count cannot move the reported means.
+uniforms for the exit times, one standard normal for the bridge. A given
+config therefore gives the same bits on every run. The per-replication
+draws do not depend on the batch size, but the batch sums do: regrouping
+rows can move the last bits of the reported errors.
 """
 from __future__ import annotations
 
@@ -24,8 +29,9 @@ import numpy as np
 
 from .benchmarks import CASE_NAMES, BenchmarkCase, make_case
 from .coupling import bridge_sample_batch
-from .exit_time import sample_sigma, tabulate
-from .solver import BsdeProblem, solve_explicit, solve_implicit
+from .exit_time import sample_sigma, tabulate, tau_ladder
+from .lattice import walk_sums
+from .solver import BsdeProblem, evaluate_walks, solve_explicit, solve_implicit
 
 DEFAULT_N_LIST = (50, 100, 200, 400, 800)
 DEFAULT_M = 20000
@@ -46,7 +52,6 @@ class ExperimentConfig:
     t_eval: Optional[float] = None   # defaults to T/2
     seed: int = 12345
     scheme: str = "explicit"
-    out: Optional[str] = None        # CSV target; consumed by the CLI
     quad_order: int = 64
 
     def __post_init__(self) -> None:
@@ -104,6 +109,28 @@ def _mean_and_se(parts_sum: list, parts_sq: list, m: int) -> tuple:
     return mean, math.sqrt(var / m)
 
 
+def _draw(rep_seeds: Sequence[np.random.SeedSequence], n: int) -> tuple:
+    """Signs (R, n), uniforms (R, n) in (0, 1) and normals (R,), one stream per row."""
+    rows = len(rep_seeds)
+    signs = np.empty((rows, n), dtype=np.int8)
+    uniforms = np.empty((rows, n))
+    normals = np.empty(rows)
+    for r, ss in enumerate(rep_seeds):
+        rng = np.random.default_rng(ss)
+        signs[r] = rng.integers(0, 2, n).astype(np.int8) * 2 - 1
+        uniforms[r] = rng.random(n)
+        normals[r] = rng.standard_normal()
+    # rng.random is [0, 1); push an exact 0 inside the open interval
+    uniforms[uniforms == 0.0] = 2.0**-53
+    return signs, uniforms, normals
+
+
+def _accumulate(parts_sum: list, parts_sq: list, diff: np.ndarray) -> None:
+    d2 = diff * diff
+    parts_sum.append(float(np.sum(d2)))
+    parts_sq.append(float(np.sum(d2 * d2)))
+
+
 def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
                   seedseq: np.random.SeedSequence) -> ErrorRow:
     T = config.T
@@ -119,9 +146,6 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
         solution = solve_explicit(problem)
     else:
         solution = solve_implicit(problem)
-    sqrt_h = solution.geom.sqrt_h
-    y_level = solution.y[k]
-    z_level = solution.z[k]
     cdf = tabulate(h)
     exact = case.exact
     has_z = exact.z_fn is not None
@@ -129,42 +153,16 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
     rep_seeds = seedseq.spawn(config.M)
     sum_y, sq_y, sum_z, sq_z = [], [], [], []
     for start in range(0, config.M, _BATCH):
-        stop = min(start + _BATCH, config.M)
-        rows = stop - start
-        signs = np.empty((rows, n), dtype=np.int8)
-        uniforms = np.empty((rows, n))
-        normals = np.empty(rows)
-        for local, ss in enumerate(rep_seeds[start:stop]):
-            rng = np.random.default_rng(ss)
-            signs[local] = rng.integers(0, 2, n).astype(np.int8) * 2 - 1
-            uniforms[local] = rng.random(n)
-            normals[local] = rng.standard_normal()
-        uniforms[uniforms == 0.0] = 2.0**-53
-
-        sigmas = np.asarray(sample_sigma(cdf, uniforms.ravel())).reshape(rows, n)
-        taus = np.cumsum(sigmas, axis=1)
-        walk = np.cumsum(signs, axis=1, dtype=np.int64)
-        skeletons = np.concatenate(
-            [np.zeros((rows, 1)), sqrt_h * walk], axis=1
-        )
-
-        if k > 0:
-            node = (k + walk[:, k - 1]) // 2
-        else:
-            node = np.zeros(rows, dtype=np.int64)
-        y_n = y_level[node]
-        z_n = z_level[node]
-
-        b_tk = bridge_sample_batch(taus, skeletons, t_k, normals)
-        dy = y_n - exact.y_fn(t_k, b_tk)
-        dy2 = dy * dy
-        sum_y.append(float(np.sum(dy2)))
-        sq_y.append(float(np.sum(dy2 * dy2)))
+        signs, uniforms, normals = _draw(rep_seeds[start:start + _BATCH], n)
+        # embed: exit-time ladders and Brownian skeletons, bridged to t_k
+        taus = tau_ladder(sample_sigma(cdf, uniforms.ravel()), n)
+        walks = walk_sums(signs)
+        b_tk = bridge_sample_batch(taus, solution.geom.sqrt_h * walks, t_k, normals)
+        # evaluate the lattice along each walk and accumulate squared errors
+        y_n, z_n = evaluate_walks(solution, walks, k)
+        _accumulate(sum_y, sq_y, y_n - exact.y_fn(t_k, b_tk))
         if has_z:
-            dz = z_n - exact.z_fn(t_k, b_tk)
-            dz2 = dz * dz
-            sum_z.append(float(np.sum(dz2)))
-            sq_z.append(float(np.sum(dz2 * dz2)))
+            _accumulate(sum_z, sq_z, z_n - exact.z_fn(t_k, b_tk))
 
     e_y, se_y = _mean_and_se(sum_y, sq_y, config.M)
     if has_z:
@@ -199,8 +197,10 @@ def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionRe
     pairs = [(row.n, getattr(row, field_name)) for row in series.rows]
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 rows for a regression, got {len(pairs)}")
-    if any(e is None or e <= 0.0 for _, e in pairs):
-        raise ValueError(f"nonpositive or missing {field_name} values cannot be log-fitted")
+    if any(e is None or not math.isfinite(e) or e <= 0.0 for _, e in pairs):
+        raise ValueError(
+            f"nonpositive, non-finite or missing {field_name} values cannot be log-fitted"
+        )
     x = np.log([n for n, _ in pairs])
     y = np.log([e for _, e in pairs])
     slope, intercept = np.polyfit(x, y, 1)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -38,37 +37,21 @@ class LatticeGeometry:
         return self.n * self.h
 
 
-@dataclass(frozen=True, eq=False)
-class RademacherPath:
-    """One realisation of n i.i.d. +-1 signs together with the step h."""
+def walk_sums(signs: np.ndarray) -> np.ndarray:
+    """Integer walk S_k = e_1 + ... + e_k, k = 0..n, of each sign row.
 
-    steps: np.ndarray
-    h: float
-
-    def __post_init__(self) -> None:
-        steps = np.asarray(self.steps, dtype=np.int8)
-        if steps.ndim != 1 or steps.size == 0:
-            raise ValueError("steps must be a non-empty 1-d sign sequence")
-        if not np.all(np.abs(steps) == 1):
-            raise ValueError("every step must be exactly +1 or -1")
-        if not self.h > 0.0:
-            raise ValueError(f"need h > 0, got h={self.h}")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def n(self) -> int:
-        return int(self.steps.size)
-
-
-def walk_values(path: RademacherPath) -> np.ndarray:
-    """Walk positions sqrt(h)*(e_1 + ... + e_k) for k = 0..n.
-
-    The cumulative sign sum is exact integer arithmetic; each position is a
-    single int*sqrt(h) product, matching node_coordinate bit for bit.
+    signs is (R, n) of +-1; the result is (R, n+1) int64 with S_0 = 0. The
+    node reached after k steps is i = (k + S_k)/2, and sqrt(h)*S is one
+    int*sqrt(h) product per value, bit-identical with node_coordinate.
     """
-    out = np.empty(path.n + 1)
-    out[0] = 0.0
-    out[1:] = math.sqrt(path.h) * np.cumsum(path.steps, dtype=np.int64)
+    signs = np.asarray(signs)
+    if signs.ndim != 2 or signs.shape[1] == 0:
+        raise ValueError("signs must be a non-empty (rows, n) sign array")
+    if not np.all(np.abs(signs) == 1):
+        raise ValueError("every step must be exactly +1 or -1")
+    out = np.empty((signs.shape[0], signs.shape[1] + 1), dtype=np.int64)
+    out[:, 0] = 0
+    np.cumsum(signs, axis=1, dtype=np.int64, out=out[:, 1:])
     return out
 
 
@@ -97,11 +80,3 @@ def sign_matrix(m: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
     codes = np.arange(1 << m, dtype=np.int64)[:, None]
     bits = (codes >> np.arange(m, dtype=np.int64)[None, :]) & 1
     return (2 * bits - 1).astype(np.int8)
-
-
-def enumerate_paths(n: int, h: float = 1.0, cap: int = ENUMERATION_CAP) -> Iterator[RademacherPath]:
-    """Yield each of the 2**n sign sequences exactly once."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    for row in sign_matrix(n, cap=cap):
-        yield RademacherPath(steps=row, h=h)

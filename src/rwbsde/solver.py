@@ -1,10 +1,11 @@
 """Backward dynamic programming for (Y, Z) on the walk lattice.
 
-Two sweeps are provided. The explicit one advances the generator with the
-already-known next-level Y values and is the default used by the Monte Carlo
-harness; the implicit one solves a per-node fixed point by Picard iteration
-and exists to measure the O(h) gap between the two. Both evaluate the
-generator at time t_{k+1} with the state at t_k.
+One backward sweep serves two per-level update rules. The explicit rule
+advances the generator with the already-known next-level Y values and is
+the default used by the Monte Carlo harness; the implicit rule solves a
+per-node fixed point by Picard iteration and exists to measure the O(h) gap
+between the two. Both evaluate the generator at time t_{k+1} with the state
+at t_k.
 """
 from __future__ import annotations
 
@@ -13,16 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import (
-    ENUMERATION_CAP,
-    LatticeGeometry,
-    RademacherPath,
-    level_coordinates,
-    sign_matrix,
-)
+from .lattice import ENUMERATION_CAP, LatticeGeometry, level_coordinates, sign_matrix
 
 TerminalFn = Callable[[np.ndarray], np.ndarray]
 DriverFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+LevelRule = Callable[..., np.ndarray]
 
 
 class PicardConvergenceError(RuntimeError):
@@ -100,14 +96,13 @@ def _terminal_level(problem: BsdeProblem, geom: LatticeGeometry) -> np.ndarray:
     return vals
 
 
-def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
-    """Backward sweep with Y at t_{k+1} inside the generator.
+def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str) -> SolutionLattice:
+    """Backward sweep from the terminal level; rule gives Y at each level.
 
-    Per node: z[k][i] = (Y+ - Y-)/(2 sqrt(h)) and
-    y[k][i] = (Y+ + Y-)/2 + h*(f(t_{k+1}, x, Y+, z) + f(t_{k+1}, x, Y-, z))/2,
-    the two-point conditional expectation over the next sign.
+    Per node z[k][i] = (Y+ - Y-)/(2 sqrt(h)), and y[k] = rule(k, t_{k+1},
+    x, Y+, Y-, z[k], (Y+ + Y-)/2), where Y+- are the next-level values
+    above and below the node.
     """
-    solve_explicit.calls += 1
     geom = problem.geometry
     n, h, sh = geom.n, geom.h, geom.sqrt_h
     y = [None] * (n + 1)
@@ -116,74 +111,70 @@ def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
     for k in range(n - 1, -1, -1):
         up = y[k + 1][1:]
         dn = y[k + 1][:-1]
-        x = level_coordinates(geom, k)
         zk = (up - dn) / (2.0 * sh)
-        t_next = (k + 1) * h
-        fu = problem.f(t_next, x, up, zk)
-        fd = problem.f(t_next, x, dn, zk)
-        y[k] = 0.5 * (up + dn) + 0.5 * h * (fu + fd)
+        y[k] = rule(k, (k + 1) * h, level_coordinates(geom, k), up, dn, zk, 0.5 * (up + dn))
         z[k] = zk
-    return SolutionLattice(geom=geom, y=tuple(y), z=tuple(z), scheme="explicit")
+    return SolutionLattice(geom=geom, y=tuple(y), z=tuple(z), scheme=scheme)
 
 
-solve_explicit.calls = 0
+def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
+    """Backward sweep with Y at t_{k+1} inside the generator.
+
+    Per node y[k][i] = (Y+ + Y-)/2 + h*(f(t_{k+1}, x, Y+, z) + f(t_{k+1}, x, Y-, z))/2,
+    the two-point conditional expectation over the next sign.
+    """
+    f, h = problem.f, problem.geometry.h
+
+    def rule(k, t, x, up, dn, z, base):
+        return base + 0.5 * h * (f(t, x, up, z) + f(t, x, dn, z))
+
+    return _sweep(problem, rule, "explicit")
 
 
 def solve_implicit(problem: BsdeProblem, tol: float = 1e-12, max_iter: int = 100) -> SolutionLattice:
     """Backward sweep with the generator at the fixed point Y at t_k.
 
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
-    iteration; h*lip_f < 1 guarantees contraction.
+    iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction.
     """
-    solve_implicit.calls += 1
     if not tol > 0.0:
         raise ValueError(f"need tol > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got {max_iter}")
-    geom = problem.geometry
-    n, h, sh = geom.n, geom.h, geom.sqrt_h
+    f, h = problem.f, problem.geometry.h
     if problem.lip_f is not None and h * problem.lip_f >= 1.0:
         raise ValueError(
             f"contraction condition violated: h*lip_f = {h * problem.lip_f:.6g} >= 1"
         )
-    y = [None] * (n + 1)
-    z = [None] * n
-    y[n] = _terminal_level(problem, geom)
-    for k in range(n - 1, -1, -1):
-        up = y[k + 1][1:]
-        dn = y[k + 1][:-1]
-        x = level_coordinates(geom, k)
-        zk = (up - dn) / (2.0 * sh)
-        base = 0.5 * (up + dn)
-        t_next = (k + 1) * h
-        yk = base.copy()
+
+    def rule(k, t, x, up, dn, z, base):
+        yk = base
         for _ in range(max_iter):
-            ynew = base + h * problem.f(t_next, x, yk, zk)
+            ynew = base + h * f(t, x, yk, z)
             delta = float(np.max(np.abs(ynew - yk)))
             yk = ynew
             if delta < tol:
-                break
-        else:
-            raise PicardConvergenceError(
-                f"no contraction at level {k}: last update {delta:.3e} after {max_iter} iterations"
-            )
-        y[k] = yk
-        z[k] = zk
-    return SolutionLattice(geom=geom, y=tuple(y), z=tuple(z), scheme="implicit")
+                return yk
+        raise PicardConvergenceError(
+            f"no contraction at level {k}: last update {delta:.3e} after {max_iter} iterations"
+        )
+
+    return _sweep(problem, rule, "implicit")
 
 
-solve_implicit.calls = 0
+def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tuple:
+    """(Y, Z) arrays at level k of the nodes the walk rows reach.
 
-
-def evaluate_along_path(solution: SolutionLattice, path: RademacherPath, k: int) -> tuple:
-    """(Y, Z) at the node reached by the first k steps of the path."""
+    walks is (R, n+1) of integer walk sums (lattice.walk_sums); row r sits
+    at node (k + walks[r, k])/2 after k steps.
+    """
     n = solution.n
-    if path.n != n:
-        raise ValueError(f"path length {path.n} does not match lattice n={n}")
+    if walks.ndim != 2 or walks.shape[1] != n + 1:
+        raise ValueError(f"walks of shape {walks.shape} do not match lattice n={n}")
     if not 0 <= k <= n - 1:
         raise IndexError(f"level k={k} outside 0..{n - 1}")
-    i = int(np.count_nonzero(path.steps[:k] == 1))
-    return float(solution.y[k][i]), float(solution.z[k][i])
+    node = (k + walks[:, k]) // 2
+    return solution.y[k][node], solution.z[k][node]
 
 
 def z_by_representation(

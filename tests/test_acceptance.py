@@ -1,27 +1,19 @@
 """Acceptance gate: every criterion asserts at its stated tolerance and
-prints one pass/fail line (run with -s to see the lines as they pass)."""
+prints one pass/fail line (run with -s to see the lines as they pass).
+Criteria 1-5 run the shared checks that `rwbsde verify` also runs; their
+wall-time bounds live here."""
 import math
 import time
 
-import numpy as np
-
-from rwbsde.benchmarks import exact_case_exp, exact_case_sqrt, exact_case_square, make_case
-from rwbsde.coupling import couple
-from rwbsde.exit_time import (
-    cdf_laplace_inversion,
-    cdf_series,
-    sample_tau_sequence,
-    tabulate,
-    tabulated_moment,
-)
-from rwbsde.lattice import RademacherPath, sign_matrix
-from rwbsde.solver import BsdeProblem, solve_explicit, solve_implicit, z_by_representation
+from rwbsde import checks
+from rwbsde.benchmarks import make_case
+from rwbsde.solver import BsdeProblem, solve_explicit, solve_implicit
 from rwbsde.experiment import ExperimentConfig, regress_loglog, run_mc
 
-T = 1.0
+T = checks.T
 FULL_M = 20000
 N_LIST = (50, 100, 200, 400, 800)
-SEED = 20250809
+SEED = checks.SEED
 
 
 def _report(num, name, ok, detail=""):
@@ -31,115 +23,32 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed: {name} {suffix}"
 
 
-def test_criterion_1_enumeration_oracle():
+def _timed_check(check, bound_s):
     started = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for n in range(1, 13):
-        c = rng.normal(size=4)
-        g = lambda x, c=c: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
-        problem = BsdeProblem(T=T, n=n, g=g, f=lambda t, x, y, z: 0.0 * y)
-        root = solve_explicit(problem).y[0][0]
-        ends = problem.geometry.sqrt_h * sign_matrix(n).sum(axis=1, dtype=np.int64)
-        worst = max(worst, abs(root - float(np.mean(g(ends.astype(float))))))
+    result = check()
     elapsed = time.time() - started
-    _report(1, "enumeration oracle (f=0, n=1..12)",
-            worst <= 1e-12 and elapsed < 1.0,
-            f"max gap {worst:.2e}, {elapsed:.2f}s")
+    _report(result.criterion, result.name, result.ok and elapsed < bound_s,
+            f"{result.detail}, {elapsed:.2f}s")
+
+
+def test_criterion_1_enumeration_oracle():
+    _timed_check(checks.enumeration_oracle, 1.0)
 
 
 def test_criterion_2_z_representation_identity():
-    started = time.time()
-    drivers = {
-        "y+z": lambda t, x, y, z: y + z,
-        "sin(x)+y-z": lambda t, x, y, z: np.sin(x) + y - z,
-    }
-    worst = 0.0
-    for n in (4, 8, 10):
-        for f in drivers.values():
-            problem = BsdeProblem(T=T, n=n, g=lambda x: x * x, f=f)
-            sol = solve_explicit(problem)
-            for k in (0, n // 2):
-                for i in range(k + 1):
-                    rep = z_by_representation(problem, sol, k, i)
-                    worst = max(worst, abs(rep - sol.z[k][i]))
-    elapsed = time.time() - started
-    _report(2, "Z Malliavin-weight representation",
-            worst <= 1e-10 and elapsed < 10.0,
-            f"max node dev {worst:.2e}, {elapsed:.2f}s")
+    _timed_check(checks.z_representation, 10.0)
 
 
 def test_criterion_3_exit_time_distribution():
-    started = time.time()
-    h = 0.25
-    grid = np.geomspace(h / 100, 20 * h, 200)
-    sup = float(np.max(np.abs(cdf_laplace_inversion(grid, h) - cdf_series(grid, h))))
-    mean_gap = abs(tabulated_moment(tabulate(h), 1.0) - h)
-    elapsed = time.time() - started
-    _report(3, "exit-time distribution (inversion + mean)",
-            sup <= 1e-6 and mean_gap <= 1e-6 * h and elapsed < 5.0,
-            f"sup {sup:.2e}, mean gap {mean_gap:.2e}, {elapsed:.2f}s")
+    _timed_check(checks.exit_time_distribution, 5.0)
 
 
 def test_criterion_4_skorohod_coupling():
-    started = time.time()
-    rng = np.random.default_rng(SEED)
-    n, h = 64, T / 64
-    sh = math.sqrt(h)
-    cdf = tabulate(h)
-    exact = True
-    for _ in range(1000):
-        path = RademacherPath(rng.integers(0, 2, n) * 2 - 1, h)
-        spath = couple(path, sample_tau_sequence(cdf, n, rng))
-        exact &= bool(np.all(np.abs(spath.increments) == sh))
-
-    paths, k, m = 10_000, 16, 48
-    signs = rng.integers(0, 2, (paths, n)) * 2 - 1
-    seg = signs[:, k:m].sum(axis=1, dtype=np.int64).astype(float) * sh
-    sq = seg * seg
-    gap = abs(float(sq.mean()) - (m - k) * h)
-    bound = 3.0 * float(sq.std(ddof=1)) / math.sqrt(paths)
-    elapsed = time.time() - started
-    _report(4, "Skorohod coupling (exact increments + variance)",
-            exact and gap <= bound and elapsed < 10.0,
-            f"gap {gap:.2e} vs 3SE {bound:.2e}, {elapsed:.2f}s")
+    _timed_check(checks.skorohod_coupling, 10.0)
 
 
 def test_criterion_5_benchmark_sanity():
-    b_grid = np.linspace(-3 * math.sqrt(T), 3 * math.sqrt(T), 33)
-    sols = {
-        "exp": (exact_case_exp(T), lambda x: np.exp(T + x), 1e-10),
-        "square": (exact_case_square(T), lambda x: x * x, 1e-10),
-        "sqrt": (exact_case_sqrt(T), lambda x: np.sqrt(np.abs(x)), 1e-7),
-    }
-    terminal_ok = True
-    worst_terminal = 0.0
-    for sol, g, tol in sols.values():
-        gap = float(np.max(np.abs(sol.y_fn(T, b_grid) - g(b_grid))))
-        terminal_ok &= gap <= tol
-        worst_terminal = max(worst_terminal, gap)
-
-    fd_ok = True
-    eps = 1e-5
-    for sol, _, _ in (sols["exp"], sols["square"]):
-        for t in (0.0, 0.5, 0.9):
-            for b in (-1.1, 0.2, 1.7):
-                fd = (sol.y_fn(t, b + eps) - sol.y_fn(t, b - eps)) / (2 * eps)
-                z = sol.z_fn(t, b)
-                fd_ok &= abs(z - fd) <= 1e-8 * max(1.0, abs(z))
-
-    sol = sols["square"][0]
-    eps = 1e-4
-    resid_ok = True
-    for t, b in [(0.3, 0.7), (0.5, -1.1), (0.8, 0.2), (0.2, 1.9)]:
-        u_t = (sol.y_fn(t + eps, b) - sol.y_fn(t - eps, b)) / (2 * eps)
-        u_xx = (sol.y_fn(t, b + eps) - 2 * sol.y_fn(t, b) + sol.y_fn(t, b - eps)) / eps**2
-        u_x = (sol.y_fn(t, b + eps) - sol.y_fn(t, b - eps)) / (2 * eps)
-        resid_ok &= abs(u_t + 0.5 * u_xx + sol.y_fn(t, b) + u_x) <= 1e-4
-
-    _report(5, "benchmark sanity (terminal, Z=dY/db, PDE residual)",
-            terminal_ok and fd_ok and resid_ok,
-            f"worst terminal gap {worst_terminal:.2e}")
+    _timed_check(checks.benchmark_sanity, math.inf)
 
 
 def test_criterion_6_scheme_gap_halves():

@@ -3,52 +3,71 @@ import math
 import numpy as np
 import pytest
 
-from rwbsde.coupling import bridge_sample, bridge_sample_batch, couple
-from rwbsde.exit_time import TauSequence, sample_tau_sequence, tabulate
-from rwbsde.lattice import RademacherPath, walk_values
+from rwbsde.coupling import bridge_sample_batch
+from rwbsde.exit_time import sample_sigma, tabulate, tau_ladder
+from rwbsde.lattice import LatticeGeometry, level_coordinates, walk_sums
 
 
-def _ladder(values, h):
-    return TauSequence(taus=np.asarray(values, dtype=float), h=h)
+def _skeleton(signs, h):
+    """(1, n+1) Brownian skeleton sqrt(h)*S of one sign row."""
+    return math.sqrt(h) * walk_sums(np.array([signs]))
+
+
+def _coupled(rng, cdf, n, rows):
+    """Signs, ladders and skeletons of rows coupled paths, drawn in that order."""
+    signs = rng.integers(0, 2, (rows, n)) * 2 - 1
+    u = rng.random((rows, n))
+    u[u == 0.0] = 2.0**-53
+    taus = tau_ladder(sample_sigma(cdf, u.ravel()), n)
+    walks = walk_sums(signs)
+    return signs, taus, walks, math.sqrt(cdf.h) * walks
+
+
+def _bridge(taus, skeleton, t, z):
+    """Bridge draws of one coupled path, one per normal in z."""
+    z = np.atleast_1d(z)
+    taus = np.broadcast_to(np.asarray(taus, dtype=float), (z.size, len(taus)))
+    skeleton = np.broadcast_to(skeleton, (z.size, skeleton.shape[-1]))
+    return bridge_sample_batch(taus, skeleton, t, z)
 
 
 def test_couple_two_steps():
     h = 0.49
-    path = RademacherPath(np.array([1, -1]), h)
-    spath = couple(path, _ladder([0.8 * h, 2.1 * h], h))
-    assert spath.skeleton[0] == 0.0
-    assert spath.skeleton[1] == math.sqrt(h)
-    assert spath.skeleton[2] == 0.0
+    skeleton = _skeleton([1, -1], h)[0]
+    assert skeleton[0] == 0.0
+    assert skeleton[1] == math.sqrt(h)
+    assert skeleton[2] == 0.0
 
 
 def test_skeleton_is_bitwise_walk_values():
+    # the skeleton sits bit for bit on the lattice node each walk reaches
     rng = np.random.default_rng(1)
     h = 1.0 / 64
-    cdf = tabulate(h)
-    for _ in range(25):
-        path = RademacherPath(rng.integers(0, 2, 64) * 2 - 1, h)
-        spath = couple(path, sample_tau_sequence(cdf, 64, rng))
-        assert np.array_equal(spath.skeleton, walk_values(path))
+    geom = LatticeGeometry(n=64, h=h)
+    _, _, walks, skels = _coupled(rng, tabulate(h), 64, 25)
+    for k in range(65):
+        node = (k + walks[:, k]) // 2
+        assert np.array_equal(skels[:, k], level_coordinates(geom, k)[node])
 
 
 def test_increments_are_exactly_sqrt_h():
+    # B_tau_k - B_tau_{k-1} = sqrt(h)*(S_k - S_{k-1}) with |S_k - S_{k-1}| = 1
+    # exactly, and each skeleton value is a single sqrt(h)*S_k product
     rng = np.random.default_rng(2)
     h = 0.37
-    cdf = tabulate(h)
-    sh = math.sqrt(h)
-    for _ in range(100):
-        path = RademacherPath(rng.integers(0, 2, 30) * 2 - 1, h)
-        spath = couple(path, sample_tau_sequence(cdf, 30, rng))
-        assert np.all(np.abs(spath.increments) == sh)
+    signs, taus, walks, skels = _coupled(rng, tabulate(h), 30, 100)
+    assert np.array_equal(np.diff(walks, axis=1), signs)
+    assert np.all(np.abs(np.diff(walks, axis=1)) == 1)
+    assert np.array_equal(skels, math.sqrt(h) * walks.astype(float))
+    assert np.all(taus[:, 0] > 0.0) and np.all(np.diff(taus, axis=1) > 0.0)
 
 
 def test_couple_rejects_mismatch():
-    h = 0.5
-    path = RademacherPath(np.array([1, 1, -1]), h)
+    taus = np.array([[0.1, 0.5]])
     with pytest.raises(ValueError, match="length"):
-        couple(path, _ladder([0.1, 0.5], h))
-    with pytest.raises(ValueError, match="step"):
-        couple(path, _ladder([0.1, 0.5, 0.9], 0.25))
+        bridge_sample_batch(taus, _skeleton([1, 1, -1], 0.5), 0.3, np.zeros(1))
+    with pytest.raises(ValueError, match="length"):
+        bridge_sample_batch(taus, _skeleton([1, 1], 0.5), 0.3, np.zeros(2))
 
 
 def test_skeleton_increment_variance():
@@ -65,22 +84,21 @@ def test_skeleton_increment_variance():
 
 def test_bridge_exact_at_embedding_times():
     h = 0.3
-    path = RademacherPath(np.array([1, 1, -1, 1]), h)
-    spath = couple(path, _ladder([0.2, 0.5, 0.8, 1.3], h))
+    taus = [0.2, 0.5, 0.8, 1.3]
+    skeleton = _skeleton([1, 1, -1, 1], h)
     for j, t in enumerate([0.0, 0.2, 0.5, 0.8, 1.3]):
-        a = bridge_sample(spath, t, np.random.default_rng(0))
-        b = bridge_sample(spath, t, np.random.default_rng(99))
-        assert a == b == spath.skeleton[j]
+        a = _bridge(taus, skeleton, t, np.random.default_rng(0).standard_normal())
+        b = _bridge(taus, skeleton, t, np.random.default_rng(99).standard_normal())
+        assert a[0] == b[0] == skeleton[0, j]
 
 
 def test_bridge_midpoint_moments():
     h = 1.0
-    path = RademacherPath(np.array([1, -1]), h)
-    spath = couple(path, _ladder([1.0, 3.0], h))
+    skeleton = _skeleton([1, -1], h)
     t = 2.0  # midpoint of (tau_1, tau_2)
     rng = np.random.default_rng(8)
-    draws = np.array([bridge_sample(spath, t, rng) for _ in range(100_000)])
-    mean_expected = 0.5 * (spath.skeleton[1] + spath.skeleton[2])
+    draws = _bridge([1.0, 3.0], skeleton, t, rng.standard_normal(100_000))
+    mean_expected = 0.5 * (skeleton[0, 1] + skeleton[0, 2])
     var_expected = (3.0 - 1.0) / 4.0
     se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - mean_expected) <= 4 * se_mean
@@ -91,67 +109,55 @@ def test_bridge_midpoint_moments():
 
 def test_bridge_beyond_last_exit_uses_free_increment():
     h = 0.5
-    path = RademacherPath(np.array([1, 1]), h)
-    spath = couple(path, _ladder([0.4, 0.9], h))
+    skeleton = _skeleton([1, 1], h)
     t = 1.5
-    seed = 314
-    draw = bridge_sample(spath, t, np.random.default_rng(seed))
-    z = np.random.default_rng(seed).standard_normal()
-    assert draw == spath.skeleton[-1] + math.sqrt(t - 0.9) * z
+    z = np.random.default_rng(314).standard_normal()
+    draw = _bridge([0.4, 0.9], skeleton, t, z)[0]
+    assert draw == skeleton[0, -1] + math.sqrt(t - 0.9) * z
 
 
 def test_bridge_ignores_far_skeleton():
     # draws in (tau_j, tau_j+1) must not consult values outside {j, j+1}
     h = 0.25
     taus = [0.3, 0.7, 1.1, 1.6]
-    p1 = RademacherPath(np.array([1, -1, 1, 1]), h)
-    p2 = RademacherPath(np.array([1, -1, -1, -1]), h)  # same first two steps
-    s1 = couple(p1, _ladder(taus, h))
-    s2 = couple(p2, _ladder(taus, h))
+    s1 = _skeleton([1, -1, 1, 1], h)
+    s2 = _skeleton([1, -1, -1, -1], h)  # same first two steps
     t = 0.5  # inside (tau_1, tau_2)
     for seed in range(10):
-        a = bridge_sample(s1, t, np.random.default_rng(seed))
-        b = bridge_sample(s2, t, np.random.default_rng(seed))
-        assert a == b
+        z = np.random.default_rng(seed).standard_normal()
+        assert _bridge(taus, s1, t, z)[0] == _bridge(taus, s2, t, z)[0]
 
 
 def test_bridge_rejects_negative_time():
-    h = 0.5
-    spath = couple(RademacherPath(np.array([1]), h), _ladder([0.4], h))
     with pytest.raises(ValueError):
-        bridge_sample(spath, -0.1, np.random.default_rng(0))
+        bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), -0.1, np.zeros(1))
     with pytest.raises(ValueError):
         bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), -1.0, np.zeros(1))
 
 
 def test_batch_bridge_matches_scalar_bridge():
+    # per-row closed form: the searchsorted interval, the bridge mean and variance
     rng = np.random.default_rng(21)
     h = 0.04
     n, rows = 25, 64
-    cdf = tabulate(h)
-    taus = np.empty((rows, n))
-    skels = np.empty((rows, n + 1))
-    spaths = []
-    for r in range(rows):
-        path = RademacherPath(rng.integers(0, 2, n) * 2 - 1, h)
-        spath = couple(path, sample_tau_sequence(cdf, n, rng))
-        spaths.append(spath)
-        taus[r] = spath.taus.taus
-        skels[r] = spath.skeleton
+    _, taus, _, skels = _coupled(rng, tabulate(h), n, rows)
     t = 0.5 * n * h
     z = rng.standard_normal(rows)
     batch = bridge_sample_batch(taus, skels, t, z)
     for r in range(rows):
-        class _FixedNormal:
-            def __init__(self, v):
-                self.v = v
-
-            def standard_normal(self):
-                return self.v
-
-        assert batch[r] == pytest.approx(
-            bridge_sample(spaths[r], t, _FixedNormal(z[r])), abs=1e-14
-        )
+        times = np.concatenate([[0.0], taus[r]])
+        j = int(np.searchsorted(times, t, side="right")) - 1
+        if times[j] == t:
+            expected = skels[r, j]
+        elif j >= n:
+            expected = skels[r, -1] + math.sqrt(t - times[-1]) * z[r]
+        else:
+            t0, t1 = times[j], times[j + 1]
+            b0, b1 = skels[r, j], skels[r, j + 1]
+            mean = b0 + (t - t0) / (t1 - t0) * (b1 - b0)
+            var = (t - t0) * (t1 - t) / (t1 - t0)
+            expected = mean + math.sqrt(var) * z[r]
+        assert batch[r] == pytest.approx(expected, abs=1e-14)
 
 
 def test_coupling_discrepancy_trend():
@@ -162,13 +168,9 @@ def test_coupling_discrepancy_trend():
     cdf = tabulate(h)
     u = rng.random((paths, n))
     u[u == 0.0] = 2.0**-53
-    from rwbsde.exit_time import sample_sigma
-
-    sig = np.asarray(sample_sigma(cdf, u.ravel())).reshape(paths, n)
-    taus = np.cumsum(sig, axis=1)
+    taus = tau_ladder(sample_sigma(cdf, u.ravel()), n)
     signs = rng.integers(0, 2, (paths, n)) * 2 - 1
-    walk = np.cumsum(signs, axis=1, dtype=np.int64)
-    skels = np.concatenate([np.zeros((paths, 1)), math.sqrt(h) * walk], axis=1)
+    skels = math.sqrt(h) * walk_sums(signs)
     for k in (n // 4, n // 2, n):
         t_k = k * h
         z = rng.standard_normal(paths)

@@ -13,9 +13,9 @@ from rwbsde.exit_time import (
     cdf_series,
     laplace_transform,
     sample_sigma,
-    sample_tau_sequence,
     tabulate,
     tabulated_moment,
+    tau_ladder,
 )
 
 
@@ -169,13 +169,21 @@ def test_sample_mean_near_h():
     assert abs(draws.mean() - h) <= 3 * se
 
 
+def _ladders(cdf, n, rows, rng):
+    u = rng.random((rows, n))
+    u[u == 0.0] = 2.0**-53
+    return tau_ladder(sample_sigma(cdf, u.ravel()), n)
+
+
 def test_tau_sequence_shape_and_growth():
     cdf = tabulate(0.1)
     rng = np.random.default_rng(0)
-    tau = sample_tau_sequence(cdf, 50, rng)
-    assert tau.n == 50
-    assert tau.taus[0] > 0
-    assert np.all(np.diff(tau.taus) > 0)
+    taus = _ladders(cdf, 50, 3, rng)
+    assert taus.shape == (3, 50)
+    assert np.all(taus[:, 0] > 0)
+    assert np.all(np.diff(taus, axis=1) > 0)
+    with pytest.raises(ValueError):
+        tau_ladder(np.ones(4), 0)
 
 
 def test_tau_terminal_mean():
@@ -206,6 +214,6 @@ def test_tau_increment_variance_matches_table_moment():
 
 def test_sample_determinism():
     cdf = tabulate(0.3)
-    a = sample_tau_sequence(cdf, 20, np.random.default_rng(77))
-    b = sample_tau_sequence(cdf, 20, np.random.default_rng(77))
-    assert np.array_equal(a.taus, b.taus)
+    a = _ladders(cdf, 20, 4, np.random.default_rng(77))
+    b = _ladders(cdf, 20, 4, np.random.default_rng(77))
+    assert np.array_equal(a, b)

@@ -1,7 +1,8 @@
+import math
 
 import pytest
 
-from rwbsde import solver
+from rwbsde import experiment, solver
 from rwbsde.benchmarks import make_case
 from rwbsde.experiment import (
     ErrorRow,
@@ -78,18 +79,33 @@ def test_sqrt_case_has_no_z_errors():
         assert row.e_y >= 0.0
 
 
-def test_lattice_solved_once_per_n():
-    before = solver.solve_explicit.calls
+def _count_solves(monkeypatch):
+    """Counting wrappers on the solver names run_mc looks up at call time."""
+    calls = {"explicit": 0, "implicit": 0}
+    for scheme in calls:
+        name = f"solve_{scheme}"
+        original = getattr(experiment, name)
+
+        def counted(*args, _scheme=scheme, _original=original, **kwargs):
+            calls[_scheme] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    return calls
+
+
+def test_lattice_solved_once_per_n(monkeypatch):
+    calls = _count_solves(monkeypatch)
     cfg = ExperimentConfig(case="square", n_list=(8, 16, 32), M=25, seed=7)
     run_mc(cfg)
-    assert solver.solve_explicit.calls - before == 3
+    assert calls == {"explicit": 3, "implicit": 0}
 
 
-def test_implicit_scheme_is_wired_through():
-    before = solver.solve_implicit.calls
+def test_implicit_scheme_is_wired_through(monkeypatch):
+    calls = _count_solves(monkeypatch)
     cfg = ExperimentConfig(case="square", n_list=(8,), M=5, seed=7, scheme="implicit")
     run_mc(cfg)
-    assert solver.solve_implicit.calls - before == 1
+    assert calls == {"explicit": 0, "implicit": 1}
 
 
 def _series_from(ns, errs):
@@ -116,6 +132,10 @@ def test_regression_input_validation():
         regress_loglog(_series_from((10, 20, 40), [1.0, 0.0, 0.5]))
     with pytest.raises(ValueError):
         regress_loglog(_series_from((10, 20, 40), [1.0, 0.9, 0.5]), "e_z")
+    with pytest.raises(ValueError):
+        regress_loglog(_series_from((10, 20, 40), [1.0, math.nan, 0.5]))
+    with pytest.raises(ValueError):
+        regress_loglog(_series_from((10, 20, 40), [1.0, math.inf, 0.5]))
 
 
 def test_slope_flag():

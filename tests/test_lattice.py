@@ -8,39 +8,38 @@ from hypothesis import strategies as st
 from rwbsde.lattice import (
     ENUMERATION_CAP,
     LatticeGeometry,
-    RademacherPath,
-    enumerate_paths,
     level_coordinates,
     node_coordinate,
     sign_matrix,
-    walk_values,
+    walk_sums,
 )
 
 
+def _walk(signs, h):
+    """Walk positions sqrt(h)*S_k of one sign row, k = 0..n."""
+    return math.sqrt(h) * walk_sums(np.array([signs]))[0]
+
+
 def test_walk_single_up_step():
-    path = RademacherPath(steps=np.array([1]), h=1.0)
-    assert walk_values(path).tolist() == [0.0, 1.0]
+    assert _walk([1], 1.0).tolist() == [0.0, 1.0]
 
 
 def test_walk_up_down_recombines():
-    path = RademacherPath(steps=np.array([1, -1]), h=0.5)
-    vals = walk_values(path)
+    vals = _walk([1, -1], 0.5)
     assert vals[0] == 0.0
     assert vals[1] == math.sqrt(0.5)
     assert vals[2] == 0.0
 
 
 def test_walk_all_up_endpoint():
-    path = RademacherPath(steps=np.array([1, 1, 1, 1]), h=0.25)
-    assert walk_values(path)[-1] == 4 * 0.5
+    assert _walk([1, 1, 1, 1], 0.25)[-1] == 4 * 0.5
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64))
 @settings(max_examples=200, deadline=None)
 def test_walk_increments_match_signs(signs):
     h = 0.37
-    path = RademacherPath(steps=np.array(signs), h=h)
-    vals = walk_values(path)
+    vals = _walk(signs, h)
     assert vals[0] == 0.0
     diffs = np.diff(vals)
     assert np.all(np.sign(diffs).astype(int) == np.array(signs))
@@ -49,9 +48,11 @@ def test_walk_increments_match_signs(signs):
 
 def test_path_rejects_bad_signs():
     with pytest.raises(ValueError):
-        RademacherPath(steps=np.array([1, 0, -1]), h=1.0)
+        walk_sums(np.array([[1, 0, -1]]))
     with pytest.raises(ValueError):
-        RademacherPath(steps=np.array([2, -1]), h=1.0)
+        walk_sums(np.array([[2, -1]]))
+    with pytest.raises(ValueError):
+        walk_sums(np.array([1, -1]))          # one row must still be (1, n)
 
 
 def test_node_coordinate_examples():
@@ -73,28 +74,30 @@ def test_node_coordinate_rejects_out_of_range():
 
 
 def test_enumeration_counts():
-    assert sum(1 for _ in enumerate_paths(1, 1.0)) == 2
-    assert sum(1 for _ in enumerate_paths(3, 1.0)) == 8
-    assert sum(1 for _ in enumerate_paths(10, 1.0)) == 1024
+    assert sign_matrix(1).shape == (2, 1)
+    assert sign_matrix(3).shape == (8, 3)
+    assert sign_matrix(10).shape == (1024, 10)
 
 
 def test_enumeration_yields_each_sequence_once():
-    seen = {tuple(p.steps.tolist()) for p in enumerate_paths(6, 0.5)}
+    seen = {tuple(row.tolist()) for row in sign_matrix(6)}
     assert len(seen) == 64
+    assert all(set(row) <= {-1, 1} for row in seen)
 
 
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
-        next(enumerate_paths(ENUMERATION_CAP + 1, 1.0))
-    with pytest.raises(ValueError):
         sign_matrix(ENUMERATION_CAP + 1)
+    with pytest.raises(ValueError):
+        sign_matrix(5, cap=4)
 
 
 def test_recombination_level_values():
     # walk value after k steps depends only on (#up - #down): k+1 distinct values
     n, h = 8, 0.125
+    walks = math.sqrt(h) * walk_sums(sign_matrix(n))
     for k in (3, 5, 8):
-        endpoints = {walk_values(p)[k] for p in enumerate_paths(n, h)}
+        endpoints = set(walks[:, k].tolist())
         assert len(endpoints) == k + 1
         expected = {node_coordinate(LatticeGeometry(n, h), k, i) for i in range(k + 1)}
         assert endpoints == expected

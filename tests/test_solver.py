@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rwbsde.lattice import RademacherPath, level_coordinates, sign_matrix
+from rwbsde.lattice import level_coordinates, sign_matrix, walk_sums
 from rwbsde.solver import (
     BsdeProblem,
     PicardConvergenceError,
-    evaluate_along_path,
+    evaluate_walks,
     solve_explicit,
     solve_implicit,
     z_by_representation,
@@ -165,17 +165,21 @@ def test_evaluate_along_path():
     problem = BsdeProblem(T=1.0, n=n, g=np.exp, f=linear_driver)
     sol = solve_explicit(problem)
     rng = np.random.default_rng(3)
-    any_path = RademacherPath(rng.integers(0, 2, n) * 2 - 1, problem.h)
-    assert evaluate_along_path(sol, any_path, 0) == (sol.y[0][0], sol.z[0][0])
-    all_up = RademacherPath(np.ones(n, dtype=np.int8), problem.h)
-    assert evaluate_along_path(sol, all_up, n - 1) == (sol.y[n - 1][n - 1], sol.z[n - 1][n - 1])
-    for _ in range(20):
-        path = RademacherPath(rng.integers(0, 2, n) * 2 - 1, problem.h)
-        k = int(rng.integers(0, n))
-        i = int(np.sum(path.steps[:k] == 1))
-        assert evaluate_along_path(sol, path, k) == (sol.y[k][i], sol.z[k][i])
+    walks = walk_sums(rng.integers(0, 2, (20, n)) * 2 - 1)
+    y0, z0 = evaluate_walks(sol, walks, 0)
+    assert np.all(y0 == sol.y[0][0]) and np.all(z0 == sol.z[0][0])
+    y_up, z_up = evaluate_walks(sol, walk_sums(np.ones((1, n), dtype=np.int8)), n - 1)
+    assert (y_up[0], z_up[0]) == (sol.y[n - 1][n - 1], sol.z[n - 1][n - 1])
+    signs = rng.integers(0, 2, (20, n)) * 2 - 1
+    walks = walk_sums(signs)
+    for k in range(n):
+        i = np.sum(signs[:, :k] == 1, axis=1)
+        y, z = evaluate_walks(sol, walks, k)
+        assert np.array_equal(y, sol.y[k][i]) and np.array_equal(z, sol.z[k][i])
     with pytest.raises(IndexError):
-        evaluate_along_path(sol, any_path, n)
+        evaluate_walks(sol, walks, n)
+    with pytest.raises(ValueError):
+        evaluate_walks(sol, walks[:, :-1], 0)
 
 
 def test_representation_single_step_identity():
