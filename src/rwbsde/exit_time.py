@@ -168,12 +168,11 @@ def tabulate(
     grid_size: int = DEFAULT_GRID_SIZE,
     t_min: float | None = None,
     t_max: float | None = None,
-    terms: int | None = None,
 ) -> ExitTimeCdf:
     """Freeze the series CDF on a sampling grid.
 
     The grid is built in scaled time t/h, so tables for different h agree
-    after an exact time rescale. The series term count defaults to whatever
+    after an exact time rescale. The series term count is whatever
     the grid start needs for a <=1e-13 truncation bound (the series
     converges slowest at small t). Raises when the requested window violates
     the start/tail mass contracts (F(t_min) <= 1e-12, 1 - F(t_max) <= 1e-10).
@@ -188,7 +187,7 @@ def tabulate(
         raise ValueError(f"need 0 < t_min < t_max, got ({u_min}, {u_max}) in units of h")
 
     u = _sampling_grid(u_min, u_max, grid_size)
-    values = np.atleast_1d(cdf_series(u, 1.0, _terms_for(u_min) if terms is None else terms))
+    values = np.atleast_1d(cdf_series(u, 1.0, _terms_for(u_min)))
     np.maximum.accumulate(values, out=values)  # guard last-ulp wiggle of the series
 
     if values[0] > _START_TOL:

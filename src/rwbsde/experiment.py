@@ -6,18 +6,20 @@ read (Y^n, Z^n) along the path at the evaluation level, recover the true
 Brownian value there by a bridge draw and accumulate squared differences
 against the exact solution. Per-n L2 errors are regressed log-log against n.
 
-The replications run in batches through four stages: draw (signs, uniforms,
-normals), embed (exit-time ladders, walk skeletons, the bridge draw at t_k),
-evaluate (lattice values along each walk, exact values at the bridged point)
-and accumulate (squared-error sums per batch, combined by math.fsum).
+The replications run in blocks of _BLOCK rows through four stages: draw
+(signs, uniforms, normals), embed (exit-time ladders, walk skeletons, the
+bridge draw at t_k), evaluate (lattice values along each walk, exact values
+at the bridged point) and accumulate (each row's squared errors, stored in
+place and summed once by math.fsum).
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
-spawned per entry of n_list (in order) and each child spawns one stream per
-replication. Every replication draws, in this fixed order: n sign bits, n
-uniforms for the exit times, one standard normal for the bridge. A given
-config therefore gives the same bits on every run. The per-replication
-draws do not depend on the batch size, but the batch sums do: regrouping
-rows can move the last bits of the reported errors.
+spawned per entry of n_list (in order) and child j spawns one stream per
+block of _BLOCK rows. Row r at n-index j therefore comes from stream
+(seed, j, r // _BLOCK), which draws, for its whole block in this order, the
+(rows, n) sign bits, the (rows, n) exit-time uniforms and the (rows,)
+bridge normals. The error sums are exactly rounded, so they do not depend
+on the order of the rows, and a given config gives the same bits on every
+run.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ from .solver import BsdeProblem, evaluate_walks, solve_explicit, solve_implicit
 
 DEFAULT_N_LIST = (50, 100, 200, 400, 800)
 DEFAULT_M = 20000
-_BATCH = 4096
+# rows per random stream, which are also the rows drawn and evaluated at once
+_BLOCK = 4096
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
 SLOPE_SLACK = 0.15
@@ -52,7 +55,6 @@ class ExperimentConfig:
     t_eval: Optional[float] = None   # defaults to T/2
     seed: int = 12345
     scheme: str = "explicit"
-    quad_order: int = 64
 
     def __post_init__(self) -> None:
         if self.case not in CASE_NAMES:
@@ -99,36 +101,24 @@ class RegressionResult:
     r_squared: float
 
 
-def _mean_and_se(parts_sum: list, parts_sq: list, m: int) -> tuple:
-    total = math.fsum(parts_sum)
-    mean = total / m
+def _mean_and_se(d2: np.ndarray) -> tuple:
+    """Mean of the squared errors and its standard error, from exact sums."""
+    m = d2.size
+    mean = math.fsum(d2) / m
     if m < 2:
         return mean, 0.0
-    total_sq = math.fsum(parts_sq)
-    var = max(total_sq - m * mean * mean, 0.0) / (m - 1)
+    var = max(math.fsum(d2 * d2) - m * mean * mean, 0.0) / (m - 1)
     return mean, math.sqrt(var / m)
 
 
-def _draw(rep_seeds: Sequence[np.random.SeedSequence], n: int) -> tuple:
-    """Signs (R, n), uniforms (R, n) in (0, 1) and normals (R,), one stream per row."""
-    rows = len(rep_seeds)
-    signs = np.empty((rows, n), dtype=np.int8)
-    uniforms = np.empty((rows, n))
-    normals = np.empty(rows)
-    for r, ss in enumerate(rep_seeds):
-        rng = np.random.default_rng(ss)
-        signs[r] = rng.integers(0, 2, n).astype(np.int8) * 2 - 1
-        uniforms[r] = rng.random(n)
-        normals[r] = rng.standard_normal()
+def _draw(rng: np.random.Generator, rows: int, n: int) -> tuple:
+    """Signs (rows, n), uniforms (rows, n) in (0, 1) and normals (rows,) from one stream."""
+    signs = rng.integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
+    uniforms = rng.random((rows, n))
     # rng.random is [0, 1); push an exact 0 inside the open interval
     uniforms[uniforms == 0.0] = 2.0**-53
+    normals = rng.standard_normal(rows)
     return signs, uniforms, normals
-
-
-def _accumulate(parts_sum: list, parts_sq: list, diff: np.ndarray) -> None:
-    d2 = diff * diff
-    parts_sum.append(float(np.sum(d2)))
-    parts_sq.append(float(np.sum(d2 * d2)))
 
 
 def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
@@ -150,23 +140,26 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
     exact = case.exact
     has_z = exact.z_fn is not None
 
-    rep_seeds = seedseq.spawn(config.M)
-    sum_y, sq_y, sum_z, sq_z = [], [], [], []
-    for start in range(0, config.M, _BATCH):
-        signs, uniforms, normals = _draw(rep_seeds[start:start + _BATCH], n)
+    M = config.M
+    streams = seedseq.spawn(-(-M // _BLOCK))
+    d2_y = np.empty(M)
+    d2_z = np.empty(M) if has_z else None
+    for start, stream in zip(range(0, M, _BLOCK), streams):
+        stop = min(start + _BLOCK, M)
+        signs, uniforms, normals = _draw(np.random.default_rng(stream), stop - start, n)
         # embed: exit-time ladders and Brownian skeletons, bridged to t_k
         taus = tau_ladder(sample_sigma(cdf, uniforms.ravel()), n)
         walks = walk_sums(signs)
         b_tk = bridge_sample_batch(taus, solution.geom.sqrt_h * walks, t_k, normals)
-        # evaluate the lattice along each walk and accumulate squared errors
+        # evaluate the lattice along each walk and store the squared errors
         y_n, z_n = evaluate_walks(solution, walks, k)
-        _accumulate(sum_y, sq_y, y_n - exact.y_fn(t_k, b_tk))
+        np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])
         if has_z:
-            _accumulate(sum_z, sq_z, z_n - exact.z_fn(t_k, b_tk))
+            np.square(z_n - exact.z_fn(t_k, b_tk), out=d2_z[start:stop])
 
-    e_y, se_y = _mean_and_se(sum_y, sq_y, config.M)
+    e_y, se_y = _mean_and_se(d2_y)
     if has_z:
-        e_z, se_z = _mean_and_se(sum_z, sq_z, config.M)
+        e_z, se_z = _mean_and_se(d2_z)
     else:
         e_z, se_z = None, None
     return ErrorRow(n=n, e_y=e_y, se_y=se_y, e_z=e_z, se_z=se_z)
@@ -174,7 +167,7 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
 
 def run_mc(config: ExperimentConfig) -> ErrorSeries:
     """Run the paired (walk, tau, bridge) protocol over config.n_list."""
-    case = make_case(config.case, config.T, config.quad_order)
+    case = make_case(config.case, config.T)
     children = np.random.SeedSequence(config.seed).spawn(len(config.n_list))
     rows = tuple(
         _run_single_n(config, case, n, child)
@@ -211,13 +204,13 @@ def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionRe
     return RegressionResult(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
-def slope_flag(slope: float, alpha: float, slack: float = SLOPE_SLACK) -> bool:
-    """True when the fitted slope sits above the -alpha/2 rate by more than slack.
+def slope_flag(slope: float, alpha: float) -> bool:
+    """True when the fitted slope sits above the -alpha/2 rate by more than SLOPE_SLACK.
 
     A flagged slope is reported, not failed: it marks a run whose decay is
     visibly short of the theoretical rate.
     """
-    return slope > -0.5 * alpha + slack
+    return slope > -0.5 * alpha + SLOPE_SLACK
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -231,7 +224,13 @@ def emit_csv(series: ErrorSeries, regressions: dict, path) -> None:
     n,E_Y,SE_Y,E_Z,SE_Z with empty fields where no Z truth exists; footer
     comments carry slope/intercept/r2 per fitted field, the theoretical
     reference -alpha/2 and a flag line when a slope falls short of it.
+    Raises before the file is opened when a row holds a non-finite value.
     """
+    for row in series.rows:
+        for name in ("e_y", "se_y", "e_z", "se_z"):
+            value = getattr(row, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"row n={row.n} has non-finite {name}={value}")
     lines = []
     for key in sorted(series.meta):
         lines.append(f"# {key}={series.meta[key]}")

@@ -35,7 +35,6 @@ class BsdeProblem:
     g : terminal function, must accept numpy arrays (whole levels at once).
     f : generator, called as f(t, x, y, z) with scalar t and level arrays.
     alpha : Hoelder order of g in (0, 1].
-    p0 : polynomial growth order of g, >= 0.
     lip_f : optional Lipschitz constant of f; when given, the implicit
         sweep checks the contraction condition h*lip_f < 1 up front.
     """
@@ -45,7 +44,6 @@ class BsdeProblem:
     g: TerminalFn
     f: DriverFn
     alpha: float = 1.0
-    p0: float = 0.0
     lip_f: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -55,8 +53,6 @@ class BsdeProblem:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"need alpha in (0, 1], got {self.alpha}")
-        if self.p0 < 0.0:
-            raise ValueError(f"need p0 >= 0, got {self.p0}")
         if self.lip_f is not None and self.lip_f < 0.0:
             raise ValueError(f"need lip_f >= 0, got {self.lip_f}")
 

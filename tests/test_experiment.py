@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rwbsde import experiment, solver
@@ -39,12 +41,14 @@ def test_run_is_deterministic():
     assert a.rows == b.rows
 
 
-def test_run_is_batch_size_independent(monkeypatch):
-    # per-replication streams: chunking must not move a single bit
-    cfg = ExperimentConfig(case="square", n_list=(8,), M=23, seed=13)
-    baseline = run_mc(cfg)
-    monkeypatch.setattr("rwbsde.experiment._BATCH", 7)
-    assert run_mc(cfg).rows == baseline.rows
+def test_error_sums_are_exact_and_order_free():
+    # np.sum loses the small terms next to 1e16 in one order but not the other
+    values = [1e16] + [1.0] * 1000
+    forward = experiment._mean_and_se(np.array(values))
+    backward = experiment._mean_and_se(np.array(values[::-1]))
+    assert [v.hex() for v in forward] == [v.hex() for v in backward]
+    exact = sum(Fraction(v) for v in values) / len(values)
+    assert forward[0] == float(exact)
 
 
 def test_single_replication_runs():
@@ -172,6 +176,18 @@ def test_csv_absent_z_fields_are_empty(tmp_path):
     assert "# slope_Y=" in body
     parsed, _ = parse_csv(out)
     assert parsed.rows == series.rows
+
+
+@pytest.mark.parametrize("row,field", [
+    (ErrorRow(10, math.nan, 0.0, None, None), "e_y"),
+    (ErrorRow(10, 1.0, 0.1, math.inf, 0.1), "e_z"),
+])
+def test_csv_rejects_non_finite_rows(tmp_path, row, field):
+    series = ErrorSeries(rows=(ErrorRow(5, 2.0, 0.2, 2.0, 0.2), row), meta={"alpha": 1.0})
+    out = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"n=10 .*{field}"):
+        emit_csv(series, {}, out)
+    assert not out.exists()
 
 
 def test_csv_footer_flags_shallow_slopes(tmp_path):

@@ -11,25 +11,25 @@ from rwbsde.benchmarks import make_case
 from rwbsde.solver import BsdeProblem, solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
-    (8, "0x1.7e71fc0d57d29p+0", "0x1.f86f2c15784b2p-3", "0x1.25dd0040f586cp+1", "0x1.896c97ef3ea9ep-3"),
-    (16, "0x1.d707a4d6b018cp-1", "0x1.b262bd2cac1d6p-3", "0x1.6d15030d2f82bp+0", "0x1.32672acffbf6ep-3"),
-    (32, "0x1.79dda804f9c61p-1", "0x1.e4a63008fa12dp-4", "0x1.d931d4b098b5cp-1", "0x1.6a4d75af13fa8p-4"),
+    (8, "0x1.668cb40af0c0ep+0", "0x1.1eeed14f59836p-2", "0x1.2a1347bf9dd1ap+1", "0x1.c44f71ed9c65cp-3"),
+    (16, "0x1.01fb2d4e7e707p+0", "0x1.8ca180fbc770dp-3", "0x1.5a7ecf78789b5p+0", "0x1.f37b59d4734b4p-4"),
+    (32, "0x1.4ecf4229c31cfp-1", "0x1.8f7da0291a953p-4", "0x1.0bdba96179e5dp+0", "0x1.8bd23d56b0d0dp-4"),
 ]
 SQRT_EXPLICIT = [
-    (8, "0x1.bddf8cb89773dp-4", "0x1.fe18101932865p-8", None, None),
-    (16, "0x1.afbccadb96f1dp-5", "0x1.99627d425c9e7p-8", None, None),
-    (32, "0x1.0b666f95d4a91p-5", "0x1.ac6294165c9b0p-9", None, None),
+    (8, "0x1.cd82fba6dda71p-4", "0x1.386f4063ceec2p-7", None, None),
+    (16, "0x1.b873a9d91a474p-5", "0x1.42491f248a2c4p-8", None, None),
+    (32, "0x1.08b2608b93089p-5", "0x1.c11395d4ab4b7p-9", None, None),
 ]
 SQUARE_IMPLICIT = [
-    (8, "0x1.85f83d5cccbf4p+0", "0x1.e8ec584c4edf7p-3", "0x1.0da99f19bce33p+1", "0x1.6f32cdcac2b70p-3"),
-    (16, "0x1.bc99da5931bcdp-1", "0x1.a729b106e06edp-3", "0x1.517ef1b858189p+0", "0x1.26be9befdc1a5p-3"),
-    (32, "0x1.8923bc654af38p-1", "0x1.ff108b361f213p-4", "0x1.d7081b485a0fdp-1", "0x1.6b4555b51df69p-4"),
+    (8, "0x1.50be27520c760p+0", "0x1.07a08641fdf2ap-2", "0x1.0e814ff6125eep+1", "0x1.a5211481ebd24p-3"),
+    (16, "0x1.0201ef776bc3ap+0", "0x1.73aa581d4ffacp-3", "0x1.487a15d4acb3ep+0", "0x1.da38972f466c7p-4"),
+    (32, "0x1.45b0c572e425dp-1", "0x1.78f11309eb086p-4", "0x1.0481319356750p+0", "0x1.830d53ecb2125p-4"),
 ]
-# batches of 7 regroup the per-batch partial sums, which moves some last bits
-SQUARE_EXPLICIT_BATCH_7 = [
-    (8, "0x1.7e71fc0d57d29p+0", "0x1.f86f2c15784b2p-3", "0x1.25dd0040f586cp+1", "0x1.896c97ef3ea9fp-3"),
-    (16, "0x1.d707a4d6b018cp-1", "0x1.b262bd2cac1d6p-3", "0x1.6d15030d2f82bp+0", "0x1.32672acffbf6ep-3"),
-    (32, "0x1.79dda804f9c61p-1", "0x1.e4a63008fa12cp-4", "0x1.d931d4b098b5ap-1", "0x1.6a4d75af13fa8p-4"),
+# blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
+SQUARE_EXPLICIT_BLOCK_128 = [
+    (8, "0x1.3b7f5e9eace34p+0", "0x1.6727b69e8f113p-3", "0x1.1c74621346dc4p+1", "0x1.6746a73acfaacp-3"),
+    (16, "0x1.e0e6768928bd2p+0", "0x1.a104e42aa1e32p-2", "0x1.a098efaf01a28p+0", "0x1.49b1470b865c6p-3"),
+    (32, "0x1.bb32decc2737dp-1", "0x1.b75e99c673c97p-3", "0x1.0780a690e82bfp+0", "0x1.f4ead5f33048fp-4"),
 ]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
@@ -60,9 +60,9 @@ def test_run_mc_rows_are_golden(case, scheme, expected):
     assert _run(case, scheme) == expected
 
 
-def test_run_mc_rows_are_golden_in_small_batches(monkeypatch):
-    monkeypatch.setattr("rwbsde.experiment._BATCH", 7)
-    assert _run("square") == SQUARE_EXPLICIT_BATCH_7
+def test_run_mc_rows_are_golden_across_blocks(monkeypatch):
+    monkeypatch.setattr("rwbsde.experiment._BLOCK", 128)
+    assert _run("square") == SQUARE_EXPLICIT_BLOCK_128
 
 
 @pytest.mark.parametrize("scheme,solve", [("explicit", solve_explicit), ("implicit", solve_implicit)])

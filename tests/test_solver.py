@@ -156,8 +156,6 @@ def test_problem_validation():
         BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=0.0)
     with pytest.raises(ValueError):
         BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=1.2)
-    with pytest.raises(ValueError):
-        BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, p0=-1.0)
 
 
 def test_evaluate_along_path():
