@@ -7,10 +7,10 @@ xi ~ N(0, T-t), which gives:
 * exp case,    g(x) = e^{T+x}:  Y_t = e^{T + B_t + 2.5(T-t)}, Z = Y (u_x = u).
 * square case, g(x) = x^2:      Y_t = e^{T-t}((B_t + (T-t))^2 + (T-t)),
                                 Z_t = 2 e^{T-t}(B_t + (T-t)).
-* sqrt case,   g(x) = sqrt|x|:  Y_t = e^{(T-t)/2} E[sqrt|B~_{T-t} + B_t| e^{B~_{T-t}}]
-                                (no closed Z; alpha = 1/2), evaluated by
-                                Gauss-Hermite quadrature after absorbing the
-                                exponential tilt and removing the sqrt kink.
+* sqrt case,   g(x) = sqrt|x|:  Y_t = e^{T-t} E sqrt|N(B_t + (T-t), T-t)|
+                                (no closed Z; alpha = 1/2), in closed form
+                                through Kummer's function 1F1 (Winkelbauer
+                                2012, absolute moments of the normal law).
 
 The square-case signs follow from the PDE u_t + u_xx/2 + f(u, u_x) = 0 and
 are confirmed by the finite-difference residual test; Y(0,0) = e^T(T^2+T)
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,12 +28,7 @@ from scipy.special import hyp1f1
 
 ArrayLike = Union[float, np.ndarray]
 
-DEFAULT_QUAD_ORDER = 64
 CASE_NAMES = ("exp", "square", "sqrt")
-
-# switch from the kink-split rule to plain Gauss-Hermite once the kink sits
-# this many standard deviations away from the Gaussian bulk
-_KINK_SWITCH = 7.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,44 +75,8 @@ def exact_case_square(T: float) -> ExactSolution:
     return ExactSolution(y_fn=y_fn, z_fn=z_fn, alpha=1.0, label="square", T=T)
 
 
-@lru_cache(maxsize=8)
-def _hermgauss(order: int) -> tuple:
-    x, w = np.polynomial.hermite.hermgauss(order)
-    # log weights so the kink-split compensation exp(x^2) cannot overflow
-    return x, w, np.log(w)
-
-
-def _sqrt_abs_moment(m: np.ndarray, order: int) -> np.ndarray:
-    """E sqrt|Z| for Z ~ N(m, 1), m >= 0, by Gauss-Hermite of the given order.
-
-    For m < 7 the expectation is split at the kink and substituted z = u^2,
-    which makes the integrand entire; Gauss-Hermite is applied with the
-    fixed-coverage scale s = 4/sqrt(2*order) (nodes span u in [-4, 4]
-    regardless of order, densifying as the order grows). For m >= 7 the kink
-    carries no mass within the bulk and plain Gauss-Hermite in the original
-    variable is already spectrally accurate.
-    """
-    x, w, logw = _hermgauss(order)
-    out = np.empty_like(m)
-
-    near = m < _KINK_SWITCH
-    if np.any(near):
-        s = 4.0 / math.sqrt(2.0 * order)
-        u2 = (s * x) ** 2
-        mm = m[near][:, None]
-        dens = np.exp(-0.5 * (u2[None, :] - mm) ** 2) + np.exp(-0.5 * (u2[None, :] + mm) ** 2)
-        dens /= math.sqrt(2.0 * math.pi)
-        out[near] = s * (dens * u2[None, :]) @ np.exp(logw + x * x)
-
-    far = ~near
-    if np.any(far):
-        zf = math.sqrt(2.0) * x[None, :] + m[far][:, None]
-        out[far] = (np.sqrt(np.abs(zf)) @ w) / math.sqrt(math.pi)
-    return out
-
-
-def sqrt_abs_moment_reference(m: ArrayLike) -> ArrayLike:
-    """Closed-form E sqrt|Z|, Z ~ N(m, 1): independent oracle for the quadrature.
+def sqrt_abs_moment(m: ArrayLike) -> ArrayLike:
+    """E sqrt|Z| for Z ~ N(m, 1), in closed form.
 
     E|Z|^nu = 2^{nu/2} Gamma((1+nu)/2)/sqrt(pi) * 1F1(-nu/2; 1/2; -m^2/2).
     """
@@ -127,31 +85,25 @@ def sqrt_abs_moment_reference(m: ArrayLike) -> ArrayLike:
     return c * hyp1f1(-0.25, 0.5, -0.5 * m_arr * m_arr)
 
 
-def exact_case_sqrt(T: float, quad_order: int = DEFAULT_QUAD_ORDER) -> ExactSolution:
+def exact_case_sqrt(T: float) -> ExactSolution:
     """g(x) = sqrt|x|, f(y, z) = y + z, alpha = 1/2; Y only (no closed Z).
 
     Absorbing the e^{B~} tilt turns the expectation into
-    e^{T-t} E sqrt|N(b + (T-t), T-t)|, handled by _sqrt_abs_moment. At
-    t = T the Gaussian degenerates and sqrt|b| is returned analytically.
+    e^{T-t} E sqrt|N(b + (T-t), T-t)| = e^{T-t} (T-t)^{1/4} sqrt_abs_moment(m),
+    m = (b + T - t)/sqrt(T-t). At t = T the Gaussian degenerates and
+    sqrt|b| is returned exactly.
     """
     if not T > 0.0:
         raise ValueError(f"need T > 0, got T={T}")
-    if quad_order < 16:
-        raise ValueError(f"need quad_order >= 16, got {quad_order}")
 
     def y_fn(t, b):
         tau = T - t
         if tau < 0.0:
             raise ValueError(f"t={t} beyond the horizon T={T}")
-        scalar = np.isscalar(b)
-        b_arr = np.atleast_1d(np.asarray(b, dtype=float))
         if tau == 0.0:
-            out = np.sqrt(np.abs(b_arr))
-        else:
-            sig = math.sqrt(tau)
-            m = np.abs(b_arr + tau) / sig
-            out = math.exp(tau) * math.sqrt(sig) * _sqrt_abs_moment(m, quad_order)
-        return float(out[0]) if scalar else out
+            return np.sqrt(np.abs(b))
+        sig = math.sqrt(tau)
+        return math.exp(tau) * math.sqrt(sig) * sqrt_abs_moment((b + tau) / sig)
 
     return ExactSolution(y_fn=y_fn, z_fn=None, alpha=0.5, label="sqrt", T=T)
 
@@ -177,7 +129,7 @@ class BenchmarkCase:
         return self.exact.alpha
 
 
-def make_case(name: str, T: float, quad_order: int = DEFAULT_QUAD_ORDER) -> BenchmarkCase:
+def make_case(name: str, T: float) -> BenchmarkCase:
     """Assemble one of the named test cases (exp | square | sqrt)."""
 
     def f(t, x, y, z):
@@ -188,7 +140,5 @@ def make_case(name: str, T: float, quad_order: int = DEFAULT_QUAD_ORDER) -> Benc
     if name == "square":
         return BenchmarkCase(name, lambda x: x * x, f, exact_case_square(T))
     if name == "sqrt":
-        return BenchmarkCase(
-            name, lambda x: np.sqrt(np.abs(x)), f, exact_case_sqrt(T, quad_order)
-        )
+        return BenchmarkCase(name, lambda x: np.sqrt(np.abs(x)), f, exact_case_sqrt(T))
     raise ValueError(f"unknown case {name!r}; choose one of {CASE_NAMES}")

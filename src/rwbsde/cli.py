@@ -15,7 +15,7 @@ def _parse_n_list(text: str) -> tuple:
 
 
 def _cmd_solve(args) -> int:
-    case = benchmarks.make_case(args.case, args.T, args.quad_order)
+    case = benchmarks.make_case(args.case, args.T)
     problem = solver.BsdeProblem(
         T=args.T, n=args.n, g=case.g, f=case.f, alpha=case.alpha, lip_f=case.lip_f
     )
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--scheme", choices=("explicit", "implicit"), default="explicit")
-    p.add_argument("--quad-order", type=int, default=benchmarks.DEFAULT_QUAD_ORDER)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("convergence", help="Monte Carlo L2 errors and log-log slopes")

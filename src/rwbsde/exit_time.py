@@ -27,10 +27,11 @@ from scipy.integrate import simpson
 
 ArrayLike = Union[float, np.ndarray]
 
-DEFAULT_TERMS = 60
 DEFAULT_GRID_SIZE = 4096
 TALBOT_DEGREE = 24
 
+_MIN_TERMS = 60      # floor of the series length
+_SERIES_TOL = 1e-13  # bound on the first omitted series term
 _START_TOL = 1e-12   # required F(t_min)
 _TAIL_TOL = 1e-10    # required 1 - F(t_max)
 
@@ -59,20 +60,20 @@ def laplace_transform(lam: ArrayLike, h: float) -> ArrayLike:
     return float(out[0]) if scalar else out
 
 
-def cdf_series(t: ArrayLike, h: float, terms: int = DEFAULT_TERMS) -> ArrayLike:
+def cdf_series(t: ArrayLike, h: float) -> ArrayLike:
     """Spectral-series CDF F(t), clamped to [0, 1].
 
     The k-th term (4/pi)(-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 t/(8h)) decreases
     strictly in magnitude, so the alternating truncation error is below the
-    first omitted term for every t > 0.
+    first omitted term for every t > 0; the series is cut where that term
+    drops below _SERIES_TOL at the smallest t (_terms_for).
     """
     scalar, t_arr = _as_batch(t)
     if np.any(t_arr <= 0.0):
         raise ValueError("t must be > 0")
     if not h > 0.0:
         raise ValueError(f"need h > 0, got h={h}")
-    if terms < 1:
-        raise ValueError(f"need terms >= 1, got {terms}")
+    terms = _terms_for(float(t_arr.min(initial=np.inf)) / h)
     odd = 2.0 * np.arange(terms) + 1.0
     coef = (4.0 / np.pi) * (-1.0) ** np.arange(terms) / odd
     tail = np.exp(-np.outer(t_arr / h, odd * odd) * (np.pi**2 / 8.0)) @ coef
@@ -153,14 +154,14 @@ def _sampling_grid(u_min: float, u_max: float, size: int) -> np.ndarray:
     return np.concatenate([head, mid, tail])
 
 
-def _terms_for(u_min: float, target: float = 1e-13) -> int:
-    """Terms needed so the first omitted alternating term is below target.
+def _terms_for(u_min: float) -> int:
+    """Terms needed so the first omitted alternating term is below _SERIES_TOL.
 
     The k-th term magnitude is (4/pi) exp(-(2k+1)^2 pi^2 u/8)/(2k+1); the
     series converges slowest at the left end of the grid.
     """
-    need = math.sqrt(8.0 * math.log(4.0 / (math.pi * target)) / (math.pi**2 * u_min))
-    return max(DEFAULT_TERMS, int(need / 2.0) + 2)
+    need = math.sqrt(8.0 * math.log(4.0 / (math.pi * _SERIES_TOL)) / (math.pi**2 * u_min))
+    return max(_MIN_TERMS, int(need / 2.0) + 2)
 
 
 def tabulate(
@@ -172,9 +173,7 @@ def tabulate(
     """Freeze the series CDF on a sampling grid.
 
     The grid is built in scaled time t/h, so tables for different h agree
-    after an exact time rescale. The series term count is whatever
-    the grid start needs for a <=1e-13 truncation bound (the series
-    converges slowest at small t). Raises when the requested window violates
+    after an exact time rescale. Raises when the requested window violates
     the start/tail mass contracts (F(t_min) <= 1e-12, 1 - F(t_max) <= 1e-10).
     """
     if not h > 0.0:
@@ -187,7 +186,7 @@ def tabulate(
         raise ValueError(f"need 0 < t_min < t_max, got ({u_min}, {u_max}) in units of h")
 
     u = _sampling_grid(u_min, u_max, grid_size)
-    values = np.atleast_1d(cdf_series(u, 1.0, _terms_for(u_min)))
+    values = np.atleast_1d(cdf_series(u, 1.0))
     np.maximum.accumulate(values, out=values)  # guard last-ulp wiggle of the series
 
     if values[0] > _START_TOL:

@@ -14,15 +14,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import ENUMERATION_CAP, LatticeGeometry, level_coordinates, sign_matrix
+from .lattice import LatticeGeometry, level_coordinates, sign_matrix
 
 TerminalFn = Callable[[np.ndarray], np.ndarray]
 DriverFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 LevelRule = Callable[..., np.ndarray]
 
+PICARD_TOL = 1e-12      # sup-norm update that ends the implicit fixed point
+PICARD_MAX_ITER = 100
+
 
 class PicardConvergenceError(RuntimeError):
-    """Per-node fixed point failed to contract within max_iter."""
+    """Per-node fixed point failed to contract within PICARD_MAX_ITER."""
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,15 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str) -> SolutionLattic
         zk = (up - dn) / (2.0 * sh)
         y[k] = rule(k, (k + 1) * h, level_coordinates(geom, k), up, dn, zk, 0.5 * (up + dn))
         z[k] = zk
+    if not (np.isfinite(y[0][0]) and np.isfinite(z[0][0])):
+        # failure path only: name the highest level that holds a bad node
+        for k in range(n, -1, -1):
+            bad = np.count_nonzero(~np.isfinite(y[k]) | ~np.isfinite(z[k] if k < n else 0.0))
+            if bad:
+                raise FloatingPointError(
+                    f"non-finite root at n={n}: level {k} is the highest with "
+                    f"non-finite nodes ({bad} of {k + 1})"
+                )
     return SolutionLattice(geom=geom, y=tuple(y), z=tuple(z), scheme=scheme)
 
 
@@ -127,16 +139,12 @@ def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
     return _sweep(problem, rule, "explicit")
 
 
-def solve_implicit(problem: BsdeProblem, tol: float = 1e-12, max_iter: int = 100) -> SolutionLattice:
+def solve_implicit(problem: BsdeProblem) -> SolutionLattice:
     """Backward sweep with the generator at the fixed point Y at t_k.
 
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
     iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction.
     """
-    if not tol > 0.0:
-        raise ValueError(f"need tol > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"need max_iter >= 1, got {max_iter}")
     f, h = problem.f, problem.geometry.h
     if problem.lip_f is not None and h * problem.lip_f >= 1.0:
         raise ValueError(
@@ -145,14 +153,15 @@ def solve_implicit(problem: BsdeProblem, tol: float = 1e-12, max_iter: int = 100
 
     def rule(k, t, x, up, dn, z, base):
         yk = base
-        for _ in range(max_iter):
+        for _ in range(PICARD_MAX_ITER):
             ynew = base + h * f(t, x, yk, z)
             delta = float(np.max(np.abs(ynew - yk)))
             yk = ynew
-            if delta < tol:
+            if delta < PICARD_TOL:
                 return yk
         raise PicardConvergenceError(
-            f"no contraction at level {k}: last update {delta:.3e} after {max_iter} iterations"
+            f"no contraction at level {k}: last update {delta:.3e} "
+            f"after {PICARD_MAX_ITER} iterations"
         )
 
     return _sweep(problem, rule, "implicit")
@@ -173,17 +182,11 @@ def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tupl
     return solution.y[k][node], solution.z[k][node]
 
 
-def z_by_representation(
-    problem: BsdeProblem,
-    solution: SolutionLattice,
-    k: int,
-    i: int,
-    cap: int = ENUMERATION_CAP,
-) -> float:
+def z_by_representation(problem: BsdeProblem, solution: SolutionLattice, k: int, i: int) -> float:
     """Z at node (k, i) via the discrete Malliavin-weight expectations.
 
     Enumerates the 2**(n-k) remaining sign tails (each of weight
-    2**-(n-k)) and returns
+    2**-(n-k); sign_matrix refuses more than 2**ENUMERATION_CAP) and returns
 
         E_k[ g(B_T) (B_T - B_k)/(t_n - t_k) ]
       + E_k[ h * sum_{m=k+1}^{n-1} f(t_{m+1}, B_m, Y, Z_m) (B_m - B_k)/(t_m - t_k) ],
@@ -200,8 +203,6 @@ def z_by_representation(
     if not 0 <= i <= k:
         raise IndexError(f"node i={i} outside 0..{k} at level {k}")
     m_tail = n - k
-    if m_tail > cap:
-        raise ValueError(f"n - k = {m_tail} exceeds the enumeration cap {cap}")
 
     tails = sign_matrix(m_tail)                       # (R, m_tail)
     partial = np.cumsum(tails, axis=1, dtype=np.int64)

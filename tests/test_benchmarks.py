@@ -8,10 +8,10 @@ from rwbsde.benchmarks import (
     exact_case_sqrt,
     exact_case_square,
     make_case,
-    sqrt_abs_moment_reference,
+    sqrt_abs_moment,
     verify_terminal,
-    _sqrt_abs_moment,
 )
+from rwbsde.checks import sqrt_abs_moment_by_quadrature
 
 T = 1.0
 B_GRID = np.linspace(-3 * math.sqrt(T), 3 * math.sqrt(T), 33)
@@ -76,22 +76,14 @@ def test_sqrt_case_terminal_is_analytic():
     assert np.array_equal(sol.y_fn(T, b), np.sqrt(np.abs(b)))
 
 
-def test_sqrt_case_quadrature_self_convergence():
-    lo = exact_case_sqrt(T, quad_order=64)
-    hi = exact_case_sqrt(T, quad_order=128)
-    assert abs(lo.y_fn(0.0, 0.0) - hi.y_fn(0.0, 0.0)) <= 1e-8
-    for t, b in [(0.5, 0.37), (0.5, -1.2), (0.9, 2.0), (0.2, -0.1)]:
-        assert abs(lo.y_fn(t, b) - hi.y_fn(t, b)) <= 1e-8
-
-
-def test_sqrt_case_against_closed_form_moment():
-    m = np.linspace(0.0, 15.0, 301)
-    gap = np.max(np.abs(_sqrt_abs_moment(m, 64) - sqrt_abs_moment_reference(m)))
-    assert gap <= 1e-8
+def test_sqrt_closed_form_against_quadrature():
+    m = np.linspace(0.0, 15.0, 61)
+    oracle = sqrt_abs_moment_by_quadrature(m)
+    assert np.max(np.abs(sqrt_abs_moment(m) / oracle - 1.0)) <= 1e-12
 
 
 def test_sqrt_case_against_monte_carlo():
-    sol = exact_case_sqrt(T, quad_order=64)
+    sol = exact_case_sqrt(T)
     rng = np.random.default_rng(100)
     draws = rng.standard_normal(10_000_000)
     tau = T  # t = 0, b = 0
@@ -106,9 +98,7 @@ def test_sqrt_case_even_limit_at_terminal():
     assert np.array_equal(sol.y_fn(T, b), sol.y_fn(T, -b))
 
 
-def test_sqrt_case_rejects_low_order_and_late_time():
-    with pytest.raises(ValueError):
-        exact_case_sqrt(T, quad_order=8)
+def test_sqrt_case_rejects_late_time():
     sol = exact_case_sqrt(T)
     with pytest.raises(ValueError):
         sol.y_fn(T + 0.1, 0.0)

@@ -35,20 +35,18 @@ def test_laplace_transform_rejects_bad_input():
 
 def test_series_exit_is_almost_surely_finite():
     h = 0.8
-    assert cdf_series(50 * h, h, 50) >= 1.0 - 1e-12
+    assert cdf_series(50 * h, h) >= 1.0 - 1e-12
 
 
 def test_series_brownian_scaling_is_exact():
     h = 0.02
     t = np.array([0.3 * h, h, 6.0 * h])
-    assert np.array_equal(cdf_series(t, h, 50), cdf_series(t / h, 1.0, 50))
+    assert np.array_equal(cdf_series(t, h), cdf_series(t / h, 1.0))
 
 
 def test_series_rejects_bad_input():
     with pytest.raises(ValueError):
         cdf_series(0.0, 1.0)
-    with pytest.raises(ValueError):
-        cdf_series(1.0, 1.0, terms=0)
 
 
 @pytest.mark.parametrize("h", [1.0, 0.01])
@@ -130,8 +128,24 @@ def test_sample_sigma_round_trips_grid_points():
 def test_sample_sigma_median_against_series_root():
     cdf = tabulate(1.0)
     med = sample_sigma(cdf, 0.5)
-    root = brentq(lambda t: cdf_series(t, 1.0, 50) - 0.5, 0.05, 5.0, xtol=1e-12)
+    root = brentq(lambda t: cdf_series(t, 1.0) - 0.5, 0.05, 5.0, xtol=1e-12)
     assert med == pytest.approx(root, abs=1e-6)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.01])
+def test_sample_sigma_inverts_the_series_cdf(h):
+    # sup |F(Q(u)) - u| over 10^6 uniform points plus logit-spaced tails
+    # out to |logit u| = 30, with F the series CDF and Q the table inverse
+    bulk = np.linspace(0.0, 1.0, 1_000_002)[1:-1]
+    x = np.linspace(5.0, 30.0, 2001)
+    tails = 1.0 / (1.0 + np.exp(np.concatenate([x, -x])))
+    u = np.concatenate([bulk, tails])
+    q = sample_sigma(tabulate(h), u)
+    gap = max(
+        float(np.max(np.abs(cdf_series(qc, h) - uc)))
+        for qc, uc in zip(np.array_split(q, 64), np.array_split(u, 64))
+    )
+    assert gap <= 1e-5
 
 
 def test_sample_sigma_rejects_boundary():

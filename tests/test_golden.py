@@ -16,9 +16,9 @@ SQUARE_EXPLICIT = [
     (32, "0x1.4ecf4229c31cfp-1", "0x1.8f7da0291a953p-4", "0x1.0bdba96179e5dp+0", "0x1.8bd23d56b0d0dp-4"),
 ]
 SQRT_EXPLICIT = [
-    (8, "0x1.cd82fba6dda71p-4", "0x1.386f4063ceec2p-7", None, None),
-    (16, "0x1.b873a9d91a474p-5", "0x1.42491f248a2c4p-8", None, None),
-    (32, "0x1.08b2608b93089p-5", "0x1.c11395d4ab4b7p-9", None, None),
+    (8, "0x1.cd82fba6dda9ap-4", "0x1.386f4063ceed9p-7", None, None),
+    (16, "0x1.b873a9d91a4a0p-5", "0x1.42491f248a2e6p-8", None, None),
+    (32, "0x1.08b2608b930a9p-5", "0x1.c11395d4ab4ebp-9", None, None),
 ]
 SQUARE_IMPLICIT = [
     (8, "0x1.50be27520c760p+0", "0x1.07a08641fdf2ap-2", "0x1.0e814ff6125eep+1", "0x1.a5211481ebd24p-3"),

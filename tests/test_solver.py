@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rwbsde.benchmarks import make_case
 from rwbsde.lattice import level_coordinates, sign_matrix, walk_sums
 from rwbsde.solver import (
     BsdeProblem,
@@ -144,7 +145,19 @@ def test_implicit_rejects_broken_contraction():
 def test_implicit_reports_divergence():
     problem = BsdeProblem(T=1.0, n=10, g=lambda x: x, f=lambda t, x, y, z: 100.0 * y)
     with pytest.raises(PicardConvergenceError):
-        solve_implicit(problem, max_iter=50)
+        solve_implicit(problem)
+
+
+def test_non_finite_root_is_refused():
+    # exact Y(0,0) = e^{3.5 T} ~ 1.007e152 is finite, but g = e^{T+x}
+    # overflows at the far ends of the terminal level and the NaNs spread
+    # inward to the root
+    case = make_case("exp", 100.0)
+    assert case.exact.y_fn(0.0, 0.0) == pytest.approx(1.007e152, rel=1e-3)
+    problem = BsdeProblem(T=100.0, n=3800, g=case.g, f=case.f, lip_f=case.lip_f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"n=3800: level 3800 .*\(21 of 3801\)"):
+            solve_explicit(problem)
 
 
 def test_problem_validation():
@@ -206,7 +219,7 @@ def test_representation_matches_explicit_sweep():
 def test_representation_matches_implicit_sweep():
     n = 8
     problem = BsdeProblem(T=1.0, n=n, g=np.abs, f=linear_driver, lip_f=1.0)
-    sol = solve_implicit(problem, tol=1e-13)
+    sol = solve_implicit(problem)
     for k in (0, 4):
         for i in range(k + 1):
             rep = z_by_representation(problem, sol, k, i)
