@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import rwbsde
 from rwbsde.exit_time import (
     ExitTimeCdf,
     LaplaceInversionError,
+    _quantile_table,
     cdf_laplace_inversion,
     cdf_series,
     laplace_transform,
@@ -47,6 +53,21 @@ def test_series_brownian_scaling_is_exact():
 def test_series_rejects_bad_input():
     with pytest.raises(ValueError):
         cdf_series(0.0, 1.0)
+
+
+def test_series_cost_does_not_depend_on_the_smallest_time():
+    # each point uses the series suited to its own t/h, so one tiny t does
+    # not lengthen the series for the other 10^5 points
+    at_h = np.ones(100_000)
+    mixed = at_h.copy()
+    mixed[0] = 1e-4
+    best = {"at_h": math.inf, "mixed": math.inf}
+    for _ in range(7):
+        for name, t in (("at_h", at_h), ("mixed", mixed)):
+            start = time.perf_counter()
+            cdf_series(t, 1.0)
+            best[name] = min(best[name], time.perf_counter() - start)
+    assert best["mixed"] <= 1.5 * best["at_h"]
 
 
 @pytest.mark.parametrize("h", [1.0, 0.01])
@@ -118,11 +139,25 @@ def test_table_reproduces_laplace_transform():
 
 
 def test_sample_sigma_round_trips_grid_points():
-    cdf = tabulate(1.0)
-    for j in (1500, 2000, 3000):
-        u = cdf.values[j]
-        assert 0.0 < u < 1.0
-        assert sample_sigma(cdf, u) == cdf.grid[j]
+    # at u = sigmoid(x_j) on the logit grid the draw is the node q_j; past
+    # x = 5 the rounding of u near 1 moves logit u, so those nodes are not
+    # resolved by any double u
+    nodes, _ = _quantile_table()
+    x = np.linspace(-37.0, 37.0, nodes.size)
+    j = np.flatnonzero(x <= 5.0)
+    u = 1.0 / (1.0 + np.exp(-x[j]))
+    np.testing.assert_allclose(sample_sigma(tabulate(1.0), u), nodes[j], rtol=1e-13, atol=0.0)
+    # every node solves F(q_j) = sigmoid(x_j)
+    u_all = 1.0 / (1.0 + np.exp(-x))
+    assert np.max(np.abs(cdf_series(nodes, 1.0) - u_all)) <= 1e-15
+
+
+def test_quantile_table_is_built_on_first_use():
+    code = ("import rwbsde, rwbsde.cli; from rwbsde.exit_time import _quantile_table; "
+            "assert _quantile_table.cache_info().currsize == 0")
+    src = os.path.dirname(os.path.dirname(rwbsde.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_sample_sigma_median_against_series_root():
@@ -141,11 +176,22 @@ def test_sample_sigma_inverts_the_series_cdf(h):
     tails = 1.0 / (1.0 + np.exp(np.concatenate([x, -x])))
     u = np.concatenate([bulk, tails])
     q = sample_sigma(tabulate(h), u)
-    gap = max(
-        float(np.max(np.abs(cdf_series(qc, h) - uc)))
-        for qc, uc in zip(np.array_split(q, 64), np.array_split(u, 64))
-    )
-    assert gap <= 1e-5
+    assert np.max(np.abs(cdf_series(q, h) - u)) <= 1e-7
+
+
+def test_one_table_serves_every_h():
+    u = np.random.default_rng(8).random(10_000)
+    u[u == 0.0] = 2.0**-53
+    ref = sample_sigma(tabulate(1.0), u)
+    for h in (0.5, 0.01, 1.0 / 800):
+        assert np.array_equal(sample_sigma(tabulate(h), u), h * ref)
+
+
+def test_sample_sigma_extreme_uniforms():
+    u = np.array([1e-300, 2.0**-53, 1.0 - 2.0**-53])
+    q = sample_sigma(tabulate(1.0), u)
+    assert np.all(np.isfinite(q)) and np.all(q > 0.0)
+    assert np.all(np.diff(q) > 0.0)
 
 
 def test_sample_sigma_rejects_boundary():

@@ -11,25 +11,25 @@ from rwbsde.benchmarks import make_case
 from rwbsde.solver import BsdeProblem, solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
-    (8, "0x1.668cb40af0c0ep+0", "0x1.1eeed14f59836p-2", "0x1.2a1347bf9dd1ap+1", "0x1.c44f71ed9c65cp-3"),
-    (16, "0x1.01fb2d4e7e707p+0", "0x1.8ca180fbc770dp-3", "0x1.5a7ecf78789b5p+0", "0x1.f37b59d4734b4p-4"),
-    (32, "0x1.4ecf4229c31cfp-1", "0x1.8f7da0291a953p-4", "0x1.0bdba96179e5dp+0", "0x1.8bd23d56b0d0dp-4"),
+    (8, "0x1.668c7ec26bd02p+0", "0x1.1eeedfbea527ep-2", "0x1.2a1322c4b5089p+1", "0x1.c44f0df528a2fp-3"),
+    (16, "0x1.01fb4c9d80c7fp+0", "0x1.8ca1c10d04512p-3", "0x1.5a7ecc48f87f1p+0", "0x1.f37b57f68c46fp-4"),
+    (32, "0x1.4ecf6800fe163p-1", "0x1.8f7d8a9f6e1aep-4", "0x1.0bdb9ebf42245p+0", "0x1.8bd210aa7a344p-4"),
 ]
 SQRT_EXPLICIT = [
-    (8, "0x1.cd82fba6dda9ap-4", "0x1.386f4063ceed9p-7", None, None),
-    (16, "0x1.b873a9d91a4a0p-5", "0x1.42491f248a2e6p-8", None, None),
-    (32, "0x1.08b2608b930a9p-5", "0x1.c11395d4ab4ebp-9", None, None),
+    (8, "0x1.cd82c5aa76fe0p-4", "0x1.386f0327a3776p-7", None, None),
+    (16, "0x1.b873b10d5fed2p-5", "0x1.42492a4d899b7p-8", None, None),
+    (32, "0x1.08b277eb39808p-5", "0x1.c113a4811df75p-9", None, None),
 ]
 SQUARE_IMPLICIT = [
-    (8, "0x1.50be27520c760p+0", "0x1.07a08641fdf2ap-2", "0x1.0e814ff6125eep+1", "0x1.a5211481ebd24p-3"),
-    (16, "0x1.0201ef776bc3ap+0", "0x1.73aa581d4ffacp-3", "0x1.487a15d4acb3ep+0", "0x1.da38972f466c7p-4"),
-    (32, "0x1.45b0c572e425dp-1", "0x1.78f11309eb086p-4", "0x1.0481319356750p+0", "0x1.830d53ecb2125p-4"),
+    (8, "0x1.50bdf1f768296p+0", "0x1.07a092621d028p-2", "0x1.0e812a9becdb9p+1", "0x1.a520aa04602d6p-3"),
+    (16, "0x1.0202145a2d094p+0", "0x1.73aa8f3810305p-3", "0x1.487a17c60e739p+0", "0x1.da388c320a2f2p-4"),
+    (32, "0x1.45b0dcecb3589p-1", "0x1.78f0fef04c933p-4", "0x1.04812134b6b2fp+0", "0x1.830d20522624dp-4"),
 ]
 # blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
 SQUARE_EXPLICIT_BLOCK_128 = [
-    (8, "0x1.3b7f5e9eace34p+0", "0x1.6727b69e8f113p-3", "0x1.1c74621346dc4p+1", "0x1.6746a73acfaacp-3"),
-    (16, "0x1.e0e6768928bd2p+0", "0x1.a104e42aa1e32p-2", "0x1.a098efaf01a28p+0", "0x1.49b1470b865c6p-3"),
-    (32, "0x1.bb32decc2737dp-1", "0x1.b75e99c673c97p-3", "0x1.0780a690e82bfp+0", "0x1.f4ead5f33048fp-4"),
+    (8, "0x1.3b7eb979d60ddp+0", "0x1.672681ae1d40bp-3", "0x1.1c7432bec5396p+1", "0x1.67466468ae8f2p-3"),
+    (16, "0x1.e0e5761da38dcp+0", "0x1.a103cf0aa5661p-2", "0x1.a0988ca01131ap+0", "0x1.49b0fa7ff2a86p-3"),
+    (32, "0x1.bb3117084d13dp-1", "0x1.b75c81803d0b2p-3", "0x1.07802fccbac6fp+0", "0x1.f4e9ec1d3241ep-4"),
 ]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
