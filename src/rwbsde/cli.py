@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import benchmarks, checks, exit_time, experiment, solver
@@ -14,11 +15,21 @@ def _parse_n_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad n list {text!r}: {exc}") from None
 
 
-def _cmd_solve(args) -> int:
-    case = benchmarks.make_case(args.case, args.T)
-    problem = solver.BsdeProblem(
-        T=args.T, n=args.n, g=case.g, f=case.f, alpha=case.alpha, lip_f=case.lip_f
-    )
+@contextlib.contextmanager
+def _usage_errors(parser):
+    """Report a ValueError from building a command's inputs as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _cmd_solve(args, usage) -> int:
+    with usage:
+        case = benchmarks.make_case(args.case, args.T)
+        problem = solver.BsdeProblem(
+            T=args.T, n=args.n, g=case.g, f=case.f, alpha=case.alpha, lip_f=case.lip_f
+        )
     if args.scheme == "explicit":
         solution = solver.solve_explicit(problem)
     else:
@@ -33,16 +44,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    config = experiment.ExperimentConfig(
-        case=args.case,
-        n_list=args.n,
-        M=args.M,
-        T=args.T,
-        t_eval=args.t_eval,
-        seed=args.seed,
-        scheme=args.scheme,
-    )
+def _cmd_convergence(args, usage) -> int:
+    with usage:
+        config = experiment.ExperimentConfig(
+            case=args.case,
+            n_list=args.n,
+            M=args.M,
+            T=args.T,
+            t_eval=args.t_eval,
+            seed=args.seed,
+            scheme=args.scheme,
+        )
     series = experiment.run_mc(config)
     regressions = {"Y": experiment.regress_loglog(series, "e_y")}
     if series.rows[0].e_z is not None:
@@ -58,17 +70,18 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
-def _cmd_tabulate_exit(args) -> int:
-    cdf = exit_time.tabulate(args.h, args.points, args.t_min, args.t_max)
+def _cmd_tabulate_exit(args, usage) -> int:
+    with usage:
+        cdf = exit_time.tabulate(args.h)
     with open(args.out, "w") as fh:
         fh.write("t,F\n")
         for t, f in zip(cdf.grid, cdf.values):
             fh.write(f"{t:.17g},{f:.17g}\n")
-    print(f"wrote {cdf.size} rows to {args.out} (tail mass {cdf.tail_mass:.3g})")
+    print(f"wrote {cdf.grid.size} rows to {args.out}")
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, usage) -> int:
     ok = True
     for check in checks.CHECKS:
         result = check()
@@ -105,9 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate-exit", help="write the exit-time CDF table as CSV")
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--points", type=int, default=exit_time.DEFAULT_GRID_SIZE)
-    p.add_argument("--t-min", type=float, default=None, dest="t_min")
-    p.add_argument("--t-max", type=float, default=None, dest="t_max")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tabulate_exit)
 
@@ -117,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return args.func(args, _usage_errors(parser))
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ def bridge_sample_batch(
     bridge mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j);
     rows with t >= tau_n get the free sqrt(t - tau_n) increment.
     """
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got t={t}")
+    if not 0.0 <= t < np.inf:  # also refuses NaN
+        raise ValueError(f"need finite t >= 0, got t={t}")
     n_rows, n = taus.shape
     if skeletons.shape != (n_rows, n + 1) or np.shape(z) != (n_rows,):
         raise ValueError(

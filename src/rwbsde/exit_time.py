@@ -20,8 +20,9 @@ x = logit(u) = log(u/(1-u)) over [-37, 37], where the quantile is smooth
 (about 1/(2|x|) in the head, 8x/pi^2 in the tail), so a draw is a direct
 index and one linear interpolation. Accuracy contract:
 sup_u |F(Q(u)) - u| <= 1e-7 (8.9e-8 measured). tau_ladder turns the draws
-into exit-time ladders; tabulate() freezes the forward CDF on a time grid
-for moments by quadrature and the tabulate-exit command.
+into exit-time ladders. tabulate(h) hands out the same table as a forward
+table, times h * q_i against F = sigmoid(x_i), for moments by quadrature
+and the tabulate-exit command; the mass beyond its ends is below 1e-16.
 """
 from __future__ import annotations
 
@@ -36,13 +37,10 @@ from scipy.special import erfc, erfcinv
 
 ArrayLike = Union[float, np.ndarray]
 
-DEFAULT_GRID_SIZE = 4096
 TALBOT_DEGREE = 24
 
 # (sign, 2k+1) of the six terms of either CDF series
 _TERMS = tuple(zip((1.0, -1.0) * 3, 2.0 * np.arange(6) + 1.0))
-_START_TOL = 1e-12   # required F(t_min)
-_TAIL_TOL = 1e-10    # required 1 - F(t_max)
 
 _Q_INTERVALS = 2**15  # quantile table cells on the logit grid
 _Q_LOGIT_MAX = 37.0   # grid is [-37, 37]; |logit u| < 36.8 on [2^-53, 1 - 2^-53]
@@ -62,10 +60,10 @@ def _as_batch(x) -> tuple:
 def laplace_transform(lam: ArrayLike, h: float) -> ArrayLike:
     """E exp(-lam*sigma) = 1/cosh(sqrt(2*lam*h)); depends on lam*h only."""
     scalar, lam_arr = _as_batch(lam)
-    if np.any(lam_arr < 0.0):
+    if not np.all(lam_arr >= 0.0):  # also refuses NaN
         raise ValueError("lam must be >= 0")
-    if not h > 0.0:
-        raise ValueError(f"need h > 0, got h={h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"need finite h > 0, got h={h}")
     x = np.sqrt(2.0 * lam_arr * h)
     # sech(x) = 2 e^{-x} / (1 + e^{-2x}) never overflows for x >= 0
     ex = np.exp(-x)
@@ -108,10 +106,10 @@ def _scaled_law(s: np.ndarray) -> tuple:
 def cdf_series(t: ArrayLike, h: float) -> ArrayLike:
     """Series CDF F(t) in [0, 1], each point from the series suited to its t/h."""
     scalar, t_arr = _as_batch(t)
-    if np.any(t_arr <= 0.0):
+    if not np.all(t_arr > 0.0):  # also refuses NaN
         raise ValueError("t must be > 0")
-    if not h > 0.0:
-        raise ValueError(f"need h > 0, got h={h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"need finite h > 0, got h={h}")
     out = _scaled_law(t_arr / h)[0]
     return float(out[0]) if scalar else out
 
@@ -125,10 +123,10 @@ def cdf_laplace_inversion(t: ArrayLike, h: float, degree: int = TALBOT_DEGREE) -
     contour instability is reported instead of hidden.
     """
     scalar, t_arr = _as_batch(t)
-    if np.any(t_arr <= 0.0):
+    if not np.all(t_arr > 0.0):  # also refuses NaN
         raise ValueError("t must be > 0")
-    if not h > 0.0:
-        raise ValueError(f"need h > 0, got h={h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"need finite h > 0, got h={h}")
     if degree < 2:
         raise ValueError(f"need degree >= 2, got {degree}")
 
@@ -162,77 +160,33 @@ def cdf_laplace_inversion(t: ArrayLike, h: float, degree: int = TALBOT_DEGREE) -
 
 @dataclass(frozen=True, eq=False)
 class ExitTimeCdf:
-    """Forward table of the CDF of sigma, for moments and tabulate-exit; to
-    sample_sigma it supplies h."""
+    """The quantile table of sigma at time scale h, F(grid) = values;
+    sample_sigma reads only its h."""
 
     h: float
-    grid: np.ndarray      # strictly increasing times
-    values: np.ndarray    # F(grid), nondecreasing within [0, 1]
-    tail_mass: float      # 1 - F(grid[-1])
-
-    @property
-    def size(self) -> int:
-        return int(self.grid.size)
+    grid: np.ndarray      # strictly increasing times, h times the table nodes
+    values: np.ndarray    # F(grid), shared read-only; from 8.5e-17 to exactly 1
 
 
-def _sampling_grid(u_min: float, u_max: float, size: int) -> np.ndarray:
-    """Grid in units of h: geometric over the flat start, uniform through
-    the bulk, geometric again in the exponential tail."""
-    bulk_lo, bulk_hi = 0.05, 8.0
-    if not (u_min < bulk_lo and u_max > bulk_hi):
-        return np.geomspace(u_min, u_max, size)
-    n_head = size // 4
-    n_tail = size // 8
-    n_mid = size - n_head - n_tail
-    head = np.geomspace(u_min, bulk_lo, n_head, endpoint=False)
-    mid = np.linspace(bulk_lo, bulk_hi, n_mid, endpoint=False)
-    tail = np.geomspace(bulk_hi, u_max, n_tail)
-    return np.concatenate([head, mid, tail])
+def tabulate(h: float) -> ExitTimeCdf:
+    """The quantile table that sample_sigma inverts, as a forward table.
 
-
-def tabulate(
-    h: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    t_min: float | None = None,
-    t_max: float | None = None,
-) -> ExitTimeCdf:
-    """Freeze the series CDF on a sampling grid.
-
-    The grid is built in scaled time t/h, so tables for different h agree
-    after an exact time rescale. Raises when the requested window violates
-    the start/tail mass contracts (F(t_min) <= 1e-12, 1 - F(t_max) <= 1e-10).
+    Its 2^15 + 1 nodes span t in [0.0142h, 30.19h] and sit within 7e-16 of
+    F; the mass outside them is below 1e-16 at either end. tabulate(h).grid
+    is h * tabulate(1.0).grid bit for bit.
     """
-    if not h > 0.0:
-        raise ValueError(f"need h > 0, got h={h}")
-    if grid_size < 2:
-        raise ValueError(f"need grid_size >= 2, got {grid_size}")
-    u_min = 1e-4 if t_min is None else t_min / h
-    u_max = 50.0 if t_max is None else t_max / h
-    if not 0.0 < u_min < u_max:
-        raise ValueError(f"need 0 < t_min < t_max, got ({u_min}, {u_max}) in units of h")
-
-    u = _sampling_grid(u_min, u_max, grid_size)
-    values = np.atleast_1d(cdf_series(u, 1.0))
-    np.maximum.accumulate(values, out=values)  # guard last-ulp wiggle of the series
-
-    if values[0] > _START_TOL:
-        raise ValueError(
-            f"F(t_min) = {values[0]:.3g} > {_START_TOL:g}: shrink t_min to resolve the flat start"
-        )
-    tail_mass = 1.0 - float(values[-1])
-    if tail_mass > _TAIL_TOL:
-        raise ValueError(
-            f"tail mass {tail_mass:.3g} > {_TAIL_TOL:g}: widen the grid (raise t_max)"
-        )
-    return ExitTimeCdf(h=h, grid=h * u, values=values, tail_mass=tail_mass)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"need finite h > 0, got h={h}")
+    nodes, _, values = _quantile_table()
+    return ExitTimeCdf(h=h, grid=h * nodes, values=values)
 
 
 def tabulated_moment(cdf: ExitTimeCdf, p: float = 1.0) -> float:
     """E sigma^p by quadrature on the table: p * integral t^{p-1}(1 - F) dt.
 
-    The untabulated head [0, t_min] contributes t_min^p exactly up to the
-    <=1e-12 start mass; the tail beyond the grid is below
-    tail_mass * t_max^p and ignored.
+    The head [0, grid[0]] contributes grid[0]^p, exact up to its mass
+    F(grid[0]) < 1e-16; the tail beyond grid[-1], of mass < 1e-16, is
+    ignored.
     """
     if not p > 0.0:
         raise ValueError(f"need p > 0, got {p}")
@@ -243,8 +197,9 @@ def tabulated_moment(cdf: ExitTimeCdf, p: float = 1.0) -> float:
 
 @functools.cache
 def _quantile_table() -> tuple:
-    """Nodes q_i = Q(sigmoid(x_i)) in units of h on the logit grid x_i, and
-    their differences (0 past the last node), both read-only.
+    """Nodes q_i = Q(u_i) in units of h at u_i = sigmoid(x_i) on the logit
+    grid x_i, their differences (0 past the last node), and u_i = F(q_i),
+    all read-only.
 
     Newton's method on logit F(s) = x starts from the head asymptote
     1/(2 erfcinv(u/2)^2) for x < 0 and the tail asymptote
@@ -252,11 +207,11 @@ def _quantile_table() -> tuple:
     stops at relative steps of 1e-14; the nodes then sit within 7e-16 of F.
     """
     x = np.linspace(-_Q_LOGIT_MAX, _Q_LOGIT_MAX, _Q_INTERVALS + 1)
+    u = 1.0 / (1.0 + np.exp(-x))                 # exactly 1.0 at x = 37
     head = x < 0.0
-    u_head = 1.0 / (1.0 + np.exp(-x[head]))      # u, where it is small
     surv_tail = 1.0 / (1.0 + np.exp(x[~head]))   # 1 - u, where it is small
     s = np.empty_like(x)
-    s[head] = 0.5 / erfcinv(0.5 * u_head) ** 2
+    s[head] = 0.5 / erfcinv(0.5 * u[head]) ** 2
     s[~head] = (8.0 / math.pi**2) * np.log(4.0 / (math.pi * surv_tail))
     for _ in range(10):
         cdf, surv, dens = _scaled_law(s)
@@ -267,8 +222,8 @@ def _quantile_table() -> tuple:
     else:
         raise ArithmeticError("Newton's method did not converge on the quantile table")
     diff = np.append(np.diff(s), 0.0)
-    s.flags.writeable = diff.flags.writeable = False
-    return s, diff
+    s.flags.writeable = diff.flags.writeable = u.flags.writeable = False
+    return s, diff, u
 
 
 def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
@@ -284,7 +239,7 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     scalar, uu = _as_batch(u)
     if uu.size and not (uu.min() > 0.0 and uu.max() < 1.0):  # also refuses NaN
         raise ValueError("u must lie strictly inside (0, 1)")
-    nodes, diff = _quantile_table()
+    nodes, diff, _ = _quantile_table()
     out = np.empty_like(uu)
     for start in range(0, uu.size, _Q_CHUNK):
         u_c, pos = uu[start:start + _Q_CHUNK], out[start:start + _Q_CHUNK]

@@ -18,13 +18,25 @@ def test_solve_implicit_scheme(capsys):
 
 def test_tabulate_exit_writes_csv(tmp_path, capsys):
     out = tmp_path / "table.csv"
-    assert main(["tabulate-exit", "--h", "0.5", "--points", "512",
-                 "--t-min", "5e-5", "--t-max", "25", "--out", str(out)]) == 0
+    assert main(["tabulate-exit", "--h", "0.5", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "t,F"
-    assert len(lines) == 513
-    t, f = map(float, lines[300].split(","))
-    assert f == pytest.approx(cdf_series(t, 0.5), abs=1e-12)
+    assert len(lines) == 32770
+    for row in (1, 300, 16385, 30000, 32769):
+        t, f = map(float, lines[row].split(","))
+        assert abs(f - cdf_series(t, 0.5)) <= 1e-15
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--case", "square", "--n", "0"],
+    ["convergence", "--case", "square", "--n", "1,2", "--out", "unused.csv"],
+    ["tabulate-exit", "--h", "0", "--out", "unused.csv"],
+])
+def test_invalid_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("rwbsde: error: ")
 
 
 def test_convergence_writes_series(tmp_path, capsys):

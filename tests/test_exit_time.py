@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import rwbsde
+from rwbsde.coupling import bridge_sample_batch
 from rwbsde.exit_time import (
     ExitTimeCdf,
     LaplaceInversionError,
@@ -30,6 +31,21 @@ def test_laplace_transform_values():
     assert laplace_transform(0.5, 1.0) == pytest.approx(1.0 / math.cosh(1.0), abs=1e-15)
     # depends on lam*h only
     assert laplace_transform(2.0, 0.25) == laplace_transform(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cdf_series(math.nan, 1.0),
+    lambda: cdf_series(np.array([0.5, math.nan]), 1.0),
+    lambda: cdf_series(0.5, math.inf),
+    lambda: laplace_transform(math.nan, 1.0),
+    lambda: cdf_laplace_inversion(math.nan, 1.0),
+    lambda: bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), math.nan, np.zeros(1)),
+    lambda: bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), math.inf, np.zeros(1)),
+], ids=["cdf_series", "cdf_series_array", "cdf_series_h", "laplace_transform", "cdf_laplace_inversion",
+        "bridge_nan", "bridge_inf"])
+def test_non_finite_input_is_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_laplace_transform_rejects_bad_input():
@@ -89,9 +105,9 @@ def test_inversion_instability_is_reported():
 
 
 def test_tabulate_default_invariants():
-    cdf = tabulate(1.0, 4096, 1e-4, 50.0)
-    assert cdf.values[0] <= 1e-12
-    assert cdf.tail_mass <= 1e-10
+    cdf = tabulate(1.0)
+    assert cdf.values[0] <= 1e-16
+    assert cdf.values[-1] == 1.0
     assert np.all(np.diff(cdf.grid) > 0)
     assert np.all(np.diff(cdf.values) >= 0)
     assert cdf.values[0] >= 0.0 and cdf.values[-1] <= 1.0
@@ -99,31 +115,30 @@ def test_tabulate_default_invariants():
 
 def test_tabulate_rescales_exactly():
     ref = tabulate(1.0)
-    scaled = tabulate(0.01)
-    assert np.array_equal(scaled.values, ref.values)
-    assert np.array_equal(scaled.grid, 0.01 * ref.grid)
+    for h in (0.01, 0.4, 1.0 / 800):
+        scaled = tabulate(h)
+        assert np.array_equal(scaled.values, ref.values)
+        assert np.array_equal(scaled.grid, h * ref.grid)
+        assert np.max(np.abs(cdf_series(scaled.grid, h) - scaled.values)) <= 1e-15
 
 
 def test_tabulate_rejects_bad_windows():
-    with pytest.raises(ValueError, match="tail mass"):
-        tabulate(1.0, t_max=5.0)
-    with pytest.raises(ValueError, match="flat start"):
-        tabulate(1.0, t_min=0.5)
-    with pytest.raises(ValueError):
-        tabulate(1.0, grid_size=1)
+    for h in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tabulate(h)
 
 
 def test_table_mean_matches_h():
-    for h in (1.0, 0.002):
+    for h in (1.0, 0.4, 0.25, 0.002):
         cdf = tabulate(h)
-        assert abs(tabulated_moment(cdf, 1.0) - h) <= 1e-6 * h
+        assert abs(tabulated_moment(cdf, 1.0) - h) <= 1e-12 * h
 
 
 def test_table_second_moment_scale_free():
     # E sigma^2 / h^2 = 5/3, identical across h by construction
     ratios = [tabulated_moment(tabulate(h), 2.0) / h**2 for h in (1.0, 0.1, 0.01)]
     assert max(ratios) - min(ratios) <= 1e-6
-    assert ratios[0] == pytest.approx(5.0 / 3.0, abs=1e-9)
+    assert ratios[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
 def test_table_reproduces_laplace_transform():
@@ -135,21 +150,24 @@ def test_table_reproduces_laplace_transform():
     for lam in (0.1 / h, 1.0 / h, 10.0 / h):
         head = (1.0 - math.exp(-lam * cdf.grid[0])) / lam
         integral = head + simpson(np.exp(-lam * cdf.grid) * surv, x=cdf.grid)
-        assert 1.0 - lam * integral == pytest.approx(laplace_transform(lam, h), abs=1e-5)
+        assert 1.0 - lam * integral == pytest.approx(laplace_transform(lam, h), abs=1e-11)
 
 
 def test_sample_sigma_round_trips_grid_points():
     # at u = sigmoid(x_j) on the logit grid the draw is the node q_j; past
     # x = 5 the rounding of u near 1 moves logit u, so those nodes are not
     # resolved by any double u
-    nodes, _ = _quantile_table()
+    nodes, _, _ = _quantile_table()
     x = np.linspace(-37.0, 37.0, nodes.size)
     j = np.flatnonzero(x <= 5.0)
     u = 1.0 / (1.0 + np.exp(-x[j]))
     np.testing.assert_allclose(sample_sigma(tabulate(1.0), u), nodes[j], rtol=1e-13, atol=0.0)
-    # every node solves F(q_j) = sigmoid(x_j)
+    # every node solves F(q_j) = sigmoid(x_j), and the forward table is the
+    # same table
     u_all = 1.0 / (1.0 + np.exp(-x))
     assert np.max(np.abs(cdf_series(nodes, 1.0) - u_all)) <= 1e-15
+    cdf = tabulate(1.0)
+    assert np.array_equal(cdf.grid, nodes) and np.array_equal(cdf.values, u_all)
 
 
 def test_quantile_table_is_built_on_first_use():
