@@ -31,7 +31,7 @@ from .experiment import (
     regress_loglog,
     run_mc,
 )
-from .lattice import LatticeGeometry, level_coordinates, node_coordinate, sign_matrix, walk_sums
+from .lattice import sign_matrix, walk_sums
 from .solver import (
     BsdeProblem,
     SolutionLattice,

@@ -50,8 +50,8 @@ class ExactSolution:
 
 def exact_case_exp(T: float) -> ExactSolution:
     """g(x) = e^{T+x}, f(y, z) = y + z."""
-    if not T > 0.0:
-        raise ValueError(f"need T > 0, got T={T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"need 0 < T < inf, got T={T}")
 
     def y_fn(t, b):
         return np.exp(T + b + 2.5 * (T - t))
@@ -61,8 +61,8 @@ def exact_case_exp(T: float) -> ExactSolution:
 
 def exact_case_square(T: float) -> ExactSolution:
     """g(x) = x^2, f(y, z) = y + z."""
-    if not T > 0.0:
-        raise ValueError(f"need T > 0, got T={T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"need 0 < T < inf, got T={T}")
 
     def y_fn(t, b):
         tau = T - t
@@ -93,8 +93,8 @@ def exact_case_sqrt(T: float) -> ExactSolution:
     m = (b + T - t)/sqrt(T-t). At t = T the Gaussian degenerates and
     sqrt|b| is returned exactly.
     """
-    if not T > 0.0:
-        raise ValueError(f"need T > 0, got T={T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"need 0 < T < inf, got T={T}")
 
     def y_fn(t, b):
         tau = T - t

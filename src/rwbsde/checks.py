@@ -50,7 +50,7 @@ def enumeration_oracle() -> Check:
         g = lambda x, c=c: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
         problem = BsdeProblem(T=T, n=n, g=g, f=lambda t, x, y, z: 0.0 * y)
         root = solve_explicit(problem).y[0][0]
-        ends = problem.geometry.sqrt_h * sign_matrix(n).sum(axis=1, dtype=np.int64)
+        ends = problem.sqrt_h * sign_matrix(n).sum(axis=1, dtype=np.int64)
         worst = max(worst, abs(root - float(np.mean(g(ends.astype(float))))))
     return Check(1, "enumeration oracle (f=0, n=1..12)", worst <= 1e-12,
                  f"max gap {worst:.2e}")
@@ -69,7 +69,7 @@ def z_representation() -> Check:
             sol = solve_explicit(problem)
             for k in (0, n // 2):
                 for i in range(k + 1):
-                    worst = max(worst, abs(z_by_representation(problem, sol, k, i) - sol.z[k][i]))
+                    worst = max(worst, abs(z_by_representation(sol, k, i) - sol.z[k][i]))
     return Check(2, "Z Malliavin-weight representation", worst <= 1e-10,
                  f"max node dev {worst:.2e}")
 

@@ -24,6 +24,7 @@ run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -59,14 +60,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.case not in CASE_NAMES:
             raise ValueError(f"unknown case {self.case!r}; choose one of {CASE_NAMES}")
-        if not self.T > 0.0:
-            raise ValueError(f"need T > 0, got T={self.T}")
-        n_list = tuple(int(n) for n in self.n_list)
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"need 0 < T < inf, got T={self.T}")
+        n_list = tuple(operator.index(n) for n in self.n_list)
         if not n_list or any(n < 2 for n in n_list):
             raise ValueError(f"every n must be >= 2, got {n_list}")
         object.__setattr__(self, "n_list", n_list)
-        if self.M < 1:
+        if operator.index(self.M) < 1:
             raise ValueError(f"need M >= 1, got M={self.M}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"need seed >= 0, got seed={self.seed}")
         t_eval = 0.5 * self.T if self.t_eval is None else float(self.t_eval)
         if not 0.0 <= t_eval < self.T:
             raise ValueError(f"need 0 <= t_eval < T, got t_eval={t_eval}")
@@ -123,15 +126,14 @@ def _draw(rng: np.random.Generator, rows: int, n: int) -> tuple:
 
 def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
                   seedseq: np.random.SeedSequence) -> ErrorRow:
-    T = config.T
-    h = T / n
+    problem = BsdeProblem(T=config.T, n=n, g=case.g, f=case.f,
+                          alpha=case.alpha, lip_f=case.lip_f)
+    h = problem.h
     # float-robust floor: t_eval/h may sit one ulp below an integer
     k = int(math.floor(config.t_eval / h + 1e-9))
     k = min(k, n - 1)
     t_k = k * h
 
-    problem = BsdeProblem(T=T, n=n, g=case.g, f=case.f,
-                          alpha=case.alpha, lip_f=case.lip_f)
     if config.scheme == "explicit":
         solution = solve_explicit(problem)
     else:
@@ -150,7 +152,7 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
         # embed: exit-time ladders and Brownian skeletons, bridged to t_k
         taus = tau_ladder(sample_sigma(cdf, uniforms.ravel()), n)
         walks = walk_sums(signs)
-        b_tk = bridge_sample_batch(taus, solution.geom.sqrt_h * walks, t_k, normals)
+        b_tk = bridge_sample_batch(taus, problem.sqrt_h * walks, t_k, normals)
         # evaluate the lattice along each walk and store the squared errors
         y_n, z_n = evaluate_walks(solution, walks, k)
         np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])

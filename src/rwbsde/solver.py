@@ -9,12 +9,13 @@ at t_k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import LatticeGeometry, level_coordinates, sign_matrix
+from .lattice import sign_matrix
 
 TerminalFn = Callable[[np.ndarray], np.ndarray]
 DriverFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -30,11 +31,14 @@ class PicardConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BsdeProblem:
-    """Problem instance: terminal function, generator and regularity metadata.
+    """Problem instance: terminal function, generator, regularity metadata
+    and the step grid they fix.
 
     Parameters
     ----------
-    T, n : horizon and step count; h = T/n.
+    T, n : horizon and step count. They set h = T/n and sqrt_h = sqrt(h)
+        once, so every module indexing the tree uses the same bits; node
+        (k, i), 0 <= i <= k, sits at (2i - k)*sqrt_h at time k*h.
     g : terminal function, must accept numpy arrays (whole levels at once).
     f : generator, called as f(t, x, y, z) with scalar t and level arrays.
     alpha : Hoelder order of g in (0, 1].
@@ -48,49 +52,54 @@ class BsdeProblem:
     f: DriverFn
     alpha: float = 1.0
     lip_f: Optional[float] = None
+    h: float = field(init=False, repr=False, compare=False)
+    sqrt_h: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError(f"need T > 0, got T={self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"need 0 < T < inf, got T={self.T}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"need alpha in (0, 1], got {self.alpha}")
         if self.lip_f is not None and self.lip_f < 0.0:
             raise ValueError(f"need lip_f >= 0, got {self.lip_f}")
+        h = self.T / self.n
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "sqrt_h", math.sqrt(h))
 
-    @property
-    def h(self) -> float:
-        return self.T / self.n
-
-    @property
-    def geometry(self) -> LatticeGeometry:
-        return LatticeGeometry(n=self.n, h=self.T / self.n)
+    def level_coordinates(self, k: int) -> np.ndarray:
+        """All k+1 node coordinates of level k, bottom-up."""
+        if not 0 <= k <= self.n:
+            raise IndexError(f"level k={k} outside 0..{self.n}")
+        return (2 * np.arange(k + 1, dtype=np.int64) - k) * self.sqrt_h
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionLattice:
-    """Level arrays of Y (levels 0..n) and Z (levels 0..n-1)."""
+    """Level arrays of Y (levels 0..n) and Z (levels 0..n-1) of the problem
+    they solve, and the scheme that swept them."""
 
-    geom: LatticeGeometry
+    problem: BsdeProblem
     y: tuple
     z: tuple
     scheme: str
 
     @property
     def n(self) -> int:
-        return self.geom.n
+        return self.problem.n
 
     def root(self) -> tuple:
         """(Y, Z) at the single node of level 0."""
         return float(self.y[0][0]), float(self.z[0][0])
 
 
-def _terminal_level(problem: BsdeProblem, geom: LatticeGeometry) -> np.ndarray:
-    vals = np.asarray(problem.g(level_coordinates(geom, geom.n)), dtype=float)
+def _terminal_level(problem: BsdeProblem) -> np.ndarray:
+    n = problem.n
+    vals = np.asarray(problem.g(problem.level_coordinates(n)), dtype=float)
     if vals.ndim == 0:
-        vals = np.full(geom.n + 1, float(vals))
-    if vals.shape != (geom.n + 1,):
+        vals = np.full(n + 1, float(vals))
+    if vals.shape != (n + 1,):
         raise ValueError("terminal function g must map a level array to a level array")
     return vals
 
@@ -102,16 +111,15 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str) -> SolutionLattic
     x, Y+, Y-, z[k], (Y+ + Y-)/2), where Y+- are the next-level values
     above and below the node.
     """
-    geom = problem.geometry
-    n, h, sh = geom.n, geom.h, geom.sqrt_h
+    n, h, sh = problem.n, problem.h, problem.sqrt_h
     y = [None] * (n + 1)
     z = [None] * n
-    y[n] = _terminal_level(problem, geom)
+    y[n] = _terminal_level(problem)
     for k in range(n - 1, -1, -1):
         up = y[k + 1][1:]
         dn = y[k + 1][:-1]
         zk = (up - dn) / (2.0 * sh)
-        y[k] = rule(k, (k + 1) * h, level_coordinates(geom, k), up, dn, zk, 0.5 * (up + dn))
+        y[k] = rule(k, (k + 1) * h, problem.level_coordinates(k), up, dn, zk, 0.5 * (up + dn))
         z[k] = zk
     if not (np.isfinite(y[0][0]) and np.isfinite(z[0][0])):
         # failure path only: name the highest level that holds a bad node
@@ -122,7 +130,7 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str) -> SolutionLattic
                     f"non-finite root at n={n}: level {k} is the highest with "
                     f"non-finite nodes ({bad} of {k + 1})"
                 )
-    return SolutionLattice(geom=geom, y=tuple(y), z=tuple(z), scheme=scheme)
+    return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z), scheme=scheme)
 
 
 def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
@@ -131,7 +139,7 @@ def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
     Per node y[k][i] = (Y+ + Y-)/2 + h*(f(t_{k+1}, x, Y+, z) + f(t_{k+1}, x, Y-, z))/2,
     the two-point conditional expectation over the next sign.
     """
-    f, h = problem.f, problem.geometry.h
+    f, h = problem.f, problem.h
 
     def rule(k, t, x, up, dn, z, base):
         return base + 0.5 * h * (f(t, x, up, z) + f(t, x, dn, z))
@@ -145,7 +153,7 @@ def solve_implicit(problem: BsdeProblem) -> SolutionLattice:
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
     iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction.
     """
-    f, h = problem.f, problem.geometry.h
+    f, h = problem.f, problem.h
     if problem.lip_f is not None and h * problem.lip_f >= 1.0:
         raise ValueError(
             f"contraction condition violated: h*lip_f = {h * problem.lip_f:.6g} >= 1"
@@ -182,10 +190,11 @@ def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tupl
     return solution.y[k][node], solution.z[k][node]
 
 
-def z_by_representation(problem: BsdeProblem, solution: SolutionLattice, k: int, i: int) -> float:
+def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:
     """Z at node (k, i) via the discrete Malliavin-weight expectations.
 
-    Enumerates the 2**(n-k) remaining sign tails (each of weight
+    Takes g, f and the grid from solution.problem, the problem that was
+    solved. Enumerates the 2**(n-k) remaining sign tails (each of weight
     2**-(n-k); sign_matrix refuses more than 2**ENUMERATION_CAP) and returns
 
         E_k[ g(B_T) (B_T - B_k)/(t_n - t_k) ]
@@ -196,8 +205,8 @@ def z_by_representation(problem: BsdeProblem, solution: SolutionLattice, k: int,
     node for the implicit one); with that convention the result equals the
     swept z[k][i] up to rounding.
     """
-    geom = solution.geom
-    n, h, sh = geom.n, geom.h, geom.sqrt_h
+    problem = solution.problem
+    n, h, sh = problem.n, problem.h, problem.sqrt_h
     if not 0 <= k <= n - 1:
         raise IndexError(f"level k={k} outside 0..{n - 1}")
     if not 0 <= i <= k:

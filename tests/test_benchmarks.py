@@ -106,8 +106,9 @@ def test_sqrt_case_rejects_late_time():
 
 def test_case_factories_reject_bad_horizon():
     for factory in (exact_case_exp, exact_case_square, exact_case_sqrt):
-        with pytest.raises(ValueError):
-            factory(0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                factory(bad)
 
 
 def test_make_case_registry():
@@ -120,3 +121,5 @@ def test_make_case_registry():
     assert make_case("sqrt", T).alpha == 0.5
     with pytest.raises(ValueError):
         make_case("cubic", T)
+    with pytest.raises(ValueError):
+        make_case("square", math.inf)

@@ -29,7 +29,9 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--case", "square", "--n", "0"],
+    ["solve", "--case", "square", "--n", "4", "--T", "inf"],
     ["convergence", "--case", "square", "--n", "1,2", "--out", "unused.csv"],
+    ["convergence", "--case", "square", "--seed", "-1", "--out", "unused.csv"],
     ["tabulate-exit", "--h", "0", "--out", "unused.csv"],
 ])
 def test_invalid_values_are_usage_errors(argv, capsys):

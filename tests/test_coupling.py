@@ -5,7 +5,8 @@ import pytest
 
 from rwbsde.coupling import bridge_sample_batch
 from rwbsde.exit_time import sample_sigma, tabulate, tau_ladder
-from rwbsde.lattice import LatticeGeometry, level_coordinates, walk_sums
+from rwbsde.lattice import walk_sums
+from rwbsde.solver import BsdeProblem
 
 
 def _skeleton(signs, h):
@@ -43,11 +44,11 @@ def test_skeleton_is_bitwise_walk_values():
     # the skeleton sits bit for bit on the lattice node each walk reaches
     rng = np.random.default_rng(1)
     h = 1.0 / 64
-    geom = LatticeGeometry(n=64, h=h)
+    problem = BsdeProblem(T=1.0, n=64, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
     _, _, walks, skels = _coupled(rng, tabulate(h), 64, 25)
     for k in range(65):
         node = (k + walks[:, k]) // 2
-        assert np.array_equal(skels[:, k], level_coordinates(geom, k)[node])
+        assert np.array_equal(skels[:, k], problem.level_coordinates(k)[node])
 
 
 def test_increments_are_exactly_sqrt_h():

@@ -32,6 +32,16 @@ def test_config_defaults_and_validation():
         ExperimentConfig(case="square", t_eval=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(case="square", scheme="midpoint")
+    with pytest.raises(ValueError):
+        ExperimentConfig(case="square", T=math.inf, t_eval=0.5)
+    with pytest.raises(ValueError):
+        ExperimentConfig(case="square", seed=-1)
+    # whole numbers only: floats are refused, not truncated
+    for bad in ({"n_list": (2.5, 4, 8)}, {"M": 2.5}, {"seed": 1.5}):
+        with pytest.raises(TypeError):
+            ExperimentConfig(case="square", **bad)
+    cfg = ExperimentConfig(case="square", n_list=np.array([8, 16]), M=np.int64(3))
+    assert cfg.n_list == (8, 16) and all(type(n) is int for n in cfg.n_list)
 
 
 def test_run_is_deterministic():

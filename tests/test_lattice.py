@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwbsde.lattice import (
-    ENUMERATION_CAP,
-    LatticeGeometry,
-    level_coordinates,
-    node_coordinate,
-    sign_matrix,
-    walk_sums,
-)
+from rwbsde.lattice import ENUMERATION_CAP, sign_matrix, walk_sums
+from rwbsde.solver import BsdeProblem
+
+
+def _problem(n, T):
+    """A problem on n steps of size T/n; only its grid is read here."""
+    return BsdeProblem(T=T, n=n, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
 
 
 def _walk(signs, h):
@@ -56,21 +55,18 @@ def test_path_rejects_bad_signs():
 
 
 def test_node_coordinate_examples():
-    geom = LatticeGeometry(n=2, h=1.0)
-    assert node_coordinate(geom, 2, 1) == 0.0
-    assert node_coordinate(geom, 2, 2) == 2.0
-    geom4 = LatticeGeometry(n=4, h=0.25)
-    assert node_coordinate(geom4, 3, 0) == -1.5
+    problem = _problem(n=2, T=2.0)
+    assert problem.level_coordinates(2)[1] == 0.0
+    assert problem.level_coordinates(2)[2] == 2.0
+    assert _problem(n=4, T=1.0).level_coordinates(3)[0] == -1.5
 
 
 def test_node_coordinate_rejects_out_of_range():
-    geom = LatticeGeometry(n=3, h=1.0)
+    problem = _problem(n=3, T=3.0)
     with pytest.raises(IndexError):
-        node_coordinate(geom, 4, 0)
+        problem.level_coordinates(4)
     with pytest.raises(IndexError):
-        node_coordinate(geom, 2, 3)
-    with pytest.raises(IndexError):
-        node_coordinate(geom, 2, -1)
+        problem.level_coordinates(-1)
 
 
 def test_enumeration_counts():
@@ -88,34 +84,31 @@ def test_enumeration_yields_each_sequence_once():
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
         sign_matrix(ENUMERATION_CAP + 1)
-    with pytest.raises(ValueError):
-        sign_matrix(5, cap=4)
 
 
 def test_recombination_level_values():
     # walk value after k steps depends only on (#up - #down): k+1 distinct values
     n, h = 8, 0.125
+    problem = _problem(n=n, T=n * h)
     walks = math.sqrt(h) * walk_sums(sign_matrix(n))
     for k in (3, 5, 8):
         endpoints = set(walks[:, k].tolist())
         assert len(endpoints) == k + 1
-        expected = {node_coordinate(LatticeGeometry(n, h), k, i) for i in range(k + 1)}
-        assert endpoints == expected
+        assert endpoints == set(problem.level_coordinates(k).tolist())
 
 
 def test_node_parity_matches_level():
-    geom = LatticeGeometry(n=7, h=1.0)
-    for k in range(geom.n + 1):
-        coords = level_coordinates(geom, k) / geom.sqrt_h
+    problem = _problem(n=7, T=7.0)
+    for k in range(problem.n + 1):
+        coords = problem.level_coordinates(k) / problem.sqrt_h
         assert np.all((np.rint(coords).astype(int) - k) % 2 == 0)
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 12])
 def test_endpoint_variance_equals_horizon_exactly(n):
-    h = 1.7 / n
-    geom = LatticeGeometry(n=n, h=h)
+    h = _problem(n=n, T=1.7).h
     ends = sign_matrix(n).sum(axis=1, dtype=np.int64)
     # mean of S^2 over all 2^n sign rows is exactly n (integer arithmetic)
     mean_sq = float((ends * ends).sum()) / 2**n
     assert mean_sq == float(n)
-    assert h * mean_sq == geom.horizon
+    assert h * mean_sq == n * h

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwbsde.benchmarks import make_case
-from rwbsde.lattice import level_coordinates, sign_matrix, walk_sums
+from rwbsde.lattice import sign_matrix, walk_sums
 from rwbsde.solver import (
     BsdeProblem,
     PicardConvergenceError,
@@ -52,14 +52,14 @@ def test_square_case_converges_to_closed_form():
 def test_terminal_level_is_exact():
     problem = BsdeProblem(T=1.5, n=24, g=lambda x: np.sin(x) + x**3, f=linear_driver)
     sol = solve_explicit(problem)
-    x = level_coordinates(problem.geometry, 24)
+    x = problem.level_coordinates(24)
     assert np.array_equal(sol.y[24], np.sin(x) + x**3)
 
 
 def test_z_levels_match_difference_quotient():
     problem = BsdeProblem(T=1.0, n=16, g=lambda x: np.exp(x), f=linear_driver)
     sol = solve_explicit(problem)
-    sh = problem.geometry.sqrt_h
+    sh = problem.sqrt_h
     for k in range(16):
         expected = (sol.y[k + 1][1:] - sol.y[k + 1][:-1]) / (2 * sh)
         assert np.array_equal(sol.z[k], expected)
@@ -75,14 +75,14 @@ def test_martingale_average_for_zero_driver():
         # every interior node is the plain two-point average
         for k in range(n):
             assert np.array_equal(sol.y[k], 0.5 * (sol.y[k + 1][1:] + sol.y[k + 1][:-1]))
-        ends = problem.geometry.sqrt_h * sign_matrix(n).sum(axis=1, dtype=np.int64)
+        ends = problem.sqrt_h * sign_matrix(n).sum(axis=1, dtype=np.int64)
         assert sol.y[0][0] == pytest.approx(float(np.mean(g(ends))), abs=1e-12)
 
 
 def test_zero_driver_solution_is_linear_in_g():
     rng = np.random.default_rng(11)
     n = 10
-    xs = level_coordinates(BsdeProblem(T=1.0, n=n, g=np.abs, f=zero_driver).geometry, n)
+    xs = BsdeProblem(T=1.0, n=n, g=np.abs, f=zero_driver).level_coordinates(n)
     v1, v2 = rng.normal(size=xs.size), rng.normal(size=xs.size)
     a, b = -1.7, 0.4
 
@@ -101,7 +101,7 @@ def test_zero_driver_solution_is_linear_in_g():
 def test_changing_g_outside_cone_changes_nothing():
     n, T = 12, 1.0
     problem = BsdeProblem(T=T, n=n, g=np.cos, f=linear_driver)
-    cone_edge = n * problem.geometry.sqrt_h
+    cone_edge = n * problem.sqrt_h
 
     def g_bumped(x):
         return np.cos(x) + 100.0 * (np.abs(x) > cone_edge + 1e-9)
@@ -160,9 +160,25 @@ def test_non_finite_root_is_refused():
             solve_explicit(problem)
 
 
+def test_problem_owns_the_step_grid():
+    problem = BsdeProblem(T=0.7, n=9, g=np.abs, f=zero_driver)
+    assert problem.h == 0.7 / 9
+    assert problem.sqrt_h == math.sqrt(0.7 / 9)
+    assert np.array_equal(problem.level_coordinates(3), np.array([-3, -1, 1, 3]) * problem.sqrt_h)
+    assert solve_explicit(problem).problem is problem
+
+
+def test_terminal_level_shape_is_checked():
+    problem = BsdeProblem(T=1.0, n=4, g=lambda x: x[:-1], f=zero_driver)
+    with pytest.raises(ValueError, match="level array"):
+        solve_explicit(problem)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         BsdeProblem(T=0.0, n=4, g=np.abs, f=zero_driver)
+    with pytest.raises(ValueError):
+        BsdeProblem(T=math.inf, n=4, g=np.abs, f=zero_driver)
     with pytest.raises(ValueError):
         BsdeProblem(T=1.0, n=0, g=np.abs, f=zero_driver)
     with pytest.raises(ValueError):
@@ -196,14 +212,14 @@ def test_evaluate_along_path():
 def test_representation_single_step_identity():
     problem = BsdeProblem(T=1.0, n=1, g=lambda x: x, f=zero_driver)
     sol = solve_explicit(problem)
-    assert z_by_representation(problem, sol, 0, 0) == pytest.approx(1.0, abs=1e-14)
+    assert z_by_representation(sol, 0, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_representation_odd_weight_kills_even_terminal():
     for n in (2, 5, 8):
         problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=zero_driver)
         sol = solve_explicit(problem)
-        assert z_by_representation(problem, sol, 0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert z_by_representation(sol, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_representation_matches_explicit_sweep():
@@ -212,7 +228,7 @@ def test_representation_matches_explicit_sweep():
     sol = solve_explicit(problem)
     k = 3
     for i in range(k + 1):
-        rep = z_by_representation(problem, sol, k, i)
+        rep = z_by_representation(sol, k, i)
         assert rep == pytest.approx(sol.z[k][i], abs=1e-10)
 
 
@@ -222,7 +238,7 @@ def test_representation_matches_implicit_sweep():
     sol = solve_implicit(problem)
     for k in (0, 4):
         for i in range(k + 1):
-            rep = z_by_representation(problem, sol, k, i)
+            rep = z_by_representation(sol, k, i)
             assert rep == pytest.approx(sol.z[k][i], abs=1e-9)
 
 
@@ -230,4 +246,4 @@ def test_representation_cap():
     problem = BsdeProblem(T=1.0, n=25, g=np.abs, f=zero_driver)
     sol = solve_explicit(problem)
     with pytest.raises(ValueError, match="cap"):
-        z_by_representation(problem, sol, 0, 0)
+        z_by_representation(sol, 0, 0)
