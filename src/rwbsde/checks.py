@@ -66,7 +66,7 @@ def z_representation() -> Check:
     for n in (4, 8, 10):
         for f in drivers:
             problem = BsdeProblem(T=T, n=n, g=lambda x: x * x, f=f)
-            sol = solve_explicit(problem)
+            sol = solve_explicit(problem, levels=range(n + 1))
             for k in (0, n // 2):
                 for i in range(k + 1):
                     worst = max(worst, abs(z_by_representation(sol, k, i) - sol.z[k][i]))

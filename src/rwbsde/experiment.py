@@ -135,9 +135,9 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
     t_k = k * h
 
     if config.scheme == "explicit":
-        solution = solve_explicit(problem)
+        solution = solve_explicit(problem, levels=(k,))
     else:
-        solution = solve_implicit(problem)
+        solution = solve_implicit(problem, levels=(k,))
     cdf = tabulate(h)
     exact = case.exact
     has_z = exact.z_fn is not None

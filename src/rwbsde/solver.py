@@ -10,8 +10,9 @@ at t_k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -23,6 +24,10 @@ LevelRule = Callable[..., np.ndarray]
 
 PICARD_TOL = 1e-12      # sup-norm update that ends the implicit fixed point
 PICARD_MAX_ITER = 100
+
+# what a level the sweep did not keep holds in SolutionLattice.y and .z
+_DROPPED = np.empty(0)
+_DROPPED.flags.writeable = False
 
 
 class PicardConvergenceError(RuntimeError):
@@ -58,6 +63,7 @@ class BsdeProblem:
     def __post_init__(self) -> None:
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"need 0 < T < inf, got T={self.T}")
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not 0.0 < self.alpha <= 1.0:
@@ -78,7 +84,12 @@ class BsdeProblem:
 @dataclass(frozen=True, eq=False)
 class SolutionLattice:
     """Level arrays of Y (levels 0..n) and Z (levels 0..n-1) of the problem
-    they solve, and the scheme that swept them."""
+    they solve, and the scheme that swept them.
+
+    y[k] and z[k] are level k for every level the sweep was asked to keep;
+    every other level holds one shared, read-only, empty array. A kept
+    level is never empty, since level k has k + 1 nodes.
+    """
 
     problem: BsdeProblem
     y: tuple
@@ -91,7 +102,7 @@ class SolutionLattice:
 
     def root(self) -> tuple:
         """(Y, Z) at the single node of level 0."""
-        return float(self.y[0][0]), float(self.z[0][0])
+        return float(_kept(self.y, 0)[0]), float(_kept(self.z, 0)[0])
 
 
 def _terminal_level(problem: BsdeProblem) -> np.ndarray:
@@ -104,25 +115,47 @@ def _terminal_level(problem: BsdeProblem) -> np.ndarray:
     return vals
 
 
-def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str) -> SolutionLattice:
+def _kept(arrays: tuple, k: int) -> np.ndarray:
+    """Level k of a solution's y or z; a level the sweep dropped is refused."""
+    if arrays[k] is _DROPPED:
+        raise ValueError(f"level {k} was not kept: solve with levels that include {k}")
+    return arrays[k]
+
+
+def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str,
+           levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep from the terminal level; rule gives Y at each level.
 
     Per node z[k][i] = (Y+ - Y-)/(2 sqrt(h)), and y[k] = rule(k, t_{k+1},
     x, Y+, Y-, z[k], (Y+ + Y-)/2), where Y+- are the next-level values
-    above and below the node.
+    above and below the node. Only the next level and the one being built
+    are alive, so memory is O(n) plus the levels kept: y[k] and z[k] (z
+    has no level n) are stored for each k in levels, and every other level
+    is left empty. The root is checked whether kept or not; when it is not
+    finite the sweep runs again keeping every level, so that the error can
+    name the highest level with non-finite nodes.
     """
     n, h, sh = problem.n, problem.h, problem.sqrt_h
-    y = [None] * (n + 1)
-    z = [None] * n
-    y[n] = _terminal_level(problem)
+    keep = {operator.index(k) for k in levels}
+    outside = sorted(k for k in keep if not 0 <= k <= n)
+    if outside:
+        raise IndexError(f"levels {outside} outside 0..{n}")
+    y = [_DROPPED] * (n + 1)
+    z = [_DROPPED] * n
+    y_k = _terminal_level(problem)
+    if n in keep:
+        y[n] = y_k
     for k in range(n - 1, -1, -1):
-        up = y[k + 1][1:]
-        dn = y[k + 1][:-1]
-        zk = (up - dn) / (2.0 * sh)
-        y[k] = rule(k, (k + 1) * h, problem.level_coordinates(k), up, dn, zk, 0.5 * (up + dn))
-        z[k] = zk
-    if not (np.isfinite(y[0][0]) and np.isfinite(z[0][0])):
-        # failure path only: name the highest level that holds a bad node
+        up = y_k[1:]
+        dn = y_k[:-1]
+        z_k = (up - dn) / (2.0 * sh)
+        y_k = rule(k, (k + 1) * h, problem.level_coordinates(k), up, dn, z_k, 0.5 * (up + dn))
+        if k in keep:
+            y[k], z[k] = y_k, z_k
+    if not (np.isfinite(y_k[0]) and np.isfinite(z_k[0])):
+        # failure path only, so a run that succeeds scans nothing
+        if len(keep) <= n:
+            return _sweep(problem, rule, scheme, range(n + 1))
         for k in range(n, -1, -1):
             bad = np.count_nonzero(~np.isfinite(y[k]) | ~np.isfinite(z[k] if k < n else 0.0))
             if bad:
@@ -133,25 +166,27 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str) -> SolutionLattic
     return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z), scheme=scheme)
 
 
-def solve_explicit(problem: BsdeProblem) -> SolutionLattice:
+def solve_explicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep with Y at t_{k+1} inside the generator.
 
     Per node y[k][i] = (Y+ + Y-)/2 + h*(f(t_{k+1}, x, Y+, z) + f(t_{k+1}, x, Y-, z))/2,
-    the two-point conditional expectation over the next sign.
+    the two-point conditional expectation over the next sign. Keeps the
+    levels named in levels (the root by default; range(n + 1) keeps all).
     """
     f, h = problem.f, problem.h
 
     def rule(k, t, x, up, dn, z, base):
         return base + 0.5 * h * (f(t, x, up, z) + f(t, x, dn, z))
 
-    return _sweep(problem, rule, "explicit")
+    return _sweep(problem, rule, "explicit", levels)
 
 
-def solve_implicit(problem: BsdeProblem) -> SolutionLattice:
+def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep with the generator at the fixed point Y at t_k.
 
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
     iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction.
+    Keeps the levels named in levels, as solve_explicit does.
     """
     f, h = problem.f, problem.h
     if problem.lip_f is not None and h * problem.lip_f >= 1.0:
@@ -172,14 +207,15 @@ def solve_implicit(problem: BsdeProblem) -> SolutionLattice:
             f"after {PICARD_MAX_ITER} iterations"
         )
 
-    return _sweep(problem, rule, "implicit")
+    return _sweep(problem, rule, "implicit", levels)
 
 
 def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tuple:
     """(Y, Z) arrays at level k of the nodes the walk rows reach.
 
     walks is (R, n+1) of integer walk sums (lattice.walk_sums); row r sits
-    at node (k + walks[r, k])/2 after k steps.
+    at node (k + walks[r, k])/2 after k steps. Level k must have been kept
+    by the sweep; a dropped level raises ValueError.
     """
     n = solution.n
     if walks.ndim != 2 or walks.shape[1] != n + 1:
@@ -187,7 +223,7 @@ def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tupl
     if not 0 <= k <= n - 1:
         raise IndexError(f"level k={k} outside 0..{n - 1}")
     node = (k + walks[:, k]) // 2
-    return solution.y[k][node], solution.z[k][node]
+    return _kept(solution.y, k)[node], _kept(solution.z, k)[node]
 
 
 def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:
@@ -203,7 +239,8 @@ def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:
     where the y-argument of f follows the convention of the scheme that
     produced the lattice (level m+1 node for the explicit sweep, level m
     node for the implicit one); with that convention the result equals the
-    swept z[k][i] up to rounding.
+    swept z[k][i] up to rounding. It reads the lattice levels above k, so
+    the sweep must have kept them; a dropped level raises ValueError.
     """
     problem = solution.problem
     n, h, sh = problem.n, problem.h, problem.sqrt_h
@@ -228,12 +265,12 @@ def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:
         coord_m = c0 + s_m
         node_m = (coord_m + m) // 2
         x_m = sh * coord_m.astype(float)
-        z_m = solution.z[m][node_m]
+        z_m = _kept(solution.z, m)[node_m]
         if explicit:
             coord_next = coord_m + tails[:, j + 1]
-            y_arg = solution.y[m + 1][(coord_next + m + 1) // 2]
+            y_arg = _kept(solution.y, m + 1)[(coord_next + m + 1) // 2]
         else:
-            y_arg = solution.y[m][node_m]
+            y_arg = _kept(solution.y, m)[node_m]
         weights = sh * s_m.astype(float) / ((m - k) * h)
         f_vals = problem.f((m + 1) * h, x_m, y_arg, z_m)
         total += h * float(np.mean(f_vals * weights))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,14 +52,14 @@ def test_square_case_converges_to_closed_form():
 
 def test_terminal_level_is_exact():
     problem = BsdeProblem(T=1.5, n=24, g=lambda x: np.sin(x) + x**3, f=linear_driver)
-    sol = solve_explicit(problem)
+    sol = solve_explicit(problem, levels=range(25))
     x = problem.level_coordinates(24)
     assert np.array_equal(sol.y[24], np.sin(x) + x**3)
 
 
 def test_z_levels_match_difference_quotient():
     problem = BsdeProblem(T=1.0, n=16, g=lambda x: np.exp(x), f=linear_driver)
-    sol = solve_explicit(problem)
+    sol = solve_explicit(problem, levels=range(17))
     sh = problem.sqrt_h
     for k in range(16):
         expected = (sol.y[k + 1][1:] - sol.y[k + 1][:-1]) / (2 * sh)
@@ -71,7 +72,7 @@ def test_martingale_average_for_zero_driver():
         coeff = rng.normal(size=4)
         g = lambda x, c=coeff: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
         problem = BsdeProblem(T=1.2, n=n, g=g, f=zero_driver)
-        sol = solve_explicit(problem)
+        sol = solve_explicit(problem, levels=range(n + 1))
         # every interior node is the plain two-point average
         for k in range(n):
             assert np.array_equal(sol.y[k], 0.5 * (sol.y[k + 1][1:] + sol.y[k + 1][:-1]))
@@ -89,9 +90,11 @@ def test_zero_driver_solution_is_linear_in_g():
     def tabulated(vals):
         return lambda x: np.interp(x, xs, vals)
 
-    s1 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(v1), f=zero_driver))
-    s2 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(v2), f=zero_driver))
-    s12 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(a * v1 + b * v2), f=zero_driver))
+    every = range(n + 1)
+    s1 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(v1), f=zero_driver), every)
+    s2 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(v2), f=zero_driver), every)
+    s12 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(a * v1 + b * v2), f=zero_driver),
+                         every)
     for k in range(n + 1):
         assert np.allclose(s12.y[k], a * s1.y[k] + b * s2.y[k], rtol=0, atol=1e-12)
     for k in range(n):
@@ -106,16 +109,17 @@ def test_changing_g_outside_cone_changes_nothing():
     def g_bumped(x):
         return np.cos(x) + 100.0 * (np.abs(x) > cone_edge + 1e-9)
 
-    base = solve_explicit(problem)
-    bumped = solve_explicit(BsdeProblem(T=T, n=n, g=g_bumped, f=linear_driver))
+    base = solve_explicit(problem, levels=range(n + 1))
+    bumped = solve_explicit(BsdeProblem(T=T, n=n, g=g_bumped, f=linear_driver),
+                            levels=range(n + 1))
     for k in range(n + 1):
         assert np.array_equal(base.y[k], bumped.y[k])
 
 
 def test_implicit_equals_explicit_for_zero_driver():
     problem = BsdeProblem(T=1.0, n=20, g=lambda x: x**2 - x, f=zero_driver)
-    exp_sol = solve_explicit(problem)
-    imp_sol = solve_implicit(problem)
+    exp_sol = solve_explicit(problem, levels=range(21))
+    imp_sol = solve_implicit(problem, levels=range(21))
     for k in range(21):
         assert np.array_equal(exp_sol.y[k], imp_sol.y[k])
 
@@ -181,16 +185,50 @@ def test_problem_validation():
         BsdeProblem(T=math.inf, n=4, g=np.abs, f=zero_driver)
     with pytest.raises(ValueError):
         BsdeProblem(T=1.0, n=0, g=np.abs, f=zero_driver)
+    with pytest.raises(TypeError):
+        BsdeProblem(T=1.0, n=2.5, g=np.abs, f=zero_driver)
+    assert BsdeProblem(T=1.0, n=np.int64(4), g=np.abs, f=zero_driver).h == 0.25
     with pytest.raises(ValueError):
         BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=0.0)
     with pytest.raises(ValueError):
         BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=1.2)
 
 
+@pytest.mark.parametrize("case_name", ["square", "exp"])
+@pytest.mark.parametrize("solve", [solve_explicit, solve_implicit])
+@pytest.mark.parametrize("n", [64, 1000])
+def test_kept_levels_are_bit_identical_to_the_full_sweep(case_name, solve, n):
+    case = make_case(case_name, 1.0)
+    problem = BsdeProblem(T=1.0, n=n, g=case.g, f=case.f, lip_f=case.lip_f)
+    full = solve(problem, levels=range(n + 1))
+    assert [v.hex() for v in solve(problem).root()] == [v.hex() for v in full.root()]
+    k = n // 2
+    sol = solve(problem, levels=(k,))
+    assert np.array_equal(sol.y[k], full.y[k]) and np.array_equal(sol.z[k], full.z[k])
+    dropped = sol.y[0]
+    assert dropped.size == 0 and not dropped.flags.writeable
+    assert all(level is dropped for j, level in enumerate(sol.y + sol.z) if j not in (k, n + 1 + k))
+    with pytest.raises(IndexError, match="outside"):
+        solve(problem, levels=(n + 1,))
+
+
+def test_default_sweep_memory_is_linear_in_n():
+    case = make_case("square", 1.0)
+    problem = BsdeProblem(T=1.0, n=2000, g=case.g, f=case.f, lip_f=case.lip_f)
+    tracemalloc.start()
+    try:
+        solve_explicit(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every level kept would be ~32 MB; two live levels are ~32 kB
+    assert peak <= 1 << 20
+
+
 def test_evaluate_along_path():
     n = 9
     problem = BsdeProblem(T=1.0, n=n, g=np.exp, f=linear_driver)
-    sol = solve_explicit(problem)
+    sol = solve_explicit(problem, levels=range(n + 1))
     rng = np.random.default_rng(3)
     walks = walk_sums(rng.integers(0, 2, (20, n)) * 2 - 1)
     y0, z0 = evaluate_walks(sol, walks, 0)
@@ -209,6 +247,15 @@ def test_evaluate_along_path():
         evaluate_walks(sol, walks[:, :-1], 0)
 
 
+def test_evaluate_refuses_a_dropped_level():
+    n = 9
+    sol = solve_explicit(BsdeProblem(T=1.0, n=n, g=np.exp, f=linear_driver), levels=(4,))
+    walks = walk_sums(np.ones((3, n), dtype=np.int8))
+    assert np.array_equal(evaluate_walks(sol, walks, 4)[0], np.full(3, sol.y[4][4]))
+    with pytest.raises(ValueError, match="level 3 was not kept"):
+        evaluate_walks(sol, walks, 3)
+
+
 def test_representation_single_step_identity():
     problem = BsdeProblem(T=1.0, n=1, g=lambda x: x, f=zero_driver)
     sol = solve_explicit(problem)
@@ -218,14 +265,14 @@ def test_representation_single_step_identity():
 def test_representation_odd_weight_kills_even_terminal():
     for n in (2, 5, 8):
         problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=zero_driver)
-        sol = solve_explicit(problem)
+        sol = solve_explicit(problem, levels=range(n + 1))
         assert z_by_representation(sol, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_representation_matches_explicit_sweep():
     n = 8
     problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=linear_driver)
-    sol = solve_explicit(problem)
+    sol = solve_explicit(problem, levels=range(n + 1))
     k = 3
     for i in range(k + 1):
         rep = z_by_representation(sol, k, i)
@@ -235,11 +282,19 @@ def test_representation_matches_explicit_sweep():
 def test_representation_matches_implicit_sweep():
     n = 8
     problem = BsdeProblem(T=1.0, n=n, g=np.abs, f=linear_driver, lip_f=1.0)
-    sol = solve_implicit(problem)
+    sol = solve_implicit(problem, levels=range(n + 1))
     for k in (0, 4):
         for i in range(k + 1):
             rep = z_by_representation(sol, k, i)
             assert rep == pytest.approx(sol.z[k][i], abs=1e-9)
+
+
+def test_representation_refuses_a_dropped_level():
+    n = 6
+    problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=linear_driver)
+    sol = solve_explicit(problem, levels=(0, 2, 3, 4, 6))
+    with pytest.raises(ValueError, match="level 5 was not kept"):
+        z_by_representation(sol, 1, 0)
 
 
 def test_representation_cap():
