@@ -13,15 +13,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .benchmarks import make_case, sqrt_abs_moment, verify_terminal
-from .exit_time import (
-    cdf_laplace_inversion,
-    cdf_series,
-    sample_sigma,
-    tabulate,
-    tabulated_moment,
-    tau_ladder,
-)
-from .lattice import sign_matrix, walk_sums
+from .exit_time import cdf_laplace_inversion, cdf_series, tabulate, tabulated_moment
+from .experiment import couple_block
+from .lattice import sign_matrix
 from .solver import BsdeProblem, solve_explicit, z_by_representation
 
 T = 1.0
@@ -90,22 +84,19 @@ def exit_time_distribution() -> Check:
 
 def skorohod_coupling() -> Check:
     """Coupled skeletons step exactly one lattice node per exit time, the
-    ladders increase strictly, and E(B_tau_m - B_tau_k)^2 = t_m - t_k."""
+    ladders increase strictly, and E(B_tau_m - B_tau_k)^2 = t_m - t_k; both
+    samples come from run_mc's own coupling draw, couple_block."""
     rng = np.random.default_rng(SEED)
-    n, h = 64, T / 64
-    paths = 1000
-    walks = walk_sums(rng.integers(0, 2, (paths, n)).astype(np.int8) * 2 - 1)
-    u = rng.random((paths, n))
-    u[u == 0.0] = 2.0**-53
-    taus = tau_ladder(sample_sigma(tabulate(h), u.ravel()), n)
+    problem = BsdeProblem(T=T, n=64, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
+    walks, taus, _ = couple_block(rng, 1000, problem, 0.5 * T)
     exact = bool(np.all(np.abs(np.diff(walks, axis=1)) == 1))
     increasing = bool(np.all(taus[:, 0] > 0.0) and np.all(np.diff(taus, axis=1) > 0.0))
 
     paths, k, m = 10_000, 16, 48
-    signs = rng.integers(0, 2, (paths, n)) * 2 - 1
-    seg = signs[:, k:m].sum(axis=1, dtype=np.int64).astype(float) * math.sqrt(h)
+    walks, _, _ = couple_block(rng, paths, problem, 0.5 * T)
+    seg = (walks[:, m] - walks[:, k]).astype(float) * problem.sqrt_h
     sq = seg * seg
-    gap = abs(float(sq.mean()) - (m - k) * h)
+    gap = abs(float(sq.mean()) - (m - k) * problem.h)
     bound = 3.0 * float(sq.std(ddof=1)) / math.sqrt(paths)
     return Check(4, "Skorohod coupling (exact steps, increasing ladders, variance)",
                  exact and increasing and gap <= bound,

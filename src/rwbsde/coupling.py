@@ -6,7 +6,8 @@ Rows of signs paired with ladders of exit times give Brownian skeletons
 recovered by Brownian-bridge draws between neighbouring skeleton points. The
 bridge is NOT conditioned on the +-sqrt(h) corridor the true excursion
 respects; past tau_n a free Brownian increment is used since the embedding
-carries no information there.
+carries no information there. experiment.couple_block draws the signs, exit
+times and normals and runs the embedding; every caller goes through it.
 """
 from __future__ import annotations
 

@@ -6,11 +6,13 @@ read (Y^n, Z^n) along the path at the evaluation level, recover the true
 Brownian value there by a bridge draw and accumulate squared differences
 against the exact solution. Per-n L2 errors are regressed log-log against n.
 
-The replications run in blocks of _BLOCK rows through four stages: draw
-(signs, uniforms, normals), embed (exit-time ladders, walk skeletons, the
-bridge draw at t_k), evaluate (lattice values along each walk, exact values
-at the bridged point) and accumulate (each row's squared errors, stored in
-place and summed once by math.fsum).
+The replications run in blocks of _BLOCK rows through four stages. The
+first two are couple_block, the one coupling draw that run_mc, acceptance
+criterion 4 and the coupling tests all run: draw (signs, uniforms,
+normals) and embed (exit-time ladders, walk skeletons, the bridge draw at
+t_k). Then evaluate (lattice values along each walk, exact values at the
+bridged point) and accumulate (each row's squared errors, stored in place
+and summed once by math.fsum).
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
@@ -65,6 +67,8 @@ class ExperimentConfig:
         n_list = tuple(operator.index(n) for n in self.n_list)
         if not n_list or any(n < 2 for n in n_list):
             raise ValueError(f"every n must be >= 2, got {n_list}")
+        if len(set(n_list)) < len(n_list):
+            raise ValueError(f"every n must appear once, got {n_list}")
         object.__setattr__(self, "n_list", n_list)
         if operator.index(self.M) < 1:
             raise ValueError(f"need M >= 1, got M={self.M}")
@@ -114,31 +118,41 @@ def _mean_and_se(d2: np.ndarray) -> tuple:
     return mean, math.sqrt(var / m)
 
 
-def _draw(rng: np.random.Generator, rows: int, n: int) -> tuple:
-    """Signs (rows, n), uniforms (rows, n) in (0, 1) and normals (rows,) from one stream."""
+def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
+                 t: float) -> tuple:
+    """One block of coupled paths: (walks, taus, b_t) for rows replications.
+
+    Draws from rng, in the stream contract's order, the (rows, n) sign bits,
+    the (rows, n) exit-time uniforms and the (rows,) bridge normals; then
+    embeds them: walks (rows, n+1) are the integer walk sums, taus (rows, n)
+    the exit-time ladders at time scale problem.h, and b_t the Brownian
+    value at time t bridged between the skeleton points sqrt(h) * walks.
+    """
+    n = problem.n
     signs = rng.integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
     uniforms = rng.random((rows, n))
     # rng.random is [0, 1); push an exact 0 inside the open interval
     uniforms[uniforms == 0.0] = 2.0**-53
     normals = rng.standard_normal(rows)
-    return signs, uniforms, normals
+    taus = tau_ladder(sample_sigma(tabulate(problem.h), uniforms.ravel()), n)
+    walks = walk_sums(signs)
+    b_t = bridge_sample_batch(taus, problem.sqrt_h * walks, t, normals)
+    return walks, taus, b_t
 
 
 def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
                   seedseq: np.random.SeedSequence) -> ErrorRow:
     problem = BsdeProblem(T=config.T, n=n, g=case.g, f=case.f,
                           alpha=case.alpha, lip_f=case.lip_f)
-    h = problem.h
     # float-robust floor: t_eval/h may sit one ulp below an integer
-    k = int(math.floor(config.t_eval / h + 1e-9))
+    k = int(math.floor(config.t_eval / problem.h + 1e-9))
     k = min(k, n - 1)
-    t_k = k * h
+    t_k = k * problem.h
 
     if config.scheme == "explicit":
         solution = solve_explicit(problem, levels=(k,))
     else:
         solution = solve_implicit(problem, levels=(k,))
-    cdf = tabulate(h)
     exact = case.exact
     has_z = exact.z_fn is not None
 
@@ -148,11 +162,8 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
     d2_z = np.empty(M) if has_z else None
     for start, stream in zip(range(0, M, _BLOCK), streams):
         stop = min(start + _BLOCK, M)
-        signs, uniforms, normals = _draw(np.random.default_rng(stream), stop - start, n)
-        # embed: exit-time ladders and Brownian skeletons, bridged to t_k
-        taus = tau_ladder(sample_sigma(cdf, uniforms.ravel()), n)
-        walks = walk_sums(signs)
-        b_tk = bridge_sample_batch(taus, problem.sqrt_h * walks, t_k, normals)
+        walks, taus, b_tk = couple_block(np.random.default_rng(stream), stop - start, problem, t_k)
+        del taus  # never read here; freed now, not when the next block is drawn
         # evaluate the lattice along each walk and store the squared errors
         y_n, z_n = evaluate_walks(solution, walks, k)
         np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])
@@ -190,8 +201,9 @@ def run_mc(config: ExperimentConfig) -> ErrorSeries:
 def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionResult:
     """OLS fit of log(error) against log(n)."""
     pairs = [(row.n, getattr(row, field_name)) for row in series.rows]
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 rows for a regression, got {len(pairs)}")
+    distinct = len({n for n, _ in pairs})
+    if distinct < 3:
+        raise ValueError(f"need at least 3 distinct n for a regression, got {distinct}")
     if any(e is None or not math.isfinite(e) or e <= 0.0 for _, e in pairs):
         raise ValueError(
             f"nonpositive, non-finite or missing {field_name} values cannot be log-fitted"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class BsdeProblem:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"need alpha in (0, 1], got {self.alpha}")
-        if self.lip_f is not None and self.lip_f < 0.0:
+        if self.lip_f is not None and not self.lip_f >= 0.0:  # also refuses NaN
             raise ValueError(f"need lip_f >= 0, got {self.lip_f}")
         h = self.T / self.n
         object.__setattr__(self, "h", h)
@@ -122,48 +122,54 @@ def _kept(arrays: tuple, k: int) -> np.ndarray:
     return arrays[k]
 
 
+def _levels(problem: BsdeProblem, rule: LevelRule) -> Iterator[tuple]:
+    """(k, y_k, z_k) from k = n down to 0, with two levels alive at a time.
+
+    Per node z_k[i] = (Y+ - Y-)/(2 sqrt(h)), and y_k = rule(k, t_{k+1}, x,
+    Y+, Y-, z_k, (Y+ + Y-)/2), where Y+- are the next-level values above
+    and below the node. Level n is the terminal level and has no z (None).
+    """
+    h, sh = problem.h, problem.sqrt_h
+    y_k = _terminal_level(problem)
+    yield problem.n, y_k, None
+    for k in range(problem.n - 1, -1, -1):
+        up, dn = y_k[1:], y_k[:-1]
+        z_k = (up - dn) / (2.0 * sh)
+        y_k = rule(k, (k + 1) * h, problem.level_coordinates(k), up, dn, z_k, 0.5 * (up + dn))
+        yield k, y_k, z_k
+
+
 def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str,
            levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep from the terminal level; rule gives Y at each level.
 
-    Per node z[k][i] = (Y+ - Y-)/(2 sqrt(h)), and y[k] = rule(k, t_{k+1},
-    x, Y+, Y-, z[k], (Y+ + Y-)/2), where Y+- are the next-level values
-    above and below the node. Only the next level and the one being built
-    are alive, so memory is O(n) plus the levels kept: y[k] and z[k] (z
-    has no level n) are stored for each k in levels, and every other level
-    is left empty. The root is checked whether kept or not; when it is not
-    finite the sweep runs again keeping every level, so that the error can
-    name the highest level with non-finite nodes.
+    Runs _levels once, so memory is O(n) plus the levels kept: y[k] and
+    z[k] (z has no level n) are stored for each k in levels, and every
+    other level is left empty. The root is checked whether kept or not;
+    when it is not finite the levels are built once more and counted as
+    they come, still in O(n) memory, and the error names the highest level
+    with non-finite nodes.
     """
-    n, h, sh = problem.n, problem.h, problem.sqrt_h
+    n = problem.n
     keep = {operator.index(k) for k in levels}
     outside = sorted(k for k in keep if not 0 <= k <= n)
     if outside:
         raise IndexError(f"levels {outside} outside 0..{n}")
     y = [_DROPPED] * (n + 1)
-    z = [_DROPPED] * n
-    y_k = _terminal_level(problem)
-    if n in keep:
-        y[n] = y_k
-    for k in range(n - 1, -1, -1):
-        up = y_k[1:]
-        dn = y_k[:-1]
-        z_k = (up - dn) / (2.0 * sh)
-        y_k = rule(k, (k + 1) * h, problem.level_coordinates(k), up, dn, z_k, 0.5 * (up + dn))
+    z = [_DROPPED] * (n + 1)   # z[n] is the terminal level's None, cut below
+    for k, y_k, z_k in _levels(problem, rule):
         if k in keep:
             y[k], z[k] = y_k, z_k
     if not (np.isfinite(y_k[0]) and np.isfinite(z_k[0])):
         # failure path only, so a run that succeeds scans nothing
-        if len(keep) <= n:
-            return _sweep(problem, rule, scheme, range(n + 1))
-        for k in range(n, -1, -1):
-            bad = np.count_nonzero(~np.isfinite(y[k]) | ~np.isfinite(z[k] if k < n else 0.0))
+        for k, y_k, z_k in _levels(problem, rule):
+            bad = np.count_nonzero(~np.isfinite(y_k) | ~np.isfinite(0.0 if z_k is None else z_k))
             if bad:
                 raise FloatingPointError(
                     f"non-finite root at n={n}: level {k} is the highest with "
                     f"non-finite nodes ({bad} of {k + 1})"
                 )
-    return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z), scheme=scheme)
+    return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z[:n]), scheme=scheme)
 
 
 def solve_explicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> SolutionLattice:

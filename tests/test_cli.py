@@ -31,6 +31,7 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
     ["solve", "--case", "square", "--n", "0"],
     ["solve", "--case", "square", "--n", "4", "--T", "inf"],
     ["convergence", "--case", "square", "--n", "1,2", "--out", "unused.csv"],
+    ["convergence", "--case", "square", "--n", "8,8,8", "--out", "unused.csv"],
     ["convergence", "--case", "square", "--seed", "-1", "--out", "unused.csv"],
     ["tabulate-exit", "--h", "0", "--out", "unused.csv"],
 ])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwbsde.coupling import bridge_sample_batch
-from rwbsde.exit_time import sample_sigma, tabulate, tau_ladder
+from rwbsde.experiment import couple_block
 from rwbsde.lattice import walk_sums
 from rwbsde.solver import BsdeProblem
 
@@ -14,14 +14,14 @@ def _skeleton(signs, h):
     return math.sqrt(h) * walk_sums(np.array([signs]))
 
 
-def _coupled(rng, cdf, n, rows):
-    """Signs, ladders and skeletons of rows coupled paths, drawn in that order."""
-    signs = rng.integers(0, 2, (rows, n)) * 2 - 1
-    u = rng.random((rows, n))
-    u[u == 0.0] = 2.0**-53
-    taus = tau_ladder(sample_sigma(cdf, u.ravel()), n)
-    walks = walk_sums(signs)
-    return signs, taus, walks, math.sqrt(cdf.h) * walks
+def _problem(T, n):
+    return BsdeProblem(T=T, n=n, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
+
+
+def _coupled(rng, problem, rows):
+    """Walks, ladders and skeletons of rows paths from run_mc's coupling draw."""
+    walks, taus, _ = couple_block(rng, rows, problem, 0.5 * problem.T)
+    return walks, taus, problem.sqrt_h * walks
 
 
 def _bridge(taus, skeleton, t, z):
@@ -43,9 +43,8 @@ def test_couple_two_steps():
 def test_skeleton_is_bitwise_walk_values():
     # the skeleton sits bit for bit on the lattice node each walk reaches
     rng = np.random.default_rng(1)
-    h = 1.0 / 64
-    problem = BsdeProblem(T=1.0, n=64, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
-    _, _, walks, skels = _coupled(rng, tabulate(h), 64, 25)
+    problem = _problem(1.0, 64)
+    walks, _, skels = _coupled(rng, problem, 25)
     for k in range(65):
         node = (k + walks[:, k]) // 2
         assert np.array_equal(skels[:, k], problem.level_coordinates(k)[node])
@@ -55,11 +54,11 @@ def test_increments_are_exactly_sqrt_h():
     # B_tau_k - B_tau_{k-1} = sqrt(h)*(S_k - S_{k-1}) with |S_k - S_{k-1}| = 1
     # exactly, and each skeleton value is a single sqrt(h)*S_k product
     rng = np.random.default_rng(2)
-    h = 0.37
-    signs, taus, walks, skels = _coupled(rng, tabulate(h), 30, 100)
-    assert np.array_equal(np.diff(walks, axis=1), signs)
+    problem = _problem(0.37 * 30, 30)
+    walks, taus, skels = _coupled(rng, problem, 100)
+    assert np.all(walks[:, 0] == 0)
     assert np.all(np.abs(np.diff(walks, axis=1)) == 1)
-    assert np.array_equal(skels, math.sqrt(h) * walks.astype(float))
+    assert np.array_equal(skels, problem.sqrt_h * walks.astype(float))
     assert np.all(taus[:, 0] > 0.0) and np.all(np.diff(taus, axis=1) > 0.0)
 
 
@@ -74,13 +73,13 @@ def test_couple_rejects_mismatch():
 def test_skeleton_increment_variance():
     # E (B_tau_m - B_tau_k)^2 = t_m - t_k over sampled sign paths
     rng = np.random.default_rng(3)
-    n, paths, h = 100, 10_000, 0.01
-    k, m = 25, 75
-    signs = rng.integers(0, 2, (paths, n)) * 2 - 1
-    seg = signs[:, k:m].sum(axis=1, dtype=np.int64).astype(float) * math.sqrt(h)
+    problem = _problem(1.0, 100)
+    paths, k, m = 10_000, 25, 75
+    _, _, skels = _coupled(rng, problem, paths)
+    seg = skels[:, m] - skels[:, k]
     sq = seg * seg
     se = sq.std(ddof=1) / math.sqrt(paths)
-    assert abs(sq.mean() - (m - k) * h) <= 3 * se
+    assert abs(sq.mean() - (m - k) * problem.h) <= 3 * se
 
 
 def test_bridge_exact_at_embedding_times():
@@ -139,10 +138,9 @@ def test_bridge_rejects_negative_time():
 def test_batch_bridge_matches_scalar_bridge():
     # per-row closed form: the searchsorted interval, the bridge mean and variance
     rng = np.random.default_rng(21)
-    h = 0.04
     n, rows = 25, 64
-    _, taus, _, skels = _coupled(rng, tabulate(h), n, rows)
-    t = 0.5 * n * h
+    _, taus, skels = _coupled(rng, _problem(1.0, n), rows)
+    t = 0.5
     z = rng.standard_normal(rows)
     batch = bridge_sample_batch(taus, skels, t, z)
     for r in range(rows):
@@ -164,17 +162,10 @@ def test_batch_bridge_matches_scalar_bridge():
 def test_coupling_discrepancy_trend():
     # E |B_tau_k - B_t_k|^2 / sqrt(t_k h) stays bounded across k
     rng = np.random.default_rng(17)
-    T, n, paths = 1.0, 100, 10_000
-    h = T / n
-    cdf = tabulate(h)
-    u = rng.random((paths, n))
-    u[u == 0.0] = 2.0**-53
-    taus = tau_ladder(sample_sigma(cdf, u.ravel()), n)
-    signs = rng.integers(0, 2, (paths, n)) * 2 - 1
-    skels = math.sqrt(h) * walk_sums(signs)
+    problem = _problem(1.0, 100)
+    n, h, paths = problem.n, problem.h, 10_000
     for k in (n // 4, n // 2, n):
         t_k = k * h
-        z = rng.standard_normal(paths)
-        b_tk = bridge_sample_batch(taus, skels, t_k, z)
-        ratio = np.mean((skels[:, k] - b_tk) ** 2) / math.sqrt(t_k * h)
+        walks, _, b_tk = couple_block(rng, paths, problem, t_k)
+        ratio = np.mean((problem.sqrt_h * walks[:, k] - b_tk) ** 2) / math.sqrt(t_k * h)
         assert ratio <= 5.0

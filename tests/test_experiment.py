@@ -26,6 +26,9 @@ def test_config_defaults_and_validation():
         ExperimentConfig(case="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(case="square", n_list=(1, 50))
+    for repeated in ((8, 8, 8), (8, 16, 8)):
+        with pytest.raises(ValueError, match="once"):
+            ExperimentConfig(case="square", n_list=repeated)
     with pytest.raises(ValueError):
         ExperimentConfig(case="square", M=0)
     with pytest.raises(ValueError):
@@ -42,6 +45,33 @@ def test_config_defaults_and_validation():
             ExperimentConfig(case="square", **bad)
     cfg = ExperimentConfig(case="square", n_list=np.array([8, 16]), M=np.int64(3))
     assert cfg.n_list == (8, 16) and all(type(n) is int for n in cfg.n_list)
+
+
+def test_run_mc_rows_come_from_couple_block(monkeypatch):
+    # one n's row rebuilt by hand from run_mc's stream layout: child j of the
+    # master seed spawns one stream per block, and each block runs
+    # couple_block, evaluate_walks and the exact (Y, Z)
+    monkeypatch.setattr(experiment, "_BLOCK", 128)
+    cfg = ExperimentConfig(case="square", n_list=(8, 16, 32), M=300, seed=13)
+    j, n = 1, 16
+    case = make_case("square", 1.0)
+    problem = solver.BsdeProblem(T=1.0, n=n, g=case.g, f=case.f,
+                                 alpha=case.alpha, lip_f=case.lip_f)
+    k = n // 2
+    t_k = k * problem.h
+    solution = solver.solve_explicit(problem, levels=(k,))
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.n_list))[j].spawn(3)
+    d2_y, d2_z = [], []
+    for rows, stream in zip((128, 128, 44), streams):
+        walks, _, b_tk = experiment.couple_block(np.random.default_rng(stream), rows, problem, t_k)
+        y_n, z_n = solver.evaluate_walks(solution, walks, k)
+        d2_y.append(np.square(y_n - case.exact.y_fn(t_k, b_tk)))
+        d2_z.append(np.square(z_n - case.exact.z_fn(t_k, b_tk)))
+    by_hand = (experiment._mean_and_se(np.concatenate(d2_y))
+               + experiment._mean_and_se(np.concatenate(d2_z)))
+    row = run_mc(cfg).rows[j]
+    assert row.n == n
+    assert [v.hex() for v in by_hand] == [v.hex() for v in (row.e_y, row.se_y, row.e_z, row.se_z)]
 
 
 def test_run_is_deterministic():
@@ -142,6 +172,11 @@ def test_regression_flat_series_has_zero_slope():
 def test_regression_input_validation():
     with pytest.raises(ValueError):
         regress_loglog(_series_from((10, 20), [1.0, 0.5]))
+    # three rows are not enough when only two n's are distinct
+    with pytest.raises(ValueError, match="distinct"):
+        regress_loglog(_series_from((10, 10, 20), [1.0, 0.9, 0.5]))
+    with pytest.raises(ValueError, match="distinct"):
+        regress_loglog(_series_from((8, 8, 8), [1.0, 0.9, 0.5]))
     with pytest.raises(ValueError):
         regress_loglog(_series_from((10, 20, 40), [1.0, 0.0, 0.5]))
     with pytest.raises(ValueError):

@@ -164,6 +164,31 @@ def test_non_finite_root_is_refused():
             solve_explicit(problem)
 
 
+def test_failing_sweep_memory_is_linear_in_n():
+    # the failure path builds the levels again one at a time to name the
+    # bad one; keeping all 3801 levels would peak near 117 MB
+    case = make_case("exp", 100.0)
+    problem = BsdeProblem(T=100.0, n=3800, g=case.g, f=case.f, lip_f=case.lip_f)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="level 3800"):
+                solve_explicit(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
+def test_interior_failure_names_its_level():
+    # g is finite everywhere; f = y*y overflows the whole of level n-1
+    problem = BsdeProblem(T=1.0, n=50, g=lambda x: 1e200 + 0.0 * x, f=lambda t, x, y, z: y * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^non-finite root at n=50: level 49 is "
+                           r"the highest with non-finite nodes \(50 of 50\)$"):
+            solve_explicit(problem)
+
+
 def test_problem_owns_the_step_grid():
     problem = BsdeProblem(T=0.7, n=9, g=np.abs, f=zero_driver)
     assert problem.h == 0.7 / 9
@@ -192,6 +217,9 @@ def test_problem_validation():
         BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=0.0)
     with pytest.raises(ValueError):
         BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=1.2)
+    for lip_f in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="lip_f"):
+            BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, lip_f=lip_f)
 
 
 @pytest.mark.parametrize("case_name", ["square", "exp"])
