@@ -11,7 +11,6 @@ from .benchmarks import (
     make_case,
     verify_terminal,
 )
-from .coupling import bridge_sample_batch
 from .exit_time import (
     ExitTimeCdf,
     cdf_laplace_inversion,
@@ -19,23 +18,23 @@ from .exit_time import (
     laplace_transform,
     sample_sigma,
     tabulate,
-    tau_ladder,
 )
 from .experiment import (
     ErrorRow,
     ErrorSeries,
     ExperimentConfig,
     RegressionResult,
+    bridge_sample_batch,
     emit_csv,
     parse_csv,
     regress_loglog,
     run_mc,
 )
-from .lattice import sign_matrix, walk_sums
 from .solver import (
     BsdeProblem,
     SolutionLattice,
     evaluate_walks,
+    sign_matrix,
     solve_explicit,
     solve_implicit,
     z_by_representation,

@@ -43,7 +43,6 @@ class ExactSolution:
     y_fn: Callable[[float, ArrayLike], ArrayLike]
     z_fn: Optional[Callable[[float, ArrayLike], ArrayLike]]
     alpha: float
-    label: str
     T: float = 1.0
     in_hypothesis: bool = True
 
@@ -56,7 +55,7 @@ def exact_case_exp(T: float) -> ExactSolution:
     def y_fn(t, b):
         return np.exp(T + b + 2.5 * (T - t))
 
-    return ExactSolution(y_fn=y_fn, z_fn=y_fn, alpha=1.0, label="exp", T=T, in_hypothesis=False)
+    return ExactSolution(y_fn=y_fn, z_fn=y_fn, alpha=1.0, T=T, in_hypothesis=False)
 
 
 def exact_case_square(T: float) -> ExactSolution:
@@ -72,7 +71,7 @@ def exact_case_square(T: float) -> ExactSolution:
         tau = T - t
         return 2.0 * np.exp(tau) * (b + tau)
 
-    return ExactSolution(y_fn=y_fn, z_fn=z_fn, alpha=1.0, label="square", T=T)
+    return ExactSolution(y_fn=y_fn, z_fn=z_fn, alpha=1.0, T=T)
 
 
 def sqrt_abs_moment(m: ArrayLike) -> ArrayLike:
@@ -105,7 +104,7 @@ def exact_case_sqrt(T: float) -> ExactSolution:
         sig = math.sqrt(tau)
         return math.exp(tau) * math.sqrt(sig) * sqrt_abs_moment((b + tau) / sig)
 
-    return ExactSolution(y_fn=y_fn, z_fn=None, alpha=0.5, label="sqrt", T=T)
+    return ExactSolution(y_fn=y_fn, z_fn=None, alpha=0.5, T=T)
 
 
 def verify_terminal(solution: ExactSolution, g: Callable, grid: np.ndarray) -> float:

@@ -15,8 +15,7 @@ from scipy.integrate import quad
 from .benchmarks import make_case, sqrt_abs_moment, verify_terminal
 from .exit_time import cdf_laplace_inversion, cdf_series, tabulate, tabulated_moment
 from .experiment import couple_block
-from .lattice import sign_matrix
-from .solver import BsdeProblem, solve_explicit, z_by_representation
+from .solver import BsdeProblem, sign_matrix, solve_explicit, z_by_representation
 
 T = 1.0
 SEED = 20250809

@@ -55,6 +55,8 @@ def _cmd_convergence(args, usage) -> int:
             seed=args.seed,
             scheme=args.scheme,
         )
+        if len(config.n_list) < 3:  # ExperimentConfig already refuses a repeated n
+            raise ValueError(f"a slope fit needs at least 3 distinct n, got {config.n_list}")
     series = experiment.run_mc(config)
     regressions = {"Y": experiment.regress_loglog(series, "e_y")}
     if series.rows[0].e_z is not None:

@@ -19,10 +19,10 @@ first use and shared by every h. It sits on a uniform grid in
 x = logit(u) = log(u/(1-u)) over [-37, 37], where the quantile is smooth
 (about 1/(2|x|) in the head, 8x/pi^2 in the tail), so a draw is a direct
 index and one linear interpolation. Accuracy contract:
-sup_u |F(Q(u)) - u| <= 1e-7 (8.9e-8 measured). tau_ladder turns the draws
-into exit-time ladders. tabulate(h) hands out the same table as a forward
-table, times h * q_i against F = sigmoid(x_i), for moments by quadrature
-and the tabulate-exit command; the mass beyond its ends is below 1e-16.
+sup_u |F(Q(u)) - u| <= 1e-7 (8.9e-8 measured). tabulate(h) hands out the
+same table as a forward table, times h * q_i against F = sigmoid(x_i), for
+moments by quadrature and the tabulate-exit command; the mass beyond its
+ends is below 1e-16.
 """
 from __future__ import annotations
 
@@ -227,22 +227,24 @@ def _quantile_table() -> tuple:
 
 
 def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
-    """Exit times Q(u) for uniforms u in the open interval (0, 1).
+    """Exit times Q(u), of the shape of u, for uniforms u in the open
+    interval (0, 1).
 
     Reads the scale-free quantile table (built on first use) by a direct
     index into its logit grid and one linear interpolation, then multiplies
     by cdf.h, so sample_sigma(tabulate(h), u) equals h times the h = 1
     result bit for bit; logit u beyond [-37, 37] is clamped to the grid
-    ends. sup_u |F(Q(u)) - u| <= 1e-7. The work runs in cache-sized
-    chunks written into the one output array.
+    ends. sup_u |F(Q(u)) - u| <= 1e-7. The work runs over the flattened
+    values in cache-sized chunks, written into the one output array.
     """
     scalar, uu = _as_batch(u)
     if uu.size and not (uu.min() > 0.0 and uu.max() < 1.0):  # also refuses NaN
         raise ValueError("u must lie strictly inside (0, 1)")
     nodes, diff, _ = _quantile_table()
-    out = np.empty_like(uu)
-    for start in range(0, uu.size, _Q_CHUNK):
-        u_c, pos = uu[start:start + _Q_CHUNK], out[start:start + _Q_CHUNK]
+    out = np.empty(uu.shape)
+    flat_u, flat_out = uu.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_u.size, _Q_CHUNK):
+        u_c, pos = flat_u[start:start + _Q_CHUNK], flat_out[start:start + _Q_CHUNK]
         # pos = grid position of logit u, clamped to [0, _Q_INTERVALS]
         np.subtract(1.0, u_c, out=pos)
         np.divide(u_c, pos, out=pos)
@@ -256,15 +258,3 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
         pos += nodes.take(idx)
     out *= cdf.h
     return float(out[0]) if scalar else out
-
-
-def tau_ladder(sigmas: ArrayLike, n: int) -> np.ndarray:
-    """Exit-time ladders tau_k = sigma_1 + ... + sigma_k, k = 1..n.
-
-    sigmas holds i.i.d. exit times for consecutive rows of n steps, as
-    sample_sigma returns them for a raveled (R, n) array of uniforms; the
-    result is (R, n) with each row strictly increasing.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    return np.cumsum(np.reshape(sigmas, (-1, n)), axis=1)

@@ -9,10 +9,11 @@ against the exact solution. Per-n L2 errors are regressed log-log against n.
 The replications run in blocks of _BLOCK rows through four stages. The
 first two are couple_block, the one coupling draw that run_mc, acceptance
 criterion 4 and the coupling tests all run: draw (signs, uniforms,
-normals) and embed (exit-time ladders, walk skeletons, the bridge draw at
-t_k). Then evaluate (lattice values along each walk, exact values at the
-bridged point) and accumulate (each row's squared errors, stored in place
-and summed once by math.fsum).
+normals) and embed (walks, exit-time ladders and the bridge draw at t_k);
+the layout of a coupled path is written there alone. Then evaluate
+(lattice values along each walk, exact values at the bridged point) and
+accumulate (each row's squared errors, stored in place and summed once by
+math.fsum).
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
@@ -33,9 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import CASE_NAMES, BenchmarkCase, make_case
-from .coupling import bridge_sample_batch
-from .exit_time import sample_sigma, tabulate, tau_ladder
-from .lattice import walk_sums
+from .exit_time import sample_sigma, tabulate
 from .solver import BsdeProblem, evaluate_walks, solve_explicit, solve_implicit
 
 DEFAULT_N_LIST = (50, 100, 200, 400, 800)
@@ -118,15 +117,54 @@ def _mean_and_se(d2: np.ndarray) -> tuple:
     return mean, math.sqrt(var / m)
 
 
+def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
+                        z: np.ndarray) -> np.ndarray:
+    """Vectorised bridge draw at one fixed time across replication rows.
+
+    taus is (R, n) of exit times, skeletons is (R, n+1) of values at
+    (0, tau_1, ..., tau_n), z is (R,) standard normal draws. Rows where t
+    falls exactly on an embedding time get variance zero and return the
+    skeleton value; strictly between tau_j and tau_{j+1} the draw has the
+    bridge mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j);
+    rows with t >= tau_n get the free sqrt(t - tau_n) increment.
+
+    The bridge is NOT conditioned on the +-sqrt(h) corridor the embedded
+    path keeps to between two exit times; past tau_n the free increment is
+    used because the embedding carries no information there.
+    """
+    if not 0.0 <= t < np.inf:  # also refuses NaN
+        raise ValueError(f"need finite t >= 0, got t={t}")
+    n_rows, n = taus.shape
+    if skeletons.shape != (n_rows, n + 1) or np.shape(z) != (n_rows,):
+        raise ValueError(
+            f"length mismatch: taus {taus.shape}, skeletons {skeletons.shape}, "
+            f"normals {np.shape(z)}"
+        )
+    rows = np.arange(n_rows)
+    j = np.count_nonzero(taus <= t, axis=1)           # index into (0, tau_1, ..)
+    t0 = np.where(j > 0, taus[rows, np.maximum(j - 1, 0)], 0.0)
+    b0 = skeletons[rows, j]
+    interior = j < n
+    j_up = np.minimum(j + 1, n)
+    t1 = taus[rows, np.minimum(j, n - 1)]             # tau_{j+1} for interior rows
+    b1 = skeletons[rows, j_up]
+    span = np.where(interior, t1 - t0, 1.0)
+    lam = np.where(interior, (t - t0) / span, 0.0)
+    mean = np.where(interior, b0 + lam * (b1 - b0), b0)
+    var = np.where(interior, (t - t0) * np.maximum(t1 - t, 0.0) / span, t - t0)
+    return mean + np.sqrt(np.maximum(var, 0.0)) * z
+
+
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
                  t: float) -> tuple:
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
 
     Draws from rng, in the stream contract's order, the (rows, n) sign bits,
     the (rows, n) exit-time uniforms and the (rows,) bridge normals; then
-    embeds them: walks (rows, n+1) are the integer walk sums, taus (rows, n)
-    the exit-time ladders at time scale problem.h, and b_t the Brownian
-    value at time t bridged between the skeleton points sqrt(h) * walks.
+    embeds them: walks (rows, n+1) int64 are the walk sums S_0 = 0, ..., S_n,
+    taus (rows, n) the exit-time ladders tau_1 < ... < tau_n at time scale
+    problem.h, and b_t the Brownian value at time t bridged between the
+    skeleton points (0, 0) and (tau_k, sqrt(h) * S_k).
     """
     n = problem.n
     signs = rng.integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
@@ -134,8 +172,9 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     # rng.random is [0, 1); push an exact 0 inside the open interval
     uniforms[uniforms == 0.0] = 2.0**-53
     normals = rng.standard_normal(rows)
-    taus = tau_ladder(sample_sigma(tabulate(problem.h), uniforms.ravel()), n)
-    walks = walk_sums(signs)
+    taus = np.cumsum(sample_sigma(tabulate(problem.h), uniforms), axis=1)
+    walks = np.zeros((rows, n + 1), np.int64)
+    np.cumsum(signs, axis=1, dtype=np.int64, out=walks[:, 1:])
     b_t = bridge_sample_batch(taus, problem.sqrt_h * walks, t, normals)
     return walks, taus, b_t
 

@@ -16,14 +16,15 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .lattice import sign_matrix
-
 TerminalFn = Callable[[np.ndarray], np.ndarray]
 DriverFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 LevelRule = Callable[..., np.ndarray]
 
 PICARD_TOL = 1e-12      # sup-norm update that ends the implicit fixed point
 PICARD_MAX_ITER = 100
+
+# 2**20 ~ 1e6 paths; enumeration is oracle support, never a hot path
+ENUMERATION_CAP = 20
 
 # what a level the sweep did not keep holds in SolutionLattice.y and .z
 _DROPPED = np.empty(0)
@@ -219,17 +220,33 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
 def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tuple:
     """(Y, Z) arrays at level k of the nodes the walk rows reach.
 
-    walks is (R, n+1) of integer walk sums (lattice.walk_sums); row r sits
-    at node (k + walks[r, k])/2 after k steps. Level k must have been kept
-    by the sweep; a dropped level raises ValueError.
+    walks is (R, n+1) of integer walk sums with S_0 = 0, as
+    experiment.couple_block draws them; row r sits at node
+    (k + walks[r, k])/2 after k steps. A level-k sum outside [-k, k] or of
+    the wrong parity names no node and raises ValueError, and so does a
+    level the sweep did not keep.
     """
     n = solution.n
     if walks.ndim != 2 or walks.shape[1] != n + 1:
         raise ValueError(f"walks of shape {walks.shape} do not match lattice n={n}")
     if not 0 <= k <= n - 1:
         raise IndexError(f"level k={k} outside 0..{n - 1}")
-    node = (k + walks[:, k]) // 2
+    s_k = walks[:, k]
+    if np.any((np.abs(s_k) > k) | ((s_k + k) % 2 != 0)):
+        raise ValueError(f"level-{k} walk sums must lie in [-{k}, {k}] with the parity of {k}")
+    node = (k + s_k) // 2
     return _kept(solution.y, k)[node], _kept(solution.z, k)[node]
+
+
+def sign_matrix(m: int) -> np.ndarray:
+    """All 2**m sign rows as an int8 array (exhaustive-oracle support)."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    if m > ENUMERATION_CAP:
+        raise ValueError(f"enumeration of 2**{m} paths exceeds the cap 2**{ENUMERATION_CAP}")
+    codes = np.arange(1 << m, dtype=np.int64)[:, None]
+    bits = (codes >> np.arange(m, dtype=np.int64)[None, :]) & 1
+    return (2 * bits - 1).astype(np.int8)
 
 
 def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:

@@ -114,7 +114,7 @@ def test_case_factories_reject_bad_horizon():
 def test_make_case_registry():
     for name in ("exp", "square", "sqrt"):
         case = make_case(name, T)
-        assert case.exact.label == name
+        assert case.name == name
         x = np.array([-1.0, 0.5])
         assert case.f(0.1, x, x, x) == pytest.approx(2 * x)
     assert make_case("square", T).alpha == 1.0

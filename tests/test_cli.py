@@ -34,6 +34,7 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
     ["convergence", "--case", "square", "--n", "8,8,8", "--out", "unused.csv"],
     ["convergence", "--case", "square", "--seed", "-1", "--out", "unused.csv"],
     ["tabulate-exit", "--h", "0", "--out", "unused.csv"],
+    ["convergence", "--case", "square", "--n", "50,100", "--M", "10", "--out", "unused.csv"],
 ])
 def test_invalid_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from walks import walk_sums
 
-from rwbsde.coupling import bridge_sample_batch
-from rwbsde.experiment import couple_block
-from rwbsde.lattice import walk_sums
+from rwbsde.experiment import bridge_sample_batch, couple_block
 from rwbsde.solver import BsdeProblem
 
 

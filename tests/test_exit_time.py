@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import rwbsde
-from rwbsde.coupling import bridge_sample_batch
 from rwbsde.exit_time import (
+    _Q_CHUNK,
     ExitTimeCdf,
     LaplaceInversionError,
     _quantile_table,
@@ -22,8 +22,8 @@ from rwbsde.exit_time import (
     sample_sigma,
     tabulate,
     tabulated_moment,
-    tau_ladder,
 )
+from rwbsde.experiment import bridge_sample_batch
 
 
 def test_laplace_transform_values():
@@ -212,6 +212,17 @@ def test_sample_sigma_extreme_uniforms():
     assert np.all(np.diff(q) > 0.0)
 
 
+def test_sample_sigma_keeps_the_shape_of_its_input():
+    # (3, 20000) holds more uniforms than one chunk; it is chunked as one flat run
+    u = np.random.default_rng(9).random((3, 20_000))
+    u[u == 0.0] = 2.0**-53
+    assert u.size > _Q_CHUNK
+    cdf = tabulate(0.01)
+    flat = sample_sigma(cdf, u.ravel()).reshape(u.shape)
+    assert np.array_equal(sample_sigma(cdf, u), flat)
+    assert np.array_equal(sample_sigma(cdf, np.asfortranarray(u)), flat)
+
+
 def test_sample_sigma_rejects_boundary():
     cdf = tabulate(1.0)
     for u in (0.0, 1.0, -0.1, 1.1, float("nan")):
@@ -250,7 +261,7 @@ def test_sample_mean_near_h():
 def _ladders(cdf, n, rows, rng):
     u = rng.random((rows, n))
     u[u == 0.0] = 2.0**-53
-    return tau_ladder(sample_sigma(cdf, u.ravel()), n)
+    return np.cumsum(sample_sigma(cdf, u), axis=1)
 
 
 def test_tau_sequence_shape_and_growth():
@@ -260,8 +271,6 @@ def test_tau_sequence_shape_and_growth():
     assert taus.shape == (3, 50)
     assert np.all(taus[:, 0] > 0)
     assert np.all(np.diff(taus, axis=1) > 0)
-    with pytest.raises(ValueError):
-        tau_ladder(np.ones(4), 0)
 
 
 def test_tau_terminal_mean():

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from walks import walk_sums
 
-from rwbsde.lattice import ENUMERATION_CAP, sign_matrix, walk_sums
-from rwbsde.solver import BsdeProblem
+from rwbsde.solver import ENUMERATION_CAP, BsdeProblem, sign_matrix
 
 
 def _problem(n, T):
@@ -32,26 +30,6 @@ def test_walk_up_down_recombines():
 
 def test_walk_all_up_endpoint():
     assert _walk([1, 1, 1, 1], 0.25)[-1] == 4 * 0.5
-
-
-@given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64))
-@settings(max_examples=200, deadline=None)
-def test_walk_increments_match_signs(signs):
-    h = 0.37
-    vals = _walk(signs, h)
-    assert vals[0] == 0.0
-    diffs = np.diff(vals)
-    assert np.all(np.sign(diffs).astype(int) == np.array(signs))
-    assert np.allclose(np.abs(diffs), math.sqrt(h), rtol=0, atol=1e-15)
-
-
-def test_path_rejects_bad_signs():
-    with pytest.raises(ValueError):
-        walk_sums(np.array([[1, 0, -1]]))
-    with pytest.raises(ValueError):
-        walk_sums(np.array([[2, -1]]))
-    with pytest.raises(ValueError):
-        walk_sums(np.array([1, -1]))          # one row must still be (1, n)
 
 
 def test_node_coordinate_examples():

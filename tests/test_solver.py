@@ -3,13 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from walks import walk_sums
 
 from rwbsde.benchmarks import make_case
-from rwbsde.lattice import sign_matrix, walk_sums
 from rwbsde.solver import (
     BsdeProblem,
     PicardConvergenceError,
     evaluate_walks,
+    sign_matrix,
     solve_explicit,
     solve_implicit,
     z_by_representation,
@@ -282,6 +283,22 @@ def test_evaluate_refuses_a_dropped_level():
     assert np.array_equal(evaluate_walks(sol, walks, 4)[0], np.full(3, sol.y[4][4]))
     with pytest.raises(ValueError, match="level 3 was not kept"):
         evaluate_walks(sol, walks, 3)
+
+
+def test_evaluate_refuses_a_sum_that_names_no_node():
+    # n = 4, every level kept: S_3 = -5 would wrap to the top node of level 3
+    # and S_2 = 1, of the wrong parity, would read the middle node of level 2
+    n = 4
+    sol = solve_explicit(BsdeProblem(T=1.0, n=n, g=np.exp, f=linear_driver),
+                         levels=range(n + 1))
+    walks = walk_sums(np.ones((2, n), dtype=np.int8))
+    walks[1, 3] = -5
+    with pytest.raises(ValueError, match="level-3 walk sums"):
+        evaluate_walks(sol, walks, 3)
+    walks = walk_sums(np.ones((2, n), dtype=np.int8))
+    walks[0, 2] = 1
+    with pytest.raises(ValueError, match="level-2 walk sums"):
+        evaluate_walks(sol, walks, 2)
 
 
 def test_representation_single_step_identity():
