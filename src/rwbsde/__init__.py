@@ -5,9 +5,6 @@ Monte Carlo harness measuring empirical L2 convergence rates."""
 from .benchmarks import (
     BenchmarkCase,
     ExactSolution,
-    exact_case_exp,
-    exact_case_sqrt,
-    exact_case_square,
     make_case,
     verify_terminal,
 )

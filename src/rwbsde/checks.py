@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .benchmarks import make_case, sqrt_abs_moment, verify_terminal
+from .benchmarks import CASE_NAMES, make_case, sqrt_abs_moment, verify_terminal
 from .exit_time import cdf_laplace_inversion, cdf_series, tabulate, tabulated_moment
 from .experiment import couple_block
 from .solver import BsdeProblem, sign_matrix, solve_explicit, z_by_representation
@@ -115,40 +115,38 @@ def sqrt_abs_moment_by_quadrature(m: np.ndarray) -> np.ndarray:
 
 
 def benchmark_sanity() -> Check:
-    """Terminal consistency, Z = dY/db, the square-case PDE residual and the
-    sqrt-case closed form against quadrature."""
+    """Per case: terminal consistency, Z = dY/db (closed Z only) and the PDE
+    residual u_t + u_xx/2 + f(u, u_x); then the sqrt closed form by quadrature."""
     b_grid = np.linspace(-3 * math.sqrt(T), 3 * math.sqrt(T), 33)
-    cases = {name: make_case(name, T) for name in ("exp", "square", "sqrt")}
-    terminal_tol = {"exp": 1e-10, "square": 1e-10, "sqrt": 1e-7}
     ok = True
-    worst_terminal = 0.0
-    for name, case in cases.items():
-        gap = verify_terminal(case.exact, case.g, b_grid)
-        ok &= gap <= terminal_tol[name]
-        worst_terminal = max(worst_terminal, gap)
+    worst_terminal = worst_residual = 0.0
+    for name in CASE_NAMES:
+        case = make_case(name, T)
+        y_fn, z_fn = case.exact.y_fn, case.exact.z_fn
+        worst_terminal = max(worst_terminal, verify_terminal(case, b_grid))
 
-    eps = 1e-5
-    for name in ("exp", "square"):
-        sol = cases[name].exact
-        for t in (0.0, 0.5, 0.9):
+        eps = 1e-5
+        for t in (0.0, 0.5, 0.9) if z_fn is not None else ():
             for b in (-1.1, 0.2, 1.7):
-                fd = (sol.y_fn(t, b + eps) - sol.y_fn(t, b - eps)) / (2 * eps)
-                z = sol.z_fn(t, b)
+                fd = (y_fn(t, b + eps) - y_fn(t, b - eps)) / (2 * eps)
+                z = z_fn(t, b)
                 ok &= abs(z - fd) <= 1e-8 * max(1.0, abs(z))
 
-    sol = cases["square"].exact
-    eps = 1e-4
-    for t, b in [(0.3, 0.7), (0.5, -1.1), (0.8, 0.2), (0.2, 1.9)]:
-        u_t = (sol.y_fn(t + eps, b) - sol.y_fn(t - eps, b)) / (2 * eps)
-        u_xx = (sol.y_fn(t, b + eps) - 2 * sol.y_fn(t, b) + sol.y_fn(t, b - eps)) / eps**2
-        u_x = (sol.y_fn(t, b + eps) - sol.y_fn(t, b - eps)) / (2 * eps)
-        ok &= abs(u_t + 0.5 * u_xx + sol.y_fn(t, b) + u_x) <= 1e-4
+        eps = 1e-4
+        for t, b in [(0.3, 0.7), (0.5, -1.1), (0.8, 0.2), (0.2, 1.9)]:
+            u = y_fn(t, b)
+            u_t = (y_fn(t + eps, b) - y_fn(t - eps, b)) / (2 * eps)
+            u_xx = (y_fn(t, b + eps) - 2 * u + y_fn(t, b - eps)) / eps**2
+            u_x = (y_fn(t, b + eps) - y_fn(t, b - eps)) / (2 * eps)
+            worst_residual = max(worst_residual, abs(u_t + 0.5 * u_xx + case.f(t, b, u, u_x)))
+    ok &= worst_terminal <= 1e-10 and worst_residual <= 1e-4
 
     m_grid = np.linspace(0.0, 15.0, 61)
     quad_gap = float(np.max(np.abs(sqrt_abs_moment(m_grid) - sqrt_abs_moment_by_quadrature(m_grid))))
     ok &= quad_gap <= 1e-8
     return Check(5, "benchmark sanity (terminal, Z=dY/db, PDE residual, sqrt closed form)",
-                 bool(ok), f"worst terminal gap {worst_terminal:.2e}, quadrature gap {quad_gap:.2e}")
+                 bool(ok), f"worst terminal gap {worst_terminal:.2e}, worst PDE residual "
+                 f"{worst_residual:.2e}, quadrature gap {quad_gap:.2e}")
 
 
 CHECKS = (

@@ -27,9 +27,7 @@ def _usage_errors(parser):
 def _cmd_solve(args, usage) -> int:
     with usage:
         case = benchmarks.make_case(args.case, args.T)
-        problem = solver.BsdeProblem(
-            T=args.T, n=args.n, g=case.g, f=case.f, alpha=case.alpha, lip_f=case.lip_f
-        )
+        problem = case.problem(args.n)
     if args.scheme == "explicit":
         solution = solver.solve_explicit(problem)
     else:

@@ -181,8 +181,7 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
 
 def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
                   seedseq: np.random.SeedSequence) -> ErrorRow:
-    problem = BsdeProblem(T=config.T, n=n, g=case.g, f=case.f,
-                          alpha=case.alpha, lip_f=case.lip_f)
+    problem = case.problem(n)
     # float-robust floor: t_eval/h may sit one ulp below an integer
     k = int(math.floor(config.t_eval / problem.h + 1e-9))
     k = min(k, n - 1)

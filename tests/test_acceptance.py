@@ -7,7 +7,7 @@ import time
 
 from rwbsde import checks
 from rwbsde.benchmarks import make_case
-from rwbsde.solver import BsdeProblem, solve_explicit, solve_implicit
+from rwbsde.solver import solve_explicit, solve_implicit
 from rwbsde.experiment import ExperimentConfig, regress_loglog, run_mc
 
 T = checks.T
@@ -55,7 +55,7 @@ def test_criterion_6_scheme_gap_halves():
     case = make_case("square", T)
     gaps = {}
     for n in (100, 200):
-        problem = BsdeProblem(T=T, n=n, g=case.g, f=case.f, lip_f=case.lip_f)
+        problem = case.problem(n)
         gaps[n] = abs(solve_implicit(problem).y[0][0] - solve_explicit(problem).y[0][0])
     ratio = gaps[200] / gaps[100]
     _report(6, "implicit/explicit root gap halves (n: 100 -> 200)",
@@ -77,7 +77,7 @@ def test_criterion_7_square_case_rates():
     started = time.time()
     slope_y, slope_z = _mc_slopes("square")
     elapsed = time.time() - started
-    _report(7, "square case slopes (reference -0.465 / -0.48)",
+    _report(7, "square case slopes (reference -0.507 / -0.509)",
             -0.65 <= slope_y <= -0.30 and -0.70 <= slope_z <= -0.30 and elapsed < 600,
             f"Y {slope_y:+.3f}, Z {slope_z:+.3f}, {elapsed:.0f}s")
 
@@ -86,7 +86,7 @@ def test_criterion_8_exp_case_rates():
     started = time.time()
     slope_y, slope_z = _mc_slopes("exp")
     elapsed = time.time() - started
-    _report(8, "exp case slopes (reference -0.53 / -0.61)",
+    _report(8, "exp case slopes (reference -0.505 / -0.515)",
             -0.75 <= slope_y <= -0.35 and -0.85 <= slope_z <= -0.40 and elapsed < 600,
             f"Y {slope_y:+.3f}, Z {slope_z:+.3f}, {elapsed:.0f}s")
 

@@ -55,8 +55,7 @@ def test_run_mc_rows_come_from_couple_block(monkeypatch):
     cfg = ExperimentConfig(case="square", n_list=(8, 16, 32), M=300, seed=13)
     j, n = 1, 16
     case = make_case("square", 1.0)
-    problem = solver.BsdeProblem(T=1.0, n=n, g=case.g, f=case.f,
-                                 alpha=case.alpha, lip_f=case.lip_f)
+    problem = case.problem(n)
     k = n // 2
     t_k = k * problem.h
     solution = solver.solve_explicit(problem, levels=(k,))
@@ -101,7 +100,7 @@ def test_degenerate_evaluation_time_collapses_the_monte_carlo():
     cfg = ExperimentConfig(case="square", n_list=(16,), M=50, t_eval=0.0, seed=1)
     series = run_mc(cfg)
     case = make_case("square", 1.0)
-    problem = solver.BsdeProblem(T=1.0, n=16, g=case.g, f=case.f, lip_f=1.0)
+    problem = case.problem(16)
     y00 = solver.solve_explicit(problem).y[0][0]
     expected = (y00 - case.exact.y_fn(0.0, 0.0)) ** 2
     row = series.rows[0]

@@ -8,7 +8,7 @@ import pytest
 
 from rwbsde import experiment
 from rwbsde.benchmarks import make_case
-from rwbsde.solver import BsdeProblem, solve_explicit, solve_implicit
+from rwbsde.solver import solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
     (8, "0x1.668c7ec26bd02p+0", "0x1.1eeedfbea527ep-2", "0x1.2a1322c4b5089p+1", "0x1.c44f0df528a2fp-3"),
@@ -68,5 +68,5 @@ def test_run_mc_rows_are_golden_across_blocks(monkeypatch):
 @pytest.mark.parametrize("scheme,solve", [("explicit", solve_explicit), ("implicit", solve_implicit)])
 def test_square_roots_are_golden(scheme, solve):
     case = make_case("square", 1.0)
-    problem = BsdeProblem(T=1.0, n=64, g=case.g, f=case.f, lip_f=case.lip_f)
+    problem = case.problem(64)
     assert tuple(v.hex() for v in solve(problem).root()) == SQUARE_ROOTS_N64[scheme]

@@ -159,7 +159,7 @@ def test_non_finite_root_is_refused():
     # inward to the root
     case = make_case("exp", 100.0)
     assert case.exact.y_fn(0.0, 0.0) == pytest.approx(1.007e152, rel=1e-3)
-    problem = BsdeProblem(T=100.0, n=3800, g=case.g, f=case.f, lip_f=case.lip_f)
+    problem = case.problem(3800)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=r"n=3800: level 3800 .*\(21 of 3801\)"):
             solve_explicit(problem)
@@ -169,7 +169,7 @@ def test_failing_sweep_memory_is_linear_in_n():
     # the failure path builds the levels again one at a time to name the
     # bad one; keeping all 3801 levels would peak near 117 MB
     case = make_case("exp", 100.0)
-    problem = BsdeProblem(T=100.0, n=3800, g=case.g, f=case.f, lip_f=case.lip_f)
+    problem = case.problem(3800)
     tracemalloc.start()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +228,7 @@ def test_problem_validation():
 @pytest.mark.parametrize("n", [64, 1000])
 def test_kept_levels_are_bit_identical_to_the_full_sweep(case_name, solve, n):
     case = make_case(case_name, 1.0)
-    problem = BsdeProblem(T=1.0, n=n, g=case.g, f=case.f, lip_f=case.lip_f)
+    problem = case.problem(n)
     full = solve(problem, levels=range(n + 1))
     assert [v.hex() for v in solve(problem).root()] == [v.hex() for v in full.root()]
     k = n // 2
@@ -243,7 +243,7 @@ def test_kept_levels_are_bit_identical_to_the_full_sweep(case_name, solve, n):
 
 def test_default_sweep_memory_is_linear_in_n():
     case = make_case("square", 1.0)
-    problem = BsdeProblem(T=1.0, n=2000, g=case.g, f=case.f, lip_f=case.lip_f)
+    problem = case.problem(2000)
     tracemalloc.start()
     try:
         solve_explicit(problem)
