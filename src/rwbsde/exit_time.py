@@ -19,10 +19,10 @@ first use and shared by every h. It sits on a uniform grid in
 x = logit(u) = log(u/(1-u)) over [-37, 37], where the quantile is smooth
 (about 1/(2|x|) in the head, 8x/pi^2 in the tail), so a draw is a direct
 index and one linear interpolation. Accuracy contract:
-sup_u |F(Q(u)) - u| <= 1e-7 (8.9e-8 measured). tabulate(h) hands out the
-same table as a forward table, times h * q_i against F = sigmoid(x_i), for
-moments by quadrature and the tabulate-exit command; the mass beyond its
-ends is below 1e-16.
+sup_u |F(Q(u)) - u| <= 1e-7 (8.9e-8 measured). tabulated_moment integrates
+the same nodes: E sigma^p = h^p * integral Q(u)^p du, taken over the logit
+grid. tabulate(h) hands out the table as a forward table, times h * q_i
+against F = sigmoid(x_i), for the tabulate-exit command.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import erfc, erfcinv
 
 ArrayLike = Union[float, np.ndarray]
@@ -52,9 +51,13 @@ class LaplaceInversionError(ArithmeticError):
 
 
 def _as_batch(x) -> tuple:
-    scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return scalar, arr
+    """(whether x is 0-d, x as a float array of at least one dimension)."""
+    return np.ndim(x) == 0, np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _check_h(h: float) -> None:
+    if not 0.0 < h < math.inf:  # also refuses NaN
+        raise ValueError(f"need finite h > 0, got h={h}")
 
 
 def laplace_transform(lam: ArrayLike, h: float) -> ArrayLike:
@@ -62,8 +65,7 @@ def laplace_transform(lam: ArrayLike, h: float) -> ArrayLike:
     scalar, lam_arr = _as_batch(lam)
     if not np.all(lam_arr >= 0.0):  # also refuses NaN
         raise ValueError("lam must be >= 0")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"need finite h > 0, got h={h}")
+    _check_h(h)
     x = np.sqrt(2.0 * lam_arr * h)
     # sech(x) = 2 e^{-x} / (1 + e^{-2x}) never overflows for x >= 0
     ex = np.exp(-x)
@@ -108,8 +110,7 @@ def cdf_series(t: ArrayLike, h: float) -> ArrayLike:
     scalar, t_arr = _as_batch(t)
     if not np.all(t_arr > 0.0):  # also refuses NaN
         raise ValueError("t must be > 0")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"need finite h > 0, got h={h}")
+    _check_h(h)
     out = _scaled_law(t_arr / h)[0]
     return float(out[0]) if scalar else out
 
@@ -125,8 +126,7 @@ def cdf_laplace_inversion(t: ArrayLike, h: float, degree: int = TALBOT_DEGREE) -
     scalar, t_arr = _as_batch(t)
     if not np.all(t_arr > 0.0):  # also refuses NaN
         raise ValueError("t must be > 0")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"need finite h > 0, got h={h}")
+    _check_h(h)
     if degree < 2:
         raise ValueError(f"need degree >= 2, got {degree}")
 
@@ -160,8 +160,8 @@ def cdf_laplace_inversion(t: ArrayLike, h: float, degree: int = TALBOT_DEGREE) -
 
 @dataclass(frozen=True, eq=False)
 class ExitTimeCdf:
-    """The quantile table of sigma at time scale h, F(grid) = values;
-    sample_sigma reads only its h."""
+    """The quantile table of sigma at time scale h, F(grid) = values; only
+    tabulate-exit reads grid and values, the rest read h."""
 
     h: float
     grid: np.ndarray      # strictly increasing times, h times the table nodes
@@ -169,30 +169,31 @@ class ExitTimeCdf:
 
 
 def tabulate(h: float) -> ExitTimeCdf:
-    """The quantile table that sample_sigma inverts, as a forward table.
+    """The quantile table that sample_sigma inverts, as tabulate-exit's table.
 
     Its 2^15 + 1 nodes span t in [0.0142h, 30.19h] and sit within 7e-16 of
     F; the mass outside them is below 1e-16 at either end. tabulate(h).grid
     is h * tabulate(1.0).grid bit for bit.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"need finite h > 0, got h={h}")
+    _check_h(h)
     nodes, _, values = _quantile_table()
     return ExitTimeCdf(h=h, grid=h * nodes, values=values)
 
 
 def tabulated_moment(cdf: ExitTimeCdf, p: float = 1.0) -> float:
-    """E sigma^p by quadrature on the table: p * integral t^{p-1}(1 - F) dt.
-
-    The head [0, grid[0]] contributes grid[0]^p, exact up to its mass
-    F(grid[0]) < 1e-16; the tail beyond grid[-1], of mass < 1e-16, is
-    ignored.
-    """
+    """E sigma^p = h^p * integral Q(u)^p du by the trapezoid rule on the
+    quantile table's logit grid, du = dx / (4 cosh^2(x/2)) (from x, as 1 - u
+    loses digits near u = 1). Measured for h in [1/800, 1]:
+    |E sigma / h - 1| <= 2.8e-15 and |E sigma^2 / h^2 - 5/3| <= 8.2e-14."""
     if not p > 0.0:
         raise ValueError(f"need p > 0, got {p}")
-    surv = 1.0 - cdf.values
-    integrand = p * cdf.grid ** (p - 1.0) * surv
-    return float(cdf.grid[0] ** p + simpson(integrand, x=cdf.grid))
+    x = _logit_grid()
+    f = _quantile_table()[0] ** p / (4.0 * np.cosh(0.5 * x) ** 2)
+    return float(cdf.h**p * (x[1] - x[0]) * (math.fsum(f) - 0.5 * (f[0] + f[-1])))
+
+
+def _logit_grid() -> np.ndarray:  # the nodes x_i = logit(u_i) of the quantile table
+    return np.linspace(-_Q_LOGIT_MAX, _Q_LOGIT_MAX, _Q_INTERVALS + 1)
 
 
 @functools.cache
@@ -206,7 +207,7 @@ def _quantile_table() -> tuple:
     (8/pi^2) log(4/(pi(1-u))) for x >= 0, each within 0.3% of the root, and
     stops at relative steps of 1e-14; the nodes then sit within 7e-16 of F.
     """
-    x = np.linspace(-_Q_LOGIT_MAX, _Q_LOGIT_MAX, _Q_INTERVALS + 1)
+    x = _logit_grid()
     u = 1.0 / (1.0 + np.exp(-x))                 # exactly 1.0 at x = 37
     head = x < 0.0
     surv_tail = 1.0 / (1.0 + np.exp(x[~head]))   # 1 - u, where it is small

@@ -121,12 +121,13 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
                         z: np.ndarray) -> np.ndarray:
     """Vectorised bridge draw at one fixed time across replication rows.
 
-    taus is (R, n) of exit times, skeletons is (R, n+1) of values at
-    (0, tau_1, ..., tau_n), z is (R,) standard normal draws. Rows where t
-    falls exactly on an embedding time get variance zero and return the
-    skeleton value; strictly between tau_j and tau_{j+1} the draw has the
-    bridge mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j);
-    rows with t >= tau_n get the free sqrt(t - tau_n) increment.
+    taus is (R, n+1) of embedding times tau_0 = 0, tau_1, ..., tau_n,
+    skeletons is (R, n+1) of the values there, z is (R,) standard normal
+    draws. Rows where t falls exactly on an embedding time get variance zero
+    and return the skeleton value; strictly between tau_j and tau_{j+1} the
+    draw has the bridge mean and variance
+    (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j); rows with t >= tau_n get
+    the free sqrt(t - tau_n) increment.
 
     The bridge is NOT conditioned on the +-sqrt(h) corridor the embedded
     path keeps to between two exit times; past tau_n the free increment is
@@ -134,20 +135,18 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
     """
     if not 0.0 <= t < np.inf:  # also refuses NaN
         raise ValueError(f"need finite t >= 0, got t={t}")
-    n_rows, n = taus.shape
-    if skeletons.shape != (n_rows, n + 1) or np.shape(z) != (n_rows,):
+    n_rows, n = taus.shape[0], taus.shape[1] - 1
+    if skeletons.shape != taus.shape or np.shape(z) != (n_rows,):
         raise ValueError(
             f"length mismatch: taus {taus.shape}, skeletons {skeletons.shape}, "
             f"normals {np.shape(z)}"
         )
     rows = np.arange(n_rows)
-    j = np.count_nonzero(taus <= t, axis=1)           # index into (0, tau_1, ..)
-    t0 = np.where(j > 0, taus[rows, np.maximum(j - 1, 0)], 0.0)
-    b0 = skeletons[rows, j]
+    j = np.count_nonzero(taus[:, 1:] <= t, axis=1)    # last j with tau_j <= t
+    t0, b0 = taus[rows, j], skeletons[rows, j]
     interior = j < n
     j_up = np.minimum(j + 1, n)
-    t1 = taus[rows, np.minimum(j, n - 1)]             # tau_{j+1} for interior rows
-    b1 = skeletons[rows, j_up]
+    t1, b1 = taus[rows, j_up], skeletons[rows, j_up]
     span = np.where(interior, t1 - t0, 1.0)
     lam = np.where(interior, (t - t0) / span, 0.0)
     mean = np.where(interior, b0 + lam * (b1 - b0), b0)
@@ -162,9 +161,9 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     Draws from rng, in the stream contract's order, the (rows, n) sign bits,
     the (rows, n) exit-time uniforms and the (rows,) bridge normals; then
     embeds them: walks (rows, n+1) int64 are the walk sums S_0 = 0, ..., S_n,
-    taus (rows, n) the exit-time ladders tau_1 < ... < tau_n at time scale
-    problem.h, and b_t the Brownian value at time t bridged between the
-    skeleton points (0, 0) and (tau_k, sqrt(h) * S_k).
+    taus (rows, n+1) the exit-time ladders tau_0 = 0 < tau_1 < ... < tau_n
+    at time scale problem.h, and b_t the Brownian value at time t bridged
+    between the skeleton points (tau_k, sqrt(h) * S_k).
     """
     n = problem.n
     signs = rng.integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
@@ -172,7 +171,8 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     # rng.random is [0, 1); push an exact 0 inside the open interval
     uniforms[uniforms == 0.0] = 2.0**-53
     normals = rng.standard_normal(rows)
-    taus = np.cumsum(sample_sigma(tabulate(problem.h), uniforms), axis=1)
+    taus = np.zeros((rows, n + 1))
+    np.cumsum(sample_sigma(tabulate(problem.h), uniforms), axis=1, out=taus[:, 1:])
     walks = np.zeros((rows, n + 1), np.int64)
     np.cumsum(signs, axis=1, dtype=np.int64, out=walks[:, 1:])
     b_t = bridge_sample_batch(taus, problem.sqrt_h * walks, t, normals)
@@ -209,10 +209,7 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
             np.square(z_n - exact.z_fn(t_k, b_tk), out=d2_z[start:stop])
 
     e_y, se_y = _mean_and_se(d2_y)
-    if has_z:
-        e_z, se_z = _mean_and_se(d2_z)
-    else:
-        e_z, se_z = None, None
+    e_z, se_z = _mean_and_se(d2_z) if has_z else (None, None)
     return ErrorRow(n=n, e_y=e_y, se_y=se_y, e_z=e_z, se_z=se_z)
 
 

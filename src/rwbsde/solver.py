@@ -47,7 +47,7 @@ class BsdeProblem:
         (k, i), 0 <= i <= k, sits at (2i - k)*sqrt_h at time k*h.
     g : terminal function, must accept numpy arrays (whole levels at once).
     f : generator, called as f(t, x, y, z) with scalar t and level arrays.
-    alpha : Hoelder order of g in (0, 1].
+    alpha : Hoelder order of g in (0, 1]; checked and kept, but never read.
     lip_f : optional Lipschitz constant of f; when given, the implicit
         sweep checks the contraction condition h*lip_f < 1 up front.
     """
@@ -77,6 +77,7 @@ class BsdeProblem:
 
     def level_coordinates(self, k: int) -> np.ndarray:
         """All k+1 node coordinates of level k, bottom-up."""
+        k = operator.index(k)
         if not 0 <= k <= self.n:
             raise IndexError(f"level k={k} outside 0..{self.n}")
         return (2 * np.arange(k + 1, dtype=np.int64) - k) * self.sqrt_h

@@ -24,7 +24,8 @@ def _coupled(rng, problem, rows):
 
 
 def _bridge(taus, skeleton, t, z):
-    """Bridge draws of one coupled path, one per normal in z."""
+    """Bridge draws of one coupled path, ladder tau_0 = 0, ..., tau_n, one per
+    normal in z."""
     z = np.atleast_1d(z)
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (z.size, len(taus)))
     skeleton = np.broadcast_to(skeleton, (z.size, skeleton.shape[-1]))
@@ -58,11 +59,11 @@ def test_increments_are_exactly_sqrt_h():
     assert np.all(walks[:, 0] == 0)
     assert np.all(np.abs(np.diff(walks, axis=1)) == 1)
     assert np.array_equal(skels, problem.sqrt_h * walks.astype(float))
-    assert np.all(taus[:, 0] > 0.0) and np.all(np.diff(taus, axis=1) > 0.0)
+    assert np.all(taus[:, 0] == 0.0) and np.all(np.diff(taus, axis=1) > 0.0)
 
 
 def test_couple_rejects_mismatch():
-    taus = np.array([[0.1, 0.5]])
+    taus = np.array([[0.0, 0.1, 0.5]])
     with pytest.raises(ValueError, match="length"):
         bridge_sample_batch(taus, _skeleton([1, 1, -1], 0.5), 0.3, np.zeros(1))
     with pytest.raises(ValueError, match="length"):
@@ -83,9 +84,9 @@ def test_skeleton_increment_variance():
 
 def test_bridge_exact_at_embedding_times():
     h = 0.3
-    taus = [0.2, 0.5, 0.8, 1.3]
+    taus = [0.0, 0.2, 0.5, 0.8, 1.3]
     skeleton = _skeleton([1, 1, -1, 1], h)
-    for j, t in enumerate([0.0, 0.2, 0.5, 0.8, 1.3]):
+    for j, t in enumerate(taus):
         a = _bridge(taus, skeleton, t, np.random.default_rng(0).standard_normal())
         b = _bridge(taus, skeleton, t, np.random.default_rng(99).standard_normal())
         assert a[0] == b[0] == skeleton[0, j]
@@ -96,7 +97,7 @@ def test_bridge_midpoint_moments():
     skeleton = _skeleton([1, -1], h)
     t = 2.0  # midpoint of (tau_1, tau_2)
     rng = np.random.default_rng(8)
-    draws = _bridge([1.0, 3.0], skeleton, t, rng.standard_normal(100_000))
+    draws = _bridge([0.0, 1.0, 3.0], skeleton, t, rng.standard_normal(100_000))
     mean_expected = 0.5 * (skeleton[0, 1] + skeleton[0, 2])
     var_expected = (3.0 - 1.0) / 4.0
     se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -111,14 +112,14 @@ def test_bridge_beyond_last_exit_uses_free_increment():
     skeleton = _skeleton([1, 1], h)
     t = 1.5
     z = np.random.default_rng(314).standard_normal()
-    draw = _bridge([0.4, 0.9], skeleton, t, z)[0]
+    draw = _bridge([0.0, 0.4, 0.9], skeleton, t, z)[0]
     assert draw == skeleton[0, -1] + math.sqrt(t - 0.9) * z
 
 
 def test_bridge_ignores_far_skeleton():
     # draws in (tau_j, tau_j+1) must not consult values outside {j, j+1}
     h = 0.25
-    taus = [0.3, 0.7, 1.1, 1.6]
+    taus = [0.0, 0.3, 0.7, 1.1, 1.6]
     s1 = _skeleton([1, -1, 1, 1], h)
     s2 = _skeleton([1, -1, -1, -1], h)  # same first two steps
     t = 0.5  # inside (tau_1, tau_2)
@@ -129,9 +130,9 @@ def test_bridge_ignores_far_skeleton():
 
 def test_bridge_rejects_negative_time():
     with pytest.raises(ValueError):
-        bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), -0.1, np.zeros(1))
+        bridge_sample_batch(np.array([[0.0, 0.4]]), np.array([[0.0, 0.7]]), -0.1, np.zeros(1))
     with pytest.raises(ValueError):
-        bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), -1.0, np.zeros(1))
+        bridge_sample_batch(np.array([[0.0, 0.4]]), np.array([[0.0, 0.7]]), -1.0, np.zeros(1))
 
 
 def test_batch_bridge_matches_scalar_bridge():
@@ -143,7 +144,7 @@ def test_batch_bridge_matches_scalar_bridge():
     z = rng.standard_normal(rows)
     batch = bridge_sample_batch(taus, skels, t, z)
     for r in range(rows):
-        times = np.concatenate([[0.0], taus[r]])
+        times = taus[r]
         j = int(np.searchsorted(times, t, side="right")) - 1
         if times[j] == t:
             expected = skels[r, j]

@@ -39,8 +39,8 @@ def test_laplace_transform_values():
     lambda: cdf_series(0.5, math.inf),
     lambda: laplace_transform(math.nan, 1.0),
     lambda: cdf_laplace_inversion(math.nan, 1.0),
-    lambda: bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), math.nan, np.zeros(1)),
-    lambda: bridge_sample_batch(np.array([[0.4]]), np.array([[0.0, 0.7]]), math.inf, np.zeros(1)),
+    lambda: bridge_sample_batch(np.array([[0.0, 0.4]]), np.array([[0.0, 0.7]]), math.nan, np.zeros(1)),
+    lambda: bridge_sample_batch(np.array([[0.0, 0.4]]), np.array([[0.0, 0.7]]), math.inf, np.zeros(1)),
 ], ids=["cdf_series", "cdf_series_array", "cdf_series_h", "laplace_transform", "cdf_laplace_inversion",
         "bridge_nan", "bridge_inf"])
 def test_non_finite_input_is_refused(call):
@@ -128,15 +128,18 @@ def test_tabulate_rejects_bad_windows():
             tabulate(h)
 
 
+_MOMENT_HS = (1.0, 0.7, 0.4, 0.25, 0.01, 0.002, 1.0 / 800)
+
+
 def test_table_mean_matches_h():
-    for h in (1.0, 0.4, 0.25, 0.002):
+    for h in _MOMENT_HS:
         cdf = tabulate(h)
-        assert abs(tabulated_moment(cdf, 1.0) - h) <= 1e-12 * h
+        assert abs(tabulated_moment(cdf, 1.0) - h) <= 1e-14 * h
 
 
 def test_table_second_moment_scale_free():
     # E sigma^2 / h^2 = 5/3, identical across h by construction
-    ratios = [tabulated_moment(tabulate(h), 2.0) / h**2 for h in (1.0, 0.1, 0.01)]
+    ratios = [tabulated_moment(tabulate(h), 2.0) / h**2 for h in _MOMENT_HS]
     assert max(ratios) - min(ratios) <= 1e-6
     assert ratios[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
 
@@ -170,12 +173,22 @@ def test_sample_sigma_round_trips_grid_points():
     assert np.array_equal(cdf.grid, nodes) and np.array_equal(cdf.values, u_all)
 
 
-def test_quantile_table_is_built_on_first_use():
-    code = ("import rwbsde, rwbsde.cli; from rwbsde.exit_time import _quantile_table; "
-            "assert _quantile_table.cache_info().currsize == 0")
+def _run_fresh(code):
+    """Run code in a fresh interpreter that imports this checkout's rwbsde."""
     src = os.path.dirname(os.path.dirname(rwbsde.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_quantile_table_is_built_on_first_use():
+    _run_fresh("import rwbsde, rwbsde.cli; from rwbsde.exit_time import _quantile_table; "
+               "assert _quantile_table.cache_info().currsize == 0")
+
+
+def test_import_leaves_the_quadrature_module_unloaded():
+    # only the criterion-5 oracle integrates adaptively, and it imports quad itself
+    _run_fresh("import sys, rwbsde, rwbsde.cli; from rwbsde.benchmarks import make_case; "
+               "make_case('square', 1.0); assert 'scipy.integrate' not in sys.modules")
 
 
 def test_sample_sigma_median_against_series_root():
@@ -221,6 +234,11 @@ def test_sample_sigma_keeps_the_shape_of_its_input():
     flat = sample_sigma(cdf, u.ravel()).reshape(u.shape)
     assert np.array_equal(sample_sigma(cdf, u), flat)
     assert np.array_equal(sample_sigma(cdf, np.asfortranarray(u)), flat)
+    # a 0-d array is a scalar, as are its transform and CDF
+    for result in (sample_sigma(cdf, np.array(0.5)), cdf_series(np.array(0.5), 0.01),
+                   laplace_transform(np.array(2.0), 0.01)):
+        assert isinstance(result, float)
+    assert sample_sigma(cdf, np.array(0.5)) == sample_sigma(cdf, 0.5)
 
 
 def test_sample_sigma_rejects_boundary():

@@ -45,6 +45,8 @@ def test_node_coordinate_rejects_out_of_range():
         problem.level_coordinates(4)
     with pytest.raises(IndexError):
         problem.level_coordinates(-1)
+    with pytest.raises(TypeError):
+        problem.level_coordinates(2.5)
 
 
 def test_enumeration_counts():
