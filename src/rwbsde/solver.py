@@ -9,6 +9,7 @@ at t_k.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -46,7 +47,9 @@ class BsdeProblem:
         once, so every module indexing the tree uses the same bits; node
         (k, i), 0 <= i <= k, sits at (2i - k)*sqrt_h at time k*h.
     g : terminal function, must accept numpy arrays (whole levels at once).
-    f : generator, called as f(t, x, y, z) with scalar t and level arrays.
+        Its argument is the read-only coordinate array of level n.
+    f : generator, called as f(t, x, y, z) with scalar t and level arrays;
+        x is the read-only coordinate array of the level.
     alpha : Hoelder order of g in (0, 1]; checked and kept, but never read.
     lip_f : optional Lipschitz constant of f; when given, the implicit
         sweep checks the contraction condition h*lip_f < 1 up front.
@@ -75,12 +78,30 @@ class BsdeProblem:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "sqrt_h", math.sqrt(h))
 
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        """Node coordinates of the levels k with n - k even, then odd:
+        -n..n and -n+1..n-1 in steps of 2, times sqrt_h, built on first use
+        and read-only."""
+        n = self.n
+        rows = (np.arange(-n, n + 1, 2, dtype=np.int64) * self.sqrt_h,
+                np.arange(-n + 1, n, 2, dtype=np.int64) * self.sqrt_h)
+        for row in rows:
+            row.flags.writeable = False
+        return rows
+
     def level_coordinates(self, k: int) -> np.ndarray:
-        """All k+1 node coordinates of level k, bottom-up."""
+        """All k+1 node coordinates of level k, bottom-up.
+
+        The array is a read-only, contiguous slice of one of two rows the
+        problem builds once, so every call for level k returns the same
+        memory; writing to it raises ValueError.
+        """
         k = operator.index(k)
         if not 0 <= k <= self.n:
             raise IndexError(f"level k={k} outside 0..{self.n}")
-        return (2 * np.arange(k + 1, dtype=np.int64) - k) * self.sqrt_h
+        start, parity = divmod(self.n - k, 2)
+        return self._rows[parity][start:start + k + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +129,12 @@ class SolutionLattice:
 
 
 def _terminal_level(problem: BsdeProblem) -> np.ndarray:
+    """Y at level n: g of the level's coordinates, as a float array.
+
+    A g that returns its input (or a view of it) hands back the
+    read-only coordinate row itself; level n is then that read-only array,
+    never a writable alias of the row. The sweep only reads it.
+    """
     n = problem.n
     vals = np.asarray(problem.g(problem.level_coordinates(n)), dtype=float)
     if vals.ndim == 0:
@@ -204,9 +231,13 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
 
     def rule(k, t, x, up, dn, z, base):
         yk = base
+        diff = np.empty_like(base)
         for _ in range(PICARD_MAX_ITER):
             ynew = base + h * f(t, x, yk, z)
-            delta = float(np.max(np.abs(ynew - yk)))
+            # sup |ynew - yk| without temporaries; maximum, unlike fmax,
+            # keeps a NaN, so a NaN update never passes the tolerance
+            np.subtract(ynew, yk, out=diff)
+            delta = np.maximum.reduce(np.abs(diff, out=diff))
             yk = ynew
             if delta < PICARD_TOL:
                 return yk

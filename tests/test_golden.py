@@ -35,6 +35,13 @@ SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
     "implicit": ("0x1.5bf542e629c78p+2", "0x1.53d2fe1f65a78p+2"),
 }
+# both row parities at deep-lattice scale: level 0 has the parity of n
+SQUARE_ROOTS_DEEP = {
+    (999, "explicit"): ("0x1.5b3eaa6f60e74p+2", "0x1.5ab9366db949bp+2"),
+    (999, "implicit"): ("0x1.5bf0ad751124bp+2", "0x1.5b6af506a0c44p+2"),
+    (1000, "explicit"): ("0x1.5b3ed7eabd726p+2", "0x1.5ab9860024c3bp+2"),
+    (1000, "implicit"): ("0x1.5bf0ad72a09bbp+2", "0x1.5b6b173e3b72bp+2"),
+}
 
 
 def _rows_hex(series):
@@ -70,3 +77,10 @@ def test_square_roots_are_golden(scheme, solve):
     case = make_case("square", 1.0)
     problem = case.problem(64)
     assert tuple(v.hex() for v in solve(problem).root()) == SQUARE_ROOTS_N64[scheme]
+
+
+@pytest.mark.parametrize("n", [999, 1000])
+@pytest.mark.parametrize("scheme,solve", [("explicit", solve_explicit), ("implicit", solve_implicit)])
+def test_deep_square_roots_are_golden(scheme, solve, n):
+    problem = make_case("square", 1.0).problem(n)
+    assert tuple(v.hex() for v in solve(problem).root()) == SQUARE_ROOTS_DEEP[n, scheme]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -153,6 +154,32 @@ def test_implicit_reports_divergence():
         solve_implicit(problem)
 
 
+def test_implicit_picard_iterations_are_pinned():
+    # 512 f calls over the 64 levels under the sup-norm stop rule
+    # max |ynew - yk| < PICARD_TOL; a rule that measured the update
+    # differently would change the count
+    case = make_case("square", 1.0)
+    problem = case.problem(64)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return case.f(*args)
+
+    solve_implicit(dataclasses.replace(problem, f=counted))
+    assert calls == 512
+
+
+def test_implicit_nan_update_never_converges():
+    # one NaN node at level 2 (x = 0); a reduction that skipped NaN would
+    # stop at once and hand the NaN on to the root
+    problem = BsdeProblem(T=1.0, n=4, g=lambda x: x * x,
+                          f=lambda t, x, y, z: y + np.where(x == 0.0, np.nan, 0.0))
+    with pytest.raises(PicardConvergenceError, match=r"level 2: last update nan"):
+        solve_implicit(problem)
+
+
 def test_non_finite_root_is_refused():
     # exact Y(0,0) = e^{3.5 T} ~ 1.007e152 is finite, but g = e^{T+x}
     # overflows at the far ends of the terminal level and the NaNs spread
@@ -196,6 +223,19 @@ def test_problem_owns_the_step_grid():
     assert problem.sqrt_h == math.sqrt(0.7 / 9)
     assert np.array_equal(problem.level_coordinates(3), np.array([-3, -1, 1, 3]) * problem.sqrt_h)
     assert solve_explicit(problem).problem is problem
+    for n in (1, 2, 7, 8, 64):
+        problem = BsdeProblem(T=0.7, n=n, g=np.abs, f=zero_driver)
+        for k in range(n + 1):
+            x = problem.level_coordinates(k)
+            expected = (2 * np.arange(k + 1) - k) * problem.sqrt_h
+            assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+            assert x.flags.c_contiguous and not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+            assert np.shares_memory(x, problem.level_coordinates(k))
+    # a g that returns its input keeps level n read-only, never a writable alias
+    sol = solve_explicit(BsdeProblem(T=0.7, n=9, g=lambda x: x, f=zero_driver), levels=(9,))
+    assert not sol.y[9].flags.writeable
 
 
 def test_terminal_level_shape_is_checked():
