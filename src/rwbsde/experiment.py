@@ -35,7 +35,7 @@ import numpy as np
 
 from .benchmarks import CASE_NAMES, BenchmarkCase, make_case
 from .exit_time import sample_sigma, tabulate
-from .solver import BsdeProblem, evaluate_walks, solve_explicit, solve_implicit
+from .solver import BsdeProblem, check_contraction, evaluate_walks, solve_explicit, solve_implicit
 
 DEFAULT_N_LIST = (50, 100, 200, 400, 800)
 DEFAULT_M = 20000
@@ -79,6 +79,9 @@ class ExperimentConfig:
         object.__setattr__(self, "t_eval", t_eval)
         if self.scheme not in ("explicit", "implicit"):
             raise ValueError(f"scheme must be explicit or implicit, got {self.scheme!r}")
+        if self.scheme == "implicit":
+            # the smallest n has the largest h, so it alone can break h*lip_f < 1
+            check_contraction(make_case(self.case, self.T).problem(min(n_list)))
 
 
 @dataclass(frozen=True)
@@ -290,8 +293,6 @@ def emit_csv(series: ErrorSeries, regressions: dict, path) -> None:
         )
     alpha = series.meta.get("alpha")
     for label, reg in regressions.items():
-        if reg is None:
-            continue
         lines.append(f"# slope_{label}={reg.slope:.17g}")
         lines.append(f"# intercept_{label}={reg.intercept:.17g}")
         lines.append(f"# r2_{label}={reg.r_squared:.17g}")

@@ -216,18 +216,26 @@ def solve_explicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
     return _sweep(problem, rule, "explicit", levels)
 
 
+def check_contraction(problem: BsdeProblem) -> None:
+    """Refuse a problem whose known lip_f breaks h*lip_f < 1, the condition
+    under which solve_implicit's Picard iteration contracts."""
+    if problem.lip_f is not None and problem.h * problem.lip_f >= 1.0:
+        raise ValueError(
+            f"contraction condition violated at n={problem.n}: "
+            f"h*lip_f = {problem.h * problem.lip_f:.6g} >= 1"
+        )
+
+
 def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep with the generator at the fixed point Y at t_k.
 
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
-    iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction.
-    Keeps the levels named in levels, as solve_explicit does.
+    iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction, and
+    check_contraction refuses a problem that breaks it. Keeps the levels
+    named in levels, as solve_explicit does.
     """
+    check_contraction(problem)
     f, h = problem.f, problem.h
-    if problem.lip_f is not None and h * problem.lip_f >= 1.0:
-        raise ValueError(
-            f"contraction condition violated: h*lip_f = {h * problem.lip_f:.6g} >= 1"
-        )
 
     def rule(k, t, x, up, dn, z, base):
         yk = base

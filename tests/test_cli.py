@@ -1,5 +1,6 @@
 import pytest
 
+from rwbsde import checks
 from rwbsde.cli import main
 from rwbsde.exit_time import cdf_series
 
@@ -35,12 +36,19 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
     ["convergence", "--case", "square", "--seed", "-1", "--out", "unused.csv"],
     ["tabulate-exit", "--h", "0", "--out", "unused.csv"],
     ["convergence", "--case", "square", "--n", "50,100", "--M", "10", "--out", "unused.csv"],
+    # h*lip_f >= 1 breaks the implicit contraction; an unsorted --n must not
+    # run n = 4 (h = 0.75) before it refuses n = 3 (h = 1)
+    ["solve", "--case", "square", "--n", "1", "--T", "2", "--scheme", "implicit"],
+    ["convergence", "--case", "square", "--scheme", "implicit", "--T", "3", "--n", "4,3,2",
+     "--out", "unused.csv"],
 ])
-def test_invalid_values_are_usage_errors(argv, capsys):
+def test_invalid_values_are_usage_errors(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("rwbsde: error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convergence_writes_series(tmp_path, capsys):
@@ -57,7 +65,18 @@ def test_convergence_writes_series(tmp_path, capsys):
     assert "slope_Y" in capsys.readouterr().out
 
 
-def test_verify_passes(capsys):
+def test_verify_reports_every_check(monkeypatch, capsys):
+    def passing():
+        return checks.Check(1, "holds", True, "gap 0")
+
+    def failing():
+        return checks.Check(2, "breaks", False, "gap 1")
+
+    monkeypatch.setattr(checks, "CHECKS", (passing, passing))
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["[PASS] criterion 1: holds  (gap 0)"] * 2
+
+    monkeypatch.setattr(checks, "CHECKS", (passing, failing))
+    assert main(["verify"]) == 1
+    assert "[FAIL] criterion 2: breaks  (gap 1)" in capsys.readouterr().out.splitlines()
