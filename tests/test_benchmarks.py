@@ -3,10 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from rwbsde.benchmarks import CASE_NAMES, make_case
+from rwbsde.benchmarks import CASE_NAMES, make_case, sqrt_abs_moment, verify_terminal
+from rwbsde.checks import sqrt_abs_moment_by_quadrature
 
 T = 1.0
 B_GRID = np.linspace(-3 * math.sqrt(T), 3 * math.sqrt(T), 33)
+
+
+def _fd_slope(fn, t, b, eps=1e-5):
+    return (fn(t, b + eps) - fn(t, b - eps)) / (2 * eps)
+
+
+def test_terminal_consistency_closed_form_cases():
+    assert verify_terminal(make_case("exp", T), B_GRID) <= 1e-10
+    assert verify_terminal(make_case("square", T), B_GRID) <= 1e-10
+
+
+def test_terminal_consistency_sqrt_case():
+    assert verify_terminal(make_case("sqrt", T), B_GRID) <= 1e-10
 
 
 def test_exp_case_values():
@@ -20,6 +34,16 @@ def test_square_case_values():
     sol = make_case("square", T).exact
     assert sol.y_fn(0.0, 0.0) == pytest.approx(math.e * (T * T + T), rel=1e-14)
     assert sol.y_fn(T, 1.7) == pytest.approx(1.7**2, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["exp", "square"])
+def test_z_is_space_derivative_of_y(name):
+    sol = make_case(name, T).exact
+    for t in (0.0, 0.4, 0.9):
+        for b in (-1.3, 0.0, 0.8):
+            z = sol.z_fn(t, b)
+            fd = _fd_slope(sol.y_fn, t, b)
+            assert abs(z - fd) <= 1e-8 * max(1.0, abs(z))
 
 
 def test_square_case_pde_residual():
@@ -41,6 +65,12 @@ def test_sqrt_case_terminal_is_analytic():
     sol = make_case("sqrt", T).exact
     b = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     assert np.array_equal(sol.y_fn(T, b), np.sqrt(np.abs(b)))
+
+
+def test_sqrt_closed_form_against_quadrature():
+    m = np.linspace(0.0, 15.0, 61)
+    oracle = sqrt_abs_moment_by_quadrature(m)
+    assert np.max(np.abs(sqrt_abs_moment(m) / oracle - 1.0)) <= 1e-12
 
 
 def test_sqrt_case_against_monte_carlo():

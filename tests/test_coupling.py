@@ -70,6 +70,18 @@ def test_couple_rejects_mismatch():
         bridge_sample_batch(taus, _skeleton([1, 1], 0.5), 0.3, np.zeros(2))
 
 
+def test_skeleton_increment_variance():
+    # E (B_tau_m - B_tau_k)^2 = t_m - t_k over sampled sign paths
+    rng = np.random.default_rng(3)
+    problem = _problem(1.0, 100)
+    paths, k, m = 10_000, 25, 75
+    _, _, skels = _coupled(rng, problem, paths)
+    seg = skels[:, m] - skels[:, k]
+    sq = seg * seg
+    se = sq.std(ddof=1) / math.sqrt(paths)
+    assert abs(sq.mean() - (m - k) * problem.h) <= 3 * se
+
+
 def test_bridge_exact_at_embedding_times():
     h = 0.3
     taus = [0.0, 0.2, 0.5, 0.8, 1.3]

@@ -86,6 +86,13 @@ def test_series_cost_does_not_depend_on_the_smallest_time():
     assert best["mixed"] <= 1.5 * best["at_h"]
 
 
+@pytest.mark.parametrize("h", [1.0, 0.01])
+def test_inversion_agrees_with_series(h):
+    grid = np.geomspace(h / 100, 20 * h, 200)
+    gap = np.max(np.abs(cdf_laplace_inversion(grid, h) - cdf_series(grid, h)))
+    assert gap <= 1e-6
+
+
 def test_inversion_limits():
     h = 0.4
     assert cdf_laplace_inversion(20 * h, h) == pytest.approx(1.0, abs=1e-6)

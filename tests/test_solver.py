@@ -134,6 +134,14 @@ def test_implicit_single_step_fixed_point():
     assert sol.z[0][0] == 1.0
 
 
+def test_implicit_explicit_gap_halves_when_n_doubles():
+    gaps = {}
+    for n in (50, 100):
+        problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=linear_driver, lip_f=1.0)
+        gaps[n] = abs(solve_implicit(problem).y[0][0] - solve_explicit(problem).y[0][0])
+    assert 0.35 <= gaps[100] / gaps[50] <= 0.65
+
+
 def test_implicit_rejects_broken_contraction():
     problem = BsdeProblem(T=2.0, n=1, g=lambda x: x, f=lambda t, x, y, z: y, lip_f=1.0)
     with pytest.raises(ValueError, match="contraction"):
@@ -344,6 +352,16 @@ def test_representation_odd_weight_kills_even_terminal():
         problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=zero_driver)
         sol = solve_explicit(problem, levels=range(n + 1))
         assert z_by_representation(sol, 0, 0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_representation_matches_explicit_sweep():
+    n = 8
+    problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=linear_driver)
+    sol = solve_explicit(problem, levels=range(n + 1))
+    k = 3
+    for i in range(k + 1):
+        rep = z_by_representation(sol, k, i)
+        assert rep == pytest.approx(sol.z[k][i], abs=1e-10)
 
 
 def test_representation_matches_implicit_sweep():
