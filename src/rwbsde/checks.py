@@ -2,7 +2,7 @@
 
 Criteria 1-5 are exact oracles (enumeration, the Z representation, the
 exit-time law, the Skorohod coupling, the exact (Y, Z) surfaces), 6 is the
-O(h) scheme gap and 7-9 are the full-scale L2 slopes of the three cases.
+O(h) scheme gap and 7-9 are the L2 slopes of each case's default run.
 Each check returns a Check and neither asserts nor prints. Worst gaps are
 taken with np.maximum, which keeps a NaN, so a NaN gap fails its bound.
 """
@@ -15,14 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import CASE_NAMES, make_case, sqrt_abs_moment, verify_terminal
-from .exit_time import cdf_laplace_inversion, cdf_series, tabulate, tabulated_moment
-from .experiment import ExperimentConfig, couple_block, regress_loglog, run_mc
+from .exit_time import cdf_laplace_inversion, cdf_series, tabulated_moment
+from .experiment import ExperimentConfig, couple_block, fit_slopes, run_mc
 from .solver import BsdeProblem, sign_matrix, solve_explicit, solve_implicit, z_by_representation
 
 T = 1.0
 SEED = 20250809
-FULL_M = 20000
-N_LIST = (50, 100, 200, 400, 800)
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def exit_time_distribution() -> Check:
     for h in (1.0, 0.4, 0.25, 0.01):
         grid = np.geomspace(h / 100, 20 * h, 200)
         gap = np.max(np.abs(cdf_laplace_inversion(grid, h) - cdf_series(grid, h)))
-        rel = abs(tabulated_moment(tabulate(h), 1.0) - h) / h
+        rel = abs(tabulated_moment(h, 1.0) - h) / h
         sup, mean_gap = np.maximum(sup, gap), np.maximum(mean_gap, rel)
     return Check(3, "exit-time distribution (inversion + mean)",
                  bool(sup <= 1e-6 and mean_gap <= 1e-6),
@@ -175,19 +173,14 @@ def scheme_gap() -> Check:
 
 def _slopes(criterion: int, case: str, reference: str, y_window: tuple,
             z_window: Optional[tuple] = None) -> Check:
-    """Criteria 7-9: the explicit scheme's fitted L2 slopes of one case at
-    SEED, M = FULL_M and n in N_LIST. A case with z_window None must have
+    """Criteria 7-9: the fitted slopes of one case's run at SEED, every other
+    input an ExperimentConfig default. A case with z_window None must have
     no Z truth, hence no Z slope."""
-    series = run_mc(ExperimentConfig(case=case, n_list=N_LIST, M=FULL_M, T=T,
-                                     t_eval=0.5, seed=SEED, scheme="explicit"))
-    slope_y = regress_loglog(series, "e_y").slope
-    has_z = series.rows[0].e_z is not None
-    ok = y_window[0] <= slope_y <= y_window[1] and has_z == (z_window is not None)
-    detail = f"Y {slope_y:+.4f}"
-    if has_z:
-        slope_z = regress_loglog(series, "e_z").slope
-        ok = ok and z_window[0] <= slope_z <= z_window[1]
-        detail += f", Z {slope_z:+.4f}"
+    fits = fit_slopes(run_mc(ExperimentConfig(case=case, seed=SEED)))
+    windows = {"Y": y_window} if z_window is None else {"Y": y_window, "Z": z_window}
+    ok = fits.keys() == windows.keys() and all(
+        lo <= fits[label].slope <= hi for label, (lo, hi) in windows.items())
+    detail = ", ".join(f"{label} {fit.slope:+.4f}" for label, fit in fits.items())
     return Check(criterion, f"{case} case slopes (reference {reference})", ok, detail)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 
 from . import benchmarks, checks, exit_time, experiment, solver
@@ -17,7 +18,7 @@ def _parse_n_list(text: str) -> tuple:
 
 @contextlib.contextmanager
 def _usage_errors(parser):
-    """Report a ValueError from building a command's inputs as a usage error."""
+    """Report a ValueError from a command's inputs as a usage error."""
     try:
         yield
     except ValueError as exc:
@@ -25,14 +26,10 @@ def _usage_errors(parser):
 
 
 def _cmd_solve(args, usage) -> int:
-    with usage:
-        case = benchmarks.make_case(args.case, args.T)
-        problem = case.problem(args.n)
-        if args.scheme == "implicit":
-            solver.check_contraction(problem)
     solve = solver.solve_implicit if args.scheme == "implicit" else solver.solve_explicit
-    solution = solve(problem)
-    y0, z0 = solution.root()
+    with usage:  # solve_implicit refuses a broken contraction with a ValueError
+        case = benchmarks.make_case(args.case, args.T)
+        y0, z0 = solve(case.problem(args.n)).root()
     print(f"case={args.case} n={args.n} T={args.T} scheme={args.scheme}")
     print(f"Y0 = {y0:.12g}")
     print(f"Z0 = {z0:.12g}")
@@ -43,22 +40,14 @@ def _cmd_solve(args, usage) -> int:
 
 
 def _cmd_convergence(args, usage) -> int:
+    fields = {f.name for f in dataclasses.fields(experiment.ExperimentConfig)}
     with usage:
         config = experiment.ExperimentConfig(
-            case=args.case,
-            n_list=args.n,
-            M=args.M,
-            T=args.T,
-            t_eval=args.t_eval,
-            seed=args.seed,
-            scheme=args.scheme,
-        )
+            **{name: value for name, value in vars(args).items() if name in fields})
         if len(config.n_list) < 3:  # ExperimentConfig already refuses a repeated n
             raise ValueError(f"a slope fit needs at least 3 distinct n, got {config.n_list}")
     series = experiment.run_mc(config)
-    regressions = {"Y": experiment.regress_loglog(series, "e_y")}
-    if series.rows[0].e_z is not None:
-        regressions["Z"] = experiment.regress_loglog(series, "e_z")
+    regressions = experiment.fit_slopes(series)
     experiment.emit_csv(series, regressions, args.out)
     alpha = series.meta["alpha"]
     for label, reg in regressions.items():
@@ -101,17 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=benchmarks.CASE_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--scheme", choices=("explicit", "implicit"), default="explicit")
+    p.add_argument("--scheme", choices=solver.SCHEMES, default="explicit")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("convergence", help="Monte Carlo L2 errors and log-log slopes")
+    # a flag left out stays out of args: ExperimentConfig's default applies
+    p = sub.add_parser("convergence", help="Monte Carlo L2 errors and log-log slopes",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--case", required=True, choices=benchmarks.CASE_NAMES)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--t-eval", type=float, default=None, dest="t_eval")
-    p.add_argument("--n", type=_parse_n_list, default=experiment.DEFAULT_N_LIST)
-    p.add_argument("--M", type=int, default=experiment.DEFAULT_M)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--scheme", choices=("explicit", "implicit"), default="explicit")
+    p.add_argument("--T", type=float)
+    p.add_argument("--t-eval", type=float, dest="t_eval")
+    p.add_argument("--n", type=_parse_n_list, dest="n_list", metavar="N")
+    p.add_argument("--M", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--scheme", choices=solver.SCHEMES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convergence)
 

@@ -180,16 +180,17 @@ def tabulate(h: float) -> ExitTimeCdf:
     return ExitTimeCdf(h=h, grid=h * nodes, values=values)
 
 
-def tabulated_moment(cdf: ExitTimeCdf, p: float = 1.0) -> float:
+def tabulated_moment(h: float, p: float = 1.0) -> float:
     """E sigma^p = h^p * integral Q(u)^p du by the trapezoid rule on the
     quantile table's logit grid, du = dx / (4 cosh^2(x/2)) (from x, as 1 - u
     loses digits near u = 1). Measured for h in [1/800, 1]:
     |E sigma / h - 1| <= 2.8e-15 and |E sigma^2 / h^2 - 5/3| <= 8.2e-14."""
+    _check_h(h)
     if not p > 0.0:
         raise ValueError(f"need p > 0, got {p}")
     x = _logit_grid()
     f = _quantile_table()[0] ** p / (4.0 * np.cosh(0.5 * x) ** 2)
-    return float(cdf.h**p * (x[1] - x[0]) * (math.fsum(f) - 0.5 * (f[0] + f[-1])))
+    return float(h**p * (x[1] - x[0]) * (math.fsum(f) - 0.5 * (f[0] + f[-1])))
 
 
 def _logit_grid() -> np.ndarray:  # the nodes x_i = logit(u_i) of the quantile table

@@ -4,7 +4,8 @@ For each step count n the lattice is solved once; then M independent
 replications each draw a sign path and an exit-time ladder, couple them,
 read (Y^n, Z^n) along the path at the evaluation level, recover the true
 Brownian value there by a bridge draw and accumulate squared differences
-against the exact solution. Per-n L2 errors are regressed log-log against n.
+against the exact solution. fit_slopes regresses the per-n L2 errors
+log-log against n, for `rwbsde convergence` and criteria 7-9 alike.
 
 The replications run in blocks of _BLOCK rows through four stages. The
 first two are couple_block, the one coupling draw that run_mc, acceptance
@@ -28,17 +29,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .benchmarks import CASE_NAMES, BenchmarkCase, make_case
+from .benchmarks import BenchmarkCase, make_case
 from .exit_time import sample_sigma, tabulate
-from .solver import BsdeProblem, check_contraction, evaluate_walks, solve_explicit, solve_implicit
+from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, solve_explicit,
+                     solve_implicit)
 
-DEFAULT_N_LIST = (50, 100, 200, 400, 800)
-DEFAULT_M = 20000
 # rows per random stream, which are also the rows drawn and evaluated at once
 _BLOCK = 4096
 
@@ -48,21 +48,19 @@ SLOPE_SLACK = 0.15
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One convergence run: which case, which n's, how many replications."""
+    """One convergence run: which case, which n's, how many replications. Its
+    field defaults and input checks are a run's only ones."""
 
     case: str
-    n_list: Sequence[int] = DEFAULT_N_LIST
-    M: int = DEFAULT_M
+    n_list: Sequence[int] = (50, 100, 200, 400, 800)
+    M: int = 20000
     T: float = 1.0
     t_eval: Optional[float] = None   # defaults to T/2
     seed: int = 12345
     scheme: str = "explicit"
 
     def __post_init__(self) -> None:
-        if self.case not in CASE_NAMES:
-            raise ValueError(f"unknown case {self.case!r}; choose one of {CASE_NAMES}")
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"need 0 < T < inf, got T={self.T}")
+        case = make_case(self.case, self.T)   # checks the case name and T
         n_list = tuple(operator.index(n) for n in self.n_list)
         if not n_list or any(n < 2 for n in n_list):
             raise ValueError(f"every n must be >= 2, got {n_list}")
@@ -77,11 +75,11 @@ class ExperimentConfig:
         if not 0.0 <= t_eval < self.T:
             raise ValueError(f"need 0 <= t_eval < T, got t_eval={t_eval}")
         object.__setattr__(self, "t_eval", t_eval)
-        if self.scheme not in ("explicit", "implicit"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be explicit or implicit, got {self.scheme!r}")
         if self.scheme == "implicit":
             # the smallest n has the largest h, so it alone can break h*lip_f < 1
-            check_contraction(make_case(self.case, self.T).problem(min(n_list)))
+            check_contraction(case.problem(min(n_list)))
 
 
 @dataclass(frozen=True)
@@ -224,16 +222,9 @@ def run_mc(config: ExperimentConfig) -> ErrorSeries:
         _run_single_n(config, case, n, child)
         for n, child in zip(config.n_list, children)
     )
-    meta = {
-        "case": config.case,
-        "T": config.T,
-        "t_eval": config.t_eval,
-        "M": config.M,
-        "seed": config.seed,
-        "scheme": config.scheme,
-        "alpha": case.alpha,
-    }
-    return ErrorSeries(rows=rows, meta=meta)
+    # the config echo: every field but n_list, which the rows carry
+    meta = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "n_list"}
+    return ErrorSeries(rows=rows, meta={**meta, "alpha": case.alpha})
 
 
 def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionResult:
@@ -254,6 +245,14 @@ def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionRe
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return RegressionResult(slope=float(slope), intercept=float(intercept), r_squared=r2)
+
+
+def fit_slopes(series: ErrorSeries) -> dict:
+    """The log-log fit of Y, and of Z when the rows carry Z errors."""
+    fits = {"Y": regress_loglog(series, "e_y")}
+    if series.rows[0].e_z is not None:
+        fits["Z"] = regress_loglog(series, "e_z")
+    return fits
 
 
 def slope_flag(slope: float, alpha: float) -> bool:

@@ -22,7 +22,8 @@ DriverFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 LevelRule = Callable[..., np.ndarray]
 
 PICARD_TOL = 1e-12      # sup-norm update that ends the implicit fixed point
-PICARD_MAX_ITER = 100
+PICARD_MAX_ITER = 100   # iterations per level, more only under a known lip_f
+SCHEMES = ("explicit", "implicit")   # the sweep's two update rules
 
 # 2**20 ~ 1e6 paths; enumeration is oracle support, never a hot path
 ENUMERATION_CAP = 20
@@ -33,7 +34,7 @@ _DROPPED.flags.writeable = False
 
 
 class PicardConvergenceError(RuntimeError):
-    """Per-node fixed point failed to contract within PICARD_MAX_ITER."""
+    """Per-node fixed point failed to reach PICARD_TOL within its budget."""
 
 
 @dataclass(frozen=True)
@@ -236,22 +237,29 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
     """
     check_contraction(problem)
     f, h = problem.f, problem.h
+    q = None if problem.lip_f is None else h * problem.lip_f
 
     def rule(k, t, x, up, dn, z, base):
         yk = base
         diff = np.empty_like(base)
-        for _ in range(PICARD_MAX_ITER):
+        done, budget = 0, PICARD_MAX_ITER
+        while done < budget:
             ynew = base + h * f(t, x, yk, z)
             # sup |ynew - yk| without temporaries; maximum, unlike fmax,
             # keeps a NaN, so a NaN update never passes the tolerance
             np.subtract(ynew, yk, out=diff)
             delta = np.maximum.reduce(np.abs(diff, out=diff))
             yk = ynew
+            done += 1
             if delta < PICARD_TOL:
                 return yk
+            if done == PICARD_MAX_ITER and q and math.isfinite(delta):
+                # each update is at most q = h*lip_f < 1 times the last: grant
+                # the j more with q**(j - 1) * delta <= PICARD_TOL
+                budget += math.ceil(math.log(PICARD_TOL / delta) / math.log(q)) + 1
         raise PicardConvergenceError(
             f"no contraction at level {k}: last update {delta:.3e} "
-            f"after {PICARD_MAX_ITER} iterations"
+            f"after {done} iterations"
         )
 
     return _sweep(problem, rule, "implicit", levels)

@@ -1,6 +1,6 @@
 import pytest
 
-from rwbsde import checks
+from rwbsde import checks, experiment
 from rwbsde.cli import main
 from rwbsde.exit_time import cdf_series
 
@@ -15,6 +15,34 @@ def test_solve_prints_root_values(capsys):
 def test_solve_implicit_scheme(capsys):
     assert main(["solve", "--case", "exp", "--n", "32", "--scheme", "implicit"]) == 0
     assert "Y0 = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (["solve", "--case", "square", "--n", "4", "--T", "3", "--scheme", "implicit"], "Y0 = "),
+    (["convergence", "--case", "square", "--scheme", "implicit", "--T", "3", "--n", "4,8,16",
+      "--M", "10", "--out", "x.csv"], "wrote x.csv"),
+])
+def test_implicit_commands_at_slow_contraction(argv, printed, capsys, monkeypatch, tmp_path):
+    # h*lip_f = 0.75 at n = 4: the update shrinks by 0.75 per Picard
+    # iteration and is still 4.1e-12 after 100, so the budget must grow
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert printed in capsys.readouterr().out
+
+
+def test_convergence_defaults_are_the_config_defaults(monkeypatch, tmp_path):
+    class Stop(Exception):
+        pass
+
+    def capture(config):
+        seen.append(config)
+        raise Stop
+
+    seen = []
+    monkeypatch.setattr(experiment, "run_mc", capture)
+    with pytest.raises(Stop):
+        main(["convergence", "--case", "square", "--out", str(tmp_path / "x.csv")])
+    assert seen == [experiment.ExperimentConfig(case="square")]
 
 
 def test_tabulate_exit_writes_csv(tmp_path, capsys):

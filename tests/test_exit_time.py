@@ -126,6 +126,8 @@ def test_tabulate_rejects_bad_windows():
     for h in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             tabulate(h)
+        with pytest.raises(ValueError):
+            tabulated_moment(h)
 
 
 _MOMENT_HS = (1.0, 0.7, 0.4, 0.25, 0.01, 0.002, 1.0 / 800)
@@ -133,13 +135,12 @@ _MOMENT_HS = (1.0, 0.7, 0.4, 0.25, 0.01, 0.002, 1.0 / 800)
 
 def test_table_mean_matches_h():
     for h in _MOMENT_HS:
-        cdf = tabulate(h)
-        assert abs(tabulated_moment(cdf, 1.0) - h) <= 1e-14 * h
+        assert abs(tabulated_moment(h, 1.0) - h) <= 1e-14 * h
 
 
 def test_table_second_moment_scale_free():
     # E sigma^2 / h^2 = 5/3, identical across h by construction
-    ratios = [tabulated_moment(tabulate(h), 2.0) / h**2 for h in _MOMENT_HS]
+    ratios = [tabulated_moment(h, 2.0) / h**2 for h in _MOMENT_HS]
     assert max(ratios) - min(ratios) <= 1e-6
     assert ratios[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
 
@@ -311,7 +312,7 @@ def test_tau_increment_variance_matches_table_moment():
     u = rng.random(reps)
     u[u == 0.0] = 2.0**-53
     sig = np.asarray(sample_sigma(cdf, u))
-    table_var = tabulated_moment(cdf, 2.0) - tabulated_moment(cdf, 1.0) ** 2
+    table_var = tabulated_moment(h, 2.0) - tabulated_moment(h, 1.0) ** 2
     sq = (sig - sig.mean()) ** 2
     se = sq.std(ddof=1) / math.sqrt(reps)
     assert abs(sig.var(ddof=1) - table_var) <= 3 * se

@@ -244,6 +244,12 @@ def test_terminal_level_shape_is_checked():
         solve_explicit(problem)
 
 
+def test_scalar_terminal_value_is_broadcast():
+    # a constant g may return a scalar; the terminal level repeats it
+    sol = solve_explicit(BsdeProblem(T=1.0, n=5, g=lambda x: 2.0, f=zero_driver))
+    assert sol.root() == (2.0, 0.0)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         BsdeProblem(T=0.0, n=4, g=np.abs, f=zero_driver)
