@@ -23,6 +23,7 @@ from .experiment import (
     RegressionResult,
     bridge_sample_batch,
     emit_csv,
+    ladder_ends,
     parse_csv,
     regress_loglog,
     run_mc,

@@ -16,6 +16,16 @@ def _parse_n_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad n list {text!r}: {exc}") from None
 
 
+def _config_help(name: str, text: str) -> str:
+    """text, then the default of ExperimentConfig's field name, read off the
+    dataclass so that no value is restated here."""
+    default = next(f.default for f in dataclasses.fields(experiment.ExperimentConfig)
+                   if f.name == name)
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    return text if default is None else f"{text} (default: {default})"
+
+
 @contextlib.contextmanager
 def _usage_errors(parser):
     """Report a ValueError from a command's inputs as a usage error."""
@@ -97,12 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="Monte Carlo L2 errors and log-log slopes",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--case", required=True, choices=benchmarks.CASE_NAMES)
-    p.add_argument("--T", type=float)
-    p.add_argument("--t-eval", type=float, dest="t_eval")
-    p.add_argument("--n", type=_parse_n_list, dest="n_list", metavar="N")
-    p.add_argument("--M", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", choices=solver.SCHEMES)
+    p.add_argument("--T", type=float, help=_config_help("T", "horizon"))
+    p.add_argument("--t-eval", type=float, dest="t_eval",
+                   help=_config_help("t_eval", "evaluation time (default: T/2)"))
+    p.add_argument("--n", type=_parse_n_list, dest="n_list", metavar="N",
+                   help=_config_help("n_list", "comma-separated step counts"))
+    p.add_argument("--M", type=int, help=_config_help("M", "replications per n"))
+    p.add_argument("--seed", type=int, help=_config_help("seed", "master seed"))
+    p.add_argument("--scheme", choices=solver.SCHEMES,
+                   help=_config_help("scheme", "backward sweep rule"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convergence)
 

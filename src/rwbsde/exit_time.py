@@ -237,7 +237,8 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     by cdf.h, so sample_sigma(tabulate(h), u) equals h times the h = 1
     result bit for bit; logit u beyond [-37, 37] is clamped to the grid
     ends. sup_u |F(Q(u)) - u| <= 1e-7. The work runs over the flattened
-    values in cache-sized chunks, written into the one output array.
+    values in cache-sized chunks, written into the one output array, and
+    reuses one index and one gather buffer across the chunks.
     """
     scalar, uu = _as_batch(u)
     if uu.size and not (uu.min() > 0.0 and uu.max() < 1.0):  # also refuses NaN
@@ -245,8 +246,12 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     nodes, diff, _ = _quantile_table()
     out = np.empty(uu.shape)
     flat_u, flat_out = uu.reshape(-1), out.reshape(-1)
+    # one cell index and one gathered table value per uniform of a chunk
+    idx_buf = np.empty(min(_Q_CHUNK, flat_u.size), np.intp)
+    take_buf = np.empty(idx_buf.size)
     for start in range(0, flat_u.size, _Q_CHUNK):
         u_c, pos = flat_u[start:start + _Q_CHUNK], flat_out[start:start + _Q_CHUNK]
+        idx, taken = idx_buf[:pos.size], take_buf[:pos.size]
         # pos = grid position of logit u, clamped to [0, _Q_INTERVALS]
         np.subtract(1.0, u_c, out=pos)
         np.divide(u_c, pos, out=pos)
@@ -254,9 +259,12 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
         pos += _Q_LOGIT_MAX
         pos *= _Q_INTERVALS / (2.0 * _Q_LOGIT_MAX)
         np.clip(pos, 0.0, _Q_INTERVALS, out=pos)
-        idx = pos.astype(np.intp)
+        np.copyto(idx, pos, casting="unsafe")   # truncates: the cell of pos >= 0
         pos -= idx
-        pos *= diff.take(idx)
-        pos += nodes.take(idx)
-    out *= cdf.h
+        # idx is in range already; mode="clip" only spares take a buffered copy
+        diff.take(idx, out=taken, mode="clip")
+        pos *= taken
+        nodes.take(idx, out=taken, mode="clip")
+        pos += taken
+        pos *= cdf.h
     return float(out[0]) if scalar else out

@@ -10,20 +10,24 @@ log-log against n, for `rwbsde convergence` and criteria 7-9 alike.
 The replications run in blocks of _BLOCK rows through four stages. The
 first two are couple_block, the one coupling draw that run_mc, acceptance
 criterion 4 and the coupling tests all run: draw (signs, uniforms,
-normals) and embed (walks, exit-time ladders and the bridge draw at t_k);
-the layout of a coupled path is written there alone. Then evaluate
-(lattice values along each walk, exact values at the bridged point) and
-accumulate (each row's squared errors, stored in place and summed once by
-math.fsum).
+normals) and embed (int32 walks, exit-time ladders and the bridge draw at
+t_k); the layout of a coupled path is written there alone. The uniforms
+are drawn, inverted and summed in row passes of about _PASS values, so a
+block holds its walks and ladders but no other full-width array. The
+bridge reads two ends per row, the ladder step around t_k that
+ladder_ends finds by bisection. Then evaluate (lattice values along each
+walk, exact values at the bridged point) and accumulate (each row's
+squared errors, stored in place and summed once by math.fsum).
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
 block of _BLOCK rows. Row r at n-index j therefore comes from stream
 (seed, j, r // _BLOCK), which draws, for its whole block in this order, the
 (rows, n) sign bits, the (rows, n) exit-time uniforms and the (rows,)
-bridge normals. The error sums are exactly rounded, so they do not depend
-on the order of the rows, and a given config gives the same bits on every
-run.
+bridge normals. The uniforms' row passes draw the same doubles as one
+(rows, n) draw, so the pass size moves no bit. The error sums are exactly
+rounded, so they do not depend on the order of the rows, and a given
+config gives the same bits on every run.
 """
 from __future__ import annotations
 
@@ -41,6 +45,9 @@ from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, so
 
 # rows per random stream, which are also the rows drawn and evaluated at once
 _BLOCK = 4096
+# uniforms per row pass of couple_block (2 MB of doubles), so that a pass's
+# uniforms and exit times stay in cache, as sample_sigma's _Q_CHUNK does
+_PASS = 2**18
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
 SLOPE_SLACK = 0.15
@@ -120,15 +127,16 @@ def _mean_and_se(d2: np.ndarray) -> tuple:
 
 def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
                         z: np.ndarray) -> np.ndarray:
-    """Vectorised bridge draw at one fixed time across replication rows.
+    """Vectorised two-point bridge draw at one fixed time across rows.
 
-    taus is (R, n+1) of embedding times tau_0 = 0, tau_1, ..., tau_n,
-    skeletons is (R, n+1) of the values there, z is (R,) standard normal
-    draws. Rows where t falls exactly on an embedding time get variance zero
-    and return the skeleton value; strictly between tau_j and tau_{j+1} the
-    draw has the bridge mean and variance
-    (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j); rows with t >= tau_n get
-    the free sqrt(t - tau_n) increment.
+    taus is (R, 2) of the embedding times (tau_j, tau_{j+1}) that bracket t
+    in each row, skeletons is (R, 2) of the Brownian values there, z is (R,)
+    standard normal draws; ladder_ends gathers both from a coupled path.
+    Rows where t falls exactly on tau_j get variance zero and return the
+    skeleton value there; strictly before tau_{j+1} the draw has the bridge
+    mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j); rows
+    with t >= their right end time (the ladder's end tau_n, where ladder_ends
+    gives both ends) get the free sqrt(t - tau_n) increment from there.
 
     The bridge is NOT conditioned on the +-sqrt(h) corridor the embedded
     path keeps to between two exit times; past tau_n the free increment is
@@ -136,23 +144,42 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
     """
     if not 0.0 <= t < np.inf:  # also refuses NaN
         raise ValueError(f"need finite t >= 0, got t={t}")
-    n_rows, n = taus.shape[0], taus.shape[1] - 1
-    if skeletons.shape != taus.shape or np.shape(z) != (n_rows,):
+    n_rows = taus.shape[0]
+    if taus.shape != (n_rows, 2) or skeletons.shape != taus.shape or np.shape(z) != (n_rows,):
         raise ValueError(
-            f"length mismatch: taus {taus.shape}, skeletons {skeletons.shape}, "
-            f"normals {np.shape(z)}"
+            f"length mismatch: need (R, 2) taus and skeletons and (R,) normals, got taus "
+            f"{taus.shape}, skeletons {skeletons.shape}, normals {np.shape(z)}"
         )
-    rows = np.arange(n_rows)
-    j = np.count_nonzero(taus[:, 1:] <= t, axis=1)    # last j with tau_j <= t
-    t0, b0 = taus[rows, j], skeletons[rows, j]
-    interior = j < n
-    j_up = np.minimum(j + 1, n)
-    t1, b1 = taus[rows, j_up], skeletons[rows, j_up]
+    t0, t1 = taus[:, 0], taus[:, 1]
+    if np.any(t0 > t):
+        raise ValueError(f"every left end time must be <= t={t}")
+    b0, b1 = skeletons[:, 0], skeletons[:, 1]
+    interior = t < t1
     span = np.where(interior, t1 - t0, 1.0)
     lam = np.where(interior, (t - t0) / span, 0.0)
-    mean = np.where(interior, b0 + lam * (b1 - b0), b0)
-    var = np.where(interior, (t - t0) * np.maximum(t1 - t, 0.0) / span, t - t0)
-    return mean + np.sqrt(np.maximum(var, 0.0)) * z
+    mean = np.where(interior, b0 + lam * (b1 - b0), b1)
+    var = np.where(interior, (t - t0) * (t1 - t) / span, t - t1)
+    return mean + np.sqrt(var) * z
+
+
+def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
+    """The ends of the ladder step around t in each row: (tau_ends, walk_ends).
+
+    taus (R, n+1) are non-decreasing ladders from tau_0 = 0 <= t and walks
+    (R, n+1) the walk sums beside them. With j = #{m >= 1 : tau_m <= t},
+    found per row by bisection in O(log n) gathers, both results are (R, 2)
+    and hold columns j and min(j + 1, n).
+    """
+    n_rows, n = taus.shape[0], taus.shape[1] - 1
+    rows = np.arange(n_rows)
+    j = np.zeros(n_rows, np.intp)
+    # binary lifting: try j + 2^b for b from the top bit of n down; a
+    # candidate past n reads tau_n, which leaves j at n or where it was
+    for b in reversed(range(n.bit_length())):
+        cand = np.minimum(j + (1 << b), n)
+        j = np.where(taus[rows, cand] <= t, cand, j)
+    ends = np.stack((j, np.minimum(j + 1, n)), axis=1)
+    return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
 
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
@@ -160,23 +187,36 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
 
     Draws from rng, in the stream contract's order, the (rows, n) sign bits,
-    the (rows, n) exit-time uniforms and the (rows,) bridge normals; then
-    embeds them: walks (rows, n+1) int64 are the walk sums S_0 = 0, ..., S_n,
-    taus (rows, n+1) the exit-time ladders tau_0 = 0 < tau_1 < ... < tau_n
-    at time scale problem.h, and b_t the Brownian value at time t bridged
-    between the skeleton points (tau_k, sqrt(h) * S_k).
+    the (rows, n) exit-time uniforms and the (rows,) bridge normals. The
+    uniforms come in passes of _PASS // n rows, each drawn, inverted and
+    summed before the next, so no full-width temporary is held; consecutive
+    row draws give the doubles of one (rows, n) draw. It returns walks
+    (rows, n+1) int32, the walk sums S_0 = 0, ..., S_n; taus (rows, n+1),
+    the exit-time ladders tau_0 = 0 < tau_1 < ... < tau_n at time scale
+    problem.h; and b_t, the Brownian value at time t bridged between the two
+    skeleton points (tau_k, sqrt(h) * S_k) that bracket t.
     """
     n = problem.n
-    signs = rng.integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
-    uniforms = rng.random((rows, n))
-    # rng.random is [0, 1); push an exact 0 inside the open interval
-    uniforms[uniforms == 0.0] = 2.0**-53
-    normals = rng.standard_normal(rows)
+    signs = rng.integers(0, 2, (rows, n), dtype=np.int8)
+    signs *= 2
+    signs -= 1
+    walks = np.zeros((rows, n + 1), np.int32)
     taus = np.zeros((rows, n + 1))
-    np.cumsum(sample_sigma(tabulate(problem.h), uniforms), axis=1, out=taus[:, 1:])
-    walks = np.zeros((rows, n + 1), np.int64)
-    np.cumsum(signs, axis=1, dtype=np.int64, out=walks[:, 1:])
-    b_t = bridge_sample_batch(taus, problem.sqrt_h * walks, t, normals)
+    cdf = tabulate(problem.h)
+    step = max(1, _PASS // n)
+    buf = np.empty((min(step, rows), n))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        uniforms = buf[:stop - start]
+        rng.random(out=uniforms)
+        # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
+        # alone into the open interval
+        np.maximum(uniforms, 2.0**-53, out=uniforms)
+        np.cumsum(sample_sigma(cdf, uniforms), axis=1, out=taus[start:stop, 1:])
+        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walks[start:stop, 1:])
+    normals = rng.standard_normal(rows)
+    tau_ends, walk_ends = ladder_ends(taus, walks, t)
+    b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
     return walks, taus, b_t
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rwbsde import checks, experiment
@@ -43,6 +45,18 @@ def test_convergence_defaults_are_the_config_defaults(monkeypatch, tmp_path):
     with pytest.raises(Stop):
         main(["convergence", "--case", "square", "--out", str(tmp_path / "x.csv")])
     assert seen == [experiment.ExperimentConfig(case="square")]
+
+
+def test_convergence_help_names_the_config_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["convergence", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())   # undo argparse's wrapping
+    for f in dataclasses.fields(experiment.ExperimentConfig):
+        if f.default is dataclasses.MISSING:
+            continue
+        shown = "T/2" if f.default is None else (
+            ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default))
+        assert f"(default: {shown})" in help_text, f.name
 
 
 def test_tabulate_exit_writes_csv(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from walks import walk_sums
 
-from rwbsde.experiment import bridge_sample_batch, couple_block
+from rwbsde.benchmarks import make_case
+from rwbsde.experiment import bridge_sample_batch, couple_block, ladder_ends
 from rwbsde.solver import BsdeProblem
 
 
@@ -23,13 +25,15 @@ def _coupled(rng, problem, rows):
     return walks, taus, problem.sqrt_h * walks
 
 
-def _bridge(taus, skeleton, t, z):
-    """Bridge draws of one coupled path, ladder tau_0 = 0, ..., tau_n, one per
-    normal in z."""
+def _bridge(taus, walks, h, t, z):
+    """Bridge draws at t of coupled paths, ladders tau_0 = 0, ..., tau_n and
+    integer walks (one row each, or one row for every normal in z), through
+    couple_block's own bracket, gather and bridge."""
     z = np.atleast_1d(z)
-    taus = np.broadcast_to(np.asarray(taus, dtype=float), (z.size, len(taus)))
-    skeleton = np.broadcast_to(skeleton, (z.size, skeleton.shape[-1]))
-    return bridge_sample_batch(taus, skeleton, t, z)
+    taus = np.broadcast_to(np.asarray(taus, dtype=float), (z.size, np.shape(taus)[-1]))
+    walks = np.broadcast_to(walks, (z.size, walks.shape[-1]))
+    tau_ends, walk_ends = ladder_ends(taus, walks, t)
+    return bridge_sample_batch(tau_ends, math.sqrt(h) * walk_ends, t, z)
 
 
 def test_couple_two_steps():
@@ -68,6 +72,14 @@ def test_couple_rejects_mismatch():
         bridge_sample_batch(taus, _skeleton([1, 1, -1], 0.5), 0.3, np.zeros(1))
     with pytest.raises(ValueError, match="length"):
         bridge_sample_batch(taus, _skeleton([1, 1], 0.5), 0.3, np.zeros(2))
+    # whole ladders of matching shapes are not the (R, 2) ends the bridge takes
+    with pytest.raises(ValueError, match="length"):
+        bridge_sample_batch(taus, _skeleton([1, 1], 0.5), 0.3, np.zeros(1))
+    with pytest.raises(ValueError, match="length"):
+        bridge_sample_batch(taus[:, :2], _skeleton([1], 0.5), 0.3, np.zeros(2))
+    # a left end after t brackets nothing
+    with pytest.raises(ValueError, match="left end"):
+        bridge_sample_batch(taus[:, 1:], _skeleton([1], 0.5), 0.05, np.zeros(1))
 
 
 def test_skeleton_increment_variance():
@@ -85,10 +97,11 @@ def test_skeleton_increment_variance():
 def test_bridge_exact_at_embedding_times():
     h = 0.3
     taus = [0.0, 0.2, 0.5, 0.8, 1.3]
+    walks = walk_sums([[1, 1, -1, 1]])
     skeleton = _skeleton([1, 1, -1, 1], h)
     for j, t in enumerate(taus):
-        a = _bridge(taus, skeleton, t, np.random.default_rng(0).standard_normal())
-        b = _bridge(taus, skeleton, t, np.random.default_rng(99).standard_normal())
+        a = _bridge(taus, walks, h, t, np.random.default_rng(0).standard_normal())
+        b = _bridge(taus, walks, h, t, np.random.default_rng(99).standard_normal())
         assert a[0] == b[0] == skeleton[0, j]
 
 
@@ -97,7 +110,7 @@ def test_bridge_midpoint_moments():
     skeleton = _skeleton([1, -1], h)
     t = 2.0  # midpoint of (tau_1, tau_2)
     rng = np.random.default_rng(8)
-    draws = _bridge([0.0, 1.0, 3.0], skeleton, t, rng.standard_normal(100_000))
+    draws = _bridge([0.0, 1.0, 3.0], walk_sums([[1, -1]]), h, t, rng.standard_normal(100_000))
     mean_expected = 0.5 * (skeleton[0, 1] + skeleton[0, 2])
     var_expected = (3.0 - 1.0) / 4.0
     se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -112,7 +125,7 @@ def test_bridge_beyond_last_exit_uses_free_increment():
     skeleton = _skeleton([1, 1], h)
     t = 1.5
     z = np.random.default_rng(314).standard_normal()
-    draw = _bridge([0.0, 0.4, 0.9], skeleton, t, z)[0]
+    draw = _bridge([0.0, 0.4, 0.9], walk_sums([[1, 1]]), h, t, z)[0]
     assert draw == skeleton[0, -1] + math.sqrt(t - 0.9) * z
 
 
@@ -120,12 +133,61 @@ def test_bridge_ignores_far_skeleton():
     # draws in (tau_j, tau_j+1) must not consult values outside {j, j+1}
     h = 0.25
     taus = [0.0, 0.3, 0.7, 1.1, 1.6]
-    s1 = _skeleton([1, -1, 1, 1], h)
-    s2 = _skeleton([1, -1, -1, -1], h)  # same first two steps
+    w1 = walk_sums([[1, -1, 1, 1]])
+    w2 = walk_sums([[1, -1, -1, -1]])  # same first two steps
     t = 0.5  # inside (tau_1, tau_2)
     for seed in range(10):
         z = np.random.default_rng(seed).standard_normal()
-        assert _bridge(taus, s1, t, z)[0] == _bridge(taus, s2, t, z)[0]
+        assert _bridge(taus, w1, h, t, z)[0] == _bridge(taus, w2, h, t, z)[0]
+
+
+@pytest.mark.parametrize("n", [1, 32, 37])
+def test_ladder_ends_bracket_matches_searchsorted(n):
+    # walks that hold their own column index show the bracket j itself
+    rng = np.random.default_rng(11)
+    rows = 200
+    _, taus, _ = _coupled(rng, _problem(1.0, n), rows)
+    columns = np.broadcast_to(np.arange(n + 1), taus.shape)
+    on_tau = (taus[0, min(5, n)], taus[3, n])             # t on a tau, and on tau_n
+    before_first = 0.5 * taus[:, 1].min()                 # t < tau_1 in every row
+    past_last = (taus[:, -1].max(), 2.0 * taus[:, -1].max())   # t >= tau_n in every row
+    for t in (0.0, *on_tau, before_first, *past_last, 0.5):
+        tau_ends, ends = ladder_ends(taus, columns, t)
+        for r in range(rows):
+            j = int(np.searchsorted(taus[r], t, side="right")) - 1
+            assert tuple(ends[r]) == (j, min(j + 1, n))
+            assert tuple(tau_ends[r]) == (taus[r, j], taus[r, min(j + 1, n)])
+    assert ladder_ends(taus, columns, on_tau[0])[1][0, 0] == min(5, n)
+    assert np.all(ladder_ends(taus, columns, before_first)[1][:, 0] == 0)
+    assert np.all(ladder_ends(taus, columns, past_last[0])[1] == n)
+
+
+def test_row_passes_draw_the_block_stream():
+    # couple_block draws its uniforms one row pass at a time into one
+    # buffer; the generator gives the doubles of one (rows, n) draw
+    block = np.random.default_rng(5).random((10, 7))
+    rng = np.random.default_rng(5)
+    buf = np.empty((4, 7))
+    passes = []
+    for rows in (4, 4, 2):
+        rng.random(out=buf[:rows])
+        passes.append(buf[:rows].copy())
+    assert np.array_equal(np.concatenate(passes), block)
+
+
+def test_couple_block_memory_is_bounded():
+    # a block holds its signs, walks and ladders and one row pass of
+    # uniforms and exit times at a time: ~45 MiB at 4096 rows and n = 800,
+    # where full-width temporaries took ~106 MiB
+    problem = make_case("square", 1.0).problem(800)
+    couple_block(np.random.default_rng(0), 8, problem, 0.5)  # builds the quantile table
+    tracemalloc.start()
+    try:
+        couple_block(np.random.default_rng(1), 4096, problem, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_bridge_rejects_negative_time():
@@ -139,10 +201,11 @@ def test_batch_bridge_matches_scalar_bridge():
     # per-row closed form: the searchsorted interval, the bridge mean and variance
     rng = np.random.default_rng(21)
     n, rows = 25, 64
-    _, taus, skels = _coupled(rng, _problem(1.0, n), rows)
+    problem = _problem(1.0, n)
+    walks, taus, skels = _coupled(rng, problem, rows)
     t = 0.5
     z = rng.standard_normal(rows)
-    batch = bridge_sample_batch(taus, skels, t, z)
+    batch = _bridge(taus, walks, problem.h, t, z)
     for r in range(rows):
         times = taus[r]
         j = int(np.searchsorted(times, t, side="right")) - 1

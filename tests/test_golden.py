@@ -72,6 +72,15 @@ def test_run_mc_rows_are_golden_across_blocks(monkeypatch):
     assert _run("square") == SQUARE_EXPLICIT_BLOCK_128
 
 
+def test_run_mc_rows_are_golden_across_row_passes(monkeypatch):
+    # passes of 1000 uniforms are 125, 62 and 31 rows at n = 8, 16 and 32,
+    # so every block runs several row passes and its last one is ragged
+    monkeypatch.setattr("rwbsde.experiment._PASS", 1000)
+    assert _run("square") == SQUARE_EXPLICIT
+    monkeypatch.setattr("rwbsde.experiment._BLOCK", 128)
+    assert _run("square") == SQUARE_EXPLICIT_BLOCK_128
+
+
 @pytest.mark.parametrize("scheme,solve", [("explicit", solve_explicit), ("implicit", solve_implicit)])
 def test_square_roots_are_golden(scheme, solve):
     case = make_case("square", 1.0)
