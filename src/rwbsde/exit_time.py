@@ -43,7 +43,6 @@ _TERMS = tuple(zip((1.0, -1.0) * 3, 2.0 * np.arange(6) + 1.0))
 
 _Q_INTERVALS = 2**15  # quantile table cells on the logit grid
 _Q_LOGIT_MAX = 37.0   # grid is [-37, 37]; |logit u| < 36.8 on [2^-53, 1 - 2^-53]
-_Q_CHUNK = 2**15      # uniforms per pass of sample_sigma, sized to stay in cache
 
 
 class LaplaceInversionError(ArithmeticError):
@@ -236,35 +235,22 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     index into its logit grid and one linear interpolation, then multiplies
     by cdf.h, so sample_sigma(tabulate(h), u) equals h times the h = 1
     result bit for bit; logit u beyond [-37, 37] is clamped to the grid
-    ends. sup_u |F(Q(u)) - u| <= 1e-7. The work runs over the flattened
-    values in cache-sized chunks, written into the one output array, and
-    reuses one index and one gather buffer across the chunks.
+    ends. sup_u |F(Q(u)) - u| <= 1e-7. Its temporaries are the size of u,
+    so a caller that wants them in cache passes a cache-sized u, as
+    couple_block's row passes do.
     """
     scalar, uu = _as_batch(u)
     if uu.size and not (uu.min() > 0.0 and uu.max() < 1.0):  # also refuses NaN
         raise ValueError("u must lie strictly inside (0, 1)")
     nodes, diff, _ = _quantile_table()
-    out = np.empty(uu.shape)
-    flat_u, flat_out = uu.reshape(-1), out.reshape(-1)
-    # one cell index and one gathered table value per uniform of a chunk
-    idx_buf = np.empty(min(_Q_CHUNK, flat_u.size), np.intp)
-    take_buf = np.empty(idx_buf.size)
-    for start in range(0, flat_u.size, _Q_CHUNK):
-        u_c, pos = flat_u[start:start + _Q_CHUNK], flat_out[start:start + _Q_CHUNK]
-        idx, taken = idx_buf[:pos.size], take_buf[:pos.size]
-        # pos = grid position of logit u, clamped to [0, _Q_INTERVALS]
-        np.subtract(1.0, u_c, out=pos)
-        np.divide(u_c, pos, out=pos)
-        np.log(pos, out=pos)
-        pos += _Q_LOGIT_MAX
-        pos *= _Q_INTERVALS / (2.0 * _Q_LOGIT_MAX)
-        np.clip(pos, 0.0, _Q_INTERVALS, out=pos)
-        np.copyto(idx, pos, casting="unsafe")   # truncates: the cell of pos >= 0
-        pos -= idx
-        # idx is in range already; mode="clip" only spares take a buffered copy
-        diff.take(idx, out=taken, mode="clip")
-        pos *= taken
-        nodes.take(idx, out=taken, mode="clip")
-        pos += taken
-        pos *= cdf.h
-    return float(out[0]) if scalar else out
+    # pos = grid position of logit u, clamped to [0, _Q_INTERVALS]
+    pos = np.log(uu / (1.0 - uu))
+    pos += _Q_LOGIT_MAX
+    pos *= _Q_INTERVALS / (2.0 * _Q_LOGIT_MAX)
+    np.clip(pos, 0.0, _Q_INTERVALS, out=pos)
+    idx = pos.astype(np.intp)   # truncates: the cell of pos >= 0
+    pos -= idx
+    pos *= diff[idx]
+    pos += nodes[idx]
+    pos *= cdf.h
+    return float(pos[0]) if scalar else pos

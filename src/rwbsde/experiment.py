@@ -12,10 +12,11 @@ first two are couple_block, the one coupling draw that run_mc, acceptance
 criterion 4 and the coupling tests all run: draw (signs, uniforms,
 normals) and embed (int32 walks, exit-time ladders and the bridge draw at
 t_k); the layout of a coupled path is written there alone. The uniforms
-are drawn, inverted and summed in row passes of about _PASS values, so a
-block holds its walks and ladders but no other full-width array. The
-bridge reads two ends per row, the ladder step around t_k that
-ladder_ends finds by bisection. Then evaluate (lattice values along each
+are drawn, inverted and summed in row passes of about _PASS values, the
+one loop on this path that sizes work to the cache, so a block holds its
+walks and ladders but no other full-width array. The bridge reads two
+ends per row, the ladder step around t_k that ladder_ends finds by
+bisection. Then evaluate (lattice values along each
 walk, exact values at the bridged point) and accumulate (each row's
 squared errors, stored in place and summed once by math.fsum).
 
@@ -45,9 +46,11 @@ from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, so
 
 # rows per random stream, which are also the rows drawn and evaluated at once
 _BLOCK = 4096
-# uniforms per row pass of couple_block (2 MB of doubles), so that a pass's
-# uniforms and exit times stay in cache, as sample_sigma's _Q_CHUNK does
-_PASS = 2**18
+# uniforms per row pass of couple_block (256 KiB of doubles), so that a
+# pass's uniforms, exit times and sample_sigma's temporaries stay in cache;
+# on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800 took 0.10 s at
+# 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
+_PASS = 2**15
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
 SLOPE_SLACK = 0.15
@@ -189,12 +192,13 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     Draws from rng, in the stream contract's order, the (rows, n) sign bits,
     the (rows, n) exit-time uniforms and the (rows,) bridge normals. The
     uniforms come in passes of _PASS // n rows, each drawn, inverted and
-    summed before the next, so no full-width temporary is held; consecutive
-    row draws give the doubles of one (rows, n) draw. It returns walks
-    (rows, n+1) int32, the walk sums S_0 = 0, ..., S_n; taus (rows, n+1),
-    the exit-time ladders tau_0 = 0 < tau_1 < ... < tau_n at time scale
-    problem.h; and b_t, the Brownian value at time t bridged between the two
-    skeleton points (tau_k, sqrt(h) * S_k) that bracket t.
+    summed before the next, so no full-width temporary is held and each
+    pass's work stays in cache; consecutive row draws give the doubles of
+    one (rows, n) draw. It returns walks (rows, n+1) int32, the walk sums
+    S_0 = 0, ..., S_n; taus (rows, n+1), the exit-time ladders
+    tau_0 = 0 < tau_1 < ... < tau_n at time scale problem.h; and b_t, the
+    Brownian value at time t bridged between the two skeleton points
+    (tau_k, sqrt(h) * S_k) that bracket t.
     """
     n = problem.n
     signs = rng.integers(0, 2, (rows, n), dtype=np.int8)

@@ -12,9 +12,9 @@ from scipy.optimize import brentq
 
 import rwbsde
 from rwbsde.exit_time import (
-    _Q_CHUNK,
     ExitTimeCdf,
     LaplaceInversionError,
+    _logit_grid,
     _quantile_table,
     cdf_laplace_inversion,
     cdf_series,
@@ -226,11 +226,35 @@ def test_sample_sigma_extreme_uniforms():
     assert np.all(np.diff(q) > 0.0)
 
 
+# sample_sigma(tabulate(h), u) as float.hex: both clamp ends (1e-300 and
+# 2^-53 below the grid, 1 - 2^-53 above it), head, middle and tail points,
+# and sigmoid(x_20000), a node of the logit grid
+_U_PINNED = [1e-300, 2.0**-53, 1e-12, 1e-6, 0.03, 0.5, float.fromhex("0x1.ffdac44957dbbp-1"),
+             0.97, 1.0 - 1e-9, 1.0 - 2.0**-53]
+_Q_PINNED = {
+    1.0: ["0x1.cfcf60e73d164p-7", "0x1.d33e73332864bp-7", "0x1.39d709528fd0ep-6",
+          "0x1.444216da8a8e5p-5", "0x1.5a270a3a2f0fep-3", "0x1.83d6792b39b19p-1",
+          "0x1.b42b8c9352fd6p+2", "0x1.84e0e7d33dd35p+1", "0x1.0fe52d4b7cbb6p+4",
+          "0x1.df9398192905ep+4"],
+    1.0 / 800: ["0x1.28d6a46b08603p-16", "0x1.2b093f7ce6a6ep-16", "0x1.91b7162c3d345p-16",
+                "0x1.9f0cea0d7e26dp-15", "0x1.bb13404a79adfp-13", "0x1.f06eaf937d0c4p-11",
+                "0x1.17261c873f5a8p-7", "0x1.f1c3b818a10e8p-9", "0x1.5c06a0609fa83p-6",
+                "0x1.32edd1fb9f5ffp-5"],
+}
+
+
+@pytest.mark.parametrize("h", sorted(_Q_PINNED))
+def test_sample_sigma_bits_are_pinned(h):
+    # the inversion's arithmetic, operation for operation: a change to it
+    # moves these bits before it moves run_mc's summed errors
+    u = np.array(_U_PINNED)
+    assert u[6] == 1.0 / (1.0 + np.exp(-_logit_grid()[20_000]))
+    assert [q.hex() for q in sample_sigma(tabulate(h), u)] == _Q_PINNED[h]
+
+
 def test_sample_sigma_keeps_the_shape_of_its_input():
-    # (3, 20000) holds more uniforms than one chunk; it is chunked as one flat run
     u = np.random.default_rng(9).random((3, 20_000))
     u[u == 0.0] = 2.0**-53
-    assert u.size > _Q_CHUNK
     cdf = tabulate(0.01)
     flat = sample_sigma(cdf, u.ravel()).reshape(u.shape)
     assert np.array_equal(sample_sigma(cdf, u), flat)
