@@ -11,14 +11,16 @@ The replications run in blocks of _BLOCK rows through four stages. The
 first two are couple_block, the one coupling draw that run_mc, acceptance
 criterion 4 and the coupling tests all run: draw (signs, uniforms,
 normals) and embed (int32 walks, exit-time ladders and the bridge draw at
-t_k); the layout of a coupled path is written there alone. The uniforms
-are drawn, inverted and summed in row passes of about _PASS values, the
-one loop on this path that sizes work to the cache, so a block holds its
-walks and ladders but no other full-width array. The bridge reads two
-ends per row, the ladder step around t_k that ladder_ends finds by
-bisection. Then evaluate (lattice values along each
-walk, exact values at the bridged point) and accumulate (each row's
-squared errors, stored in place and summed once by math.fsum).
+t_k); the layout of a coupled path is written there alone. A block holds
+its int8 sign bits and per-row answers only. Everything else runs in row
+passes of about _PASS values, the one loop on this path that sizes work
+to the cache: a pass draws and inverts its uniforms, sums them and its
+signs into pass-sized ladders and walks, keeps the two ladder ends around
+t_k that ladder_ends finds and copies out the columns its caller reads
+(run_mc reads level k alone). The bridge then draws from those ends.
+Then evaluate (lattice values at each row's level-k node, exact values at
+the bridged point) and accumulate (each row's squared errors, stored in
+place and summed once by math.fsum).
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
@@ -47,9 +49,9 @@ from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, so
 # rows per random stream, which are also the rows drawn and evaluated at once
 _BLOCK = 4096
 # uniforms per row pass of couple_block (256 KiB of doubles), so that a
-# pass's uniforms, exit times and sample_sigma's temporaries stay in cache;
-# on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800 took 0.10 s at
-# 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
+# pass's uniforms, exit times, ladders, walks and sample_sigma's temporaries
+# stay in cache; on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800
+# took 0.10 s at 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
 _PASS = 2**15
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
@@ -170,56 +172,69 @@ def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
 
     taus (R, n+1) are non-decreasing ladders from tau_0 = 0 <= t and walks
     (R, n+1) the walk sums beside them. With j = #{m >= 1 : tau_m <= t},
-    found per row by bisection in O(log n) gathers, both results are (R, 2)
-    and hold columns j and min(j + 1, n).
+    the column before the first one past t (n when none is), both results
+    are (R, 2) and hold columns j and min(j + 1, n).
     """
     n_rows, n = taus.shape[0], taus.shape[1] - 1
     rows = np.arange(n_rows)
-    j = np.zeros(n_rows, np.intp)
-    # binary lifting: try j + 2^b for b from the top bit of n down; a
-    # candidate past n reads tau_n, which leaves j at n or where it was
-    for b in reversed(range(n.bit_length())):
-        cand = np.minimum(j + (1 << b), n)
-        j = np.where(taus[rows, cand] <= t, cand, j)
+    # column 0 is never past t, so argmax gives 0 only in rows with no column
+    # past t; on a row pass's ladders one scan beats bisection's Python loop
+    # over the bits of n (21 against 59 us at 40 x 801)
+    j = (taus > t).argmax(axis=1) - 1
+    j[j < 0] = n
     ends = np.stack((j, np.minimum(j + 1, n)), axis=1)
     return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
 
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
-                 t: float) -> tuple:
+                 t: float, columns: Sequence[int]) -> tuple:
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
 
     Draws from rng, in the stream contract's order, the (rows, n) sign bits,
-    the (rows, n) exit-time uniforms and the (rows,) bridge normals. The
-    uniforms come in passes of _PASS // n rows, each drawn, inverted and
-    summed before the next, so no full-width temporary is held and each
-    pass's work stays in cache; consecutive row draws give the doubles of
-    one (rows, n) draw. It returns walks (rows, n+1) int32, the walk sums
-    S_0 = 0, ..., S_n; taus (rows, n+1), the exit-time ladders
-    tau_0 = 0 < tau_1 < ... < tau_n at time scale problem.h; and b_t, the
-    Brownian value at time t bridged between the two skeleton points
-    (tau_k, sqrt(h) * S_k) that bracket t.
+    the (rows, n) exit-time uniforms and the (rows,) bridge normals. Only the
+    int8 signs are held for the whole block. The rest comes in passes of
+    _PASS // n rows, each drawn, inverted, summed into pass-sized walks and
+    ladders and read before the next, so each pass's work stays in cache;
+    consecutive row draws give the doubles of one (rows, n) draw. A pass
+    keeps, per row, the two ladder ends around t and the named columns.
+
+    It returns walks (rows, len(columns)) int32, the walk sums S_m at each
+    m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
+    ladders tau_m there (tau_0 = 0 < tau_1 < ... < tau_n at time scale
+    problem.h); and b_t, the Brownian value at time t bridged between the
+    two skeleton points (tau_j, sqrt(h) * S_j) that bracket t. With
+    columns=range(n + 1) walks and taus are the whole paths.
     """
     n = problem.n
+    columns = np.asarray(columns, np.intp)
+    if columns.ndim != 1 or np.any((columns < 0) | (columns > n)):
+        raise IndexError(f"columns {columns} are not a sequence of levels in 0..{n}")
     signs = rng.integers(0, 2, (rows, n), dtype=np.int8)
     signs *= 2
     signs -= 1
-    walks = np.zeros((rows, n + 1), np.int32)
-    taus = np.zeros((rows, n + 1))
+    walks = np.empty((rows, columns.size), np.int32)
+    taus = np.empty((rows, columns.size))
+    tau_ends = np.empty((rows, 2))
+    walk_ends = np.empty((rows, 2), np.int32)
     cdf = tabulate(problem.h)
-    step = max(1, _PASS // n)
-    buf = np.empty((min(step, rows), n))
+    step = max(1, min(_PASS // n, rows))
+    uniform_buf = np.empty((step, n))
+    ladder_buf = np.zeros((step, n + 1))
+    walk_buf = np.zeros((step, n + 1), np.int32)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        uniforms = buf[:stop - start]
+        m = stop - start
+        uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
         rng.random(out=uniforms)
         # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
         # alone into the open interval
         np.maximum(uniforms, 2.0**-53, out=uniforms)
-        np.cumsum(sample_sigma(cdf, uniforms), axis=1, out=taus[start:stop, 1:])
-        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walks[start:stop, 1:])
+        np.cumsum(sample_sigma(cdf, uniforms), axis=1, out=ladder[:, 1:])
+        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walk[:, 1:])
+        tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
+        taus[start:stop] = ladder[:, columns]
+        walks[start:stop] = walk[:, columns]
     normals = rng.standard_normal(rows)
-    tau_ends, walk_ends = ladder_ends(taus, walks, t)
     b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
     return walks, taus, b_t
 
@@ -245,10 +260,10 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
     d2_z = np.empty(M) if has_z else None
     for start, stream in zip(range(0, M, _BLOCK), streams):
         stop = min(start + _BLOCK, M)
-        walks, taus, b_tk = couple_block(np.random.default_rng(stream), stop - start, problem, t_k)
-        del taus  # never read here; freed now, not when the next block is drawn
-        # evaluate the lattice along each walk and store the squared errors
-        y_n, z_n = evaluate_walks(solution, walks, k)
+        s_k, _, b_tk = couple_block(np.random.default_rng(stream), stop - start, problem, t_k,
+                                    (k,))
+        # evaluate the lattice at each row's level-k node and store the squared errors
+        y_n, z_n = evaluate_walks(solution, s_k[:, 0], k)
         np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])
         if has_z:
             np.square(z_n - exact.z_fn(t_k, b_tk), out=d2_z[start:stop])

@@ -265,24 +265,23 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
     return _sweep(problem, rule, "implicit", levels)
 
 
-def evaluate_walks(solution: SolutionLattice, walks: np.ndarray, k: int) -> tuple:
+def evaluate_walks(solution: SolutionLattice, sums: np.ndarray, k: int) -> tuple:
     """(Y, Z) arrays at level k of the nodes the walk rows reach.
 
-    walks is (R, n+1) of integer walk sums with S_0 = 0, as
-    experiment.couple_block draws them; row r sits at node
-    (k + walks[r, k])/2 after k steps. A level-k sum outside [-k, k] or of
-    the wrong parity names no node and raises ValueError, and so does a
-    level the sweep did not keep.
+    sums is (R,) of the integer walk sums S_k at level k, as
+    experiment.couple_block returns them for columns=(k,); row r sits at
+    node (k + sums[r])/2 after k steps. A sum outside [-k, k] or of the
+    wrong parity names no node and raises ValueError, and so does a level
+    the sweep did not keep.
     """
     n = solution.n
-    if walks.ndim != 2 or walks.shape[1] != n + 1:
-        raise ValueError(f"walks of shape {walks.shape} do not match lattice n={n}")
+    if np.ndim(sums) != 1:
+        raise ValueError(f"need (R,) level-k walk sums, got shape {np.shape(sums)}")
     if not 0 <= k <= n - 1:
         raise IndexError(f"level k={k} outside 0..{n - 1}")
-    s_k = walks[:, k]
-    if np.any((np.abs(s_k) > k) | ((s_k + k) % 2 != 0)):
+    if np.any((np.abs(sums) > k) | ((sums + k) % 2 != 0)):
         raise ValueError(f"level-{k} walk sums must lie in [-{k}, {k}] with the parity of {k}")
-    node = (k + s_k) // 2
+    node = (k + sums) // 2
     return _kept(solution.y, k)[node], _kept(solution.z, k)[node]
 
 

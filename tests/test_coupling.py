@@ -20,8 +20,8 @@ def _problem(T, n):
 
 
 def _coupled(rng, problem, rows):
-    """Walks, ladders and skeletons of rows paths from run_mc's coupling draw."""
-    walks, taus, _ = couple_block(rng, rows, problem, 0.5 * problem.T)
+    """Whole walks, ladders and skeletons of rows paths from run_mc's coupling draw."""
+    walks, taus, _ = couple_block(rng, rows, problem, 0.5 * problem.T, range(problem.n + 1))
     return walks, taus, problem.sqrt_h * walks
 
 
@@ -175,20 +175,38 @@ def test_row_passes_draw_the_block_stream():
     assert np.array_equal(np.concatenate(passes), block)
 
 
-def test_couple_block_memory_is_bounded():
-    # a block holds its signs, walks and ladders and one row pass of
-    # uniforms and exit times at a time: ~42 MiB at 4096 rows and n = 800,
-    # against ~45.5 MiB with 2^18-value passes and ~106 MiB with full-width
-    # temporaries
-    problem = make_case("square", 1.0).problem(800)
-    couple_block(np.random.default_rng(0), 8, problem, 0.5)  # builds the quantile table
+def _block_peak(n, rows):
+    """tracemalloc peak in MiB of one run_mc-style block: square case, level n // 2 kept."""
+    problem = make_case("square", 1.0).problem(n)
+    couple_block(np.random.default_rng(0), 8, problem, 0.5, (n // 2,))  # builds the quantile table
     tracemalloc.start()
     try:
-        couple_block(np.random.default_rng(1), 4096, problem, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        couple_block(np.random.default_rng(1), rows, problem, 0.5, (n // 2,))
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 44 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_couple_block_memory_is_bounded():
+    # a block holds its int8 signs (3.1 MiB at 4096 rows and n = 800), one
+    # row pass of uniforms, exit times, walks and ladders, and per-row
+    # answers: ~5 MiB, against ~42 MiB with whole-block walks and ladders
+    peak = _block_peak(800, 4096)
+    assert peak <= 8, f"peak {peak:.1f} MiB"
+
+
+def test_couple_block_memory_at_large_n():
+    # the signs alone are 9.8 MiB at 1024 rows and n = 10^4; whole-block
+    # walks and ladders would add ~117 MiB
+    peak = _block_peak(10_000, 1024)
+    assert peak <= 12, f"peak {peak:.1f} MiB"
+
+
+def test_couple_block_refuses_columns_off_the_path():
+    problem = _problem(1.0, 8)
+    for columns in ((9,), (-1,), 4, ((1, 2),)):
+        with pytest.raises(IndexError, match="columns"):
+            couple_block(np.random.default_rng(0), 4, problem, 0.5, columns)
 
 
 def test_bridge_rejects_negative_time():
@@ -230,6 +248,6 @@ def test_coupling_discrepancy_trend():
     n, h, paths = problem.n, problem.h, 10_000
     for k in (n // 4, n // 2, n):
         t_k = k * h
-        walks, _, b_tk = couple_block(rng, paths, problem, t_k)
-        ratio = np.mean((problem.sqrt_h * walks[:, k] - b_tk) ** 2) / math.sqrt(t_k * h)
+        s_k, _, b_tk = couple_block(rng, paths, problem, t_k, (k,))
+        ratio = np.mean((problem.sqrt_h * s_k[:, 0] - b_tk) ** 2) / math.sqrt(t_k * h)
         assert ratio <= 5.0

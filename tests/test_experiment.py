@@ -62,8 +62,9 @@ def test_run_mc_rows_come_from_couple_block(monkeypatch):
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.n_list))[j].spawn(3)
     d2_y, d2_z = [], []
     for rows, stream in zip((128, 128, 44), streams):
-        walks, _, b_tk = experiment.couple_block(np.random.default_rng(stream), rows, problem, t_k)
-        y_n, z_n = solver.evaluate_walks(solution, walks, k)
+        s_k, _, b_tk = experiment.couple_block(np.random.default_rng(stream), rows, problem, t_k,
+                                               (k,))
+        y_n, z_n = solver.evaluate_walks(solution, s_k[:, 0], k)
         d2_y.append(np.square(y_n - case.exact.y_fn(t_k, b_tk)))
         d2_z.append(np.square(z_n - case.exact.z_fn(t_k, b_tk)))
     by_hand = (experiment._mean_and_se(np.concatenate(d2_y))

@@ -4,6 +4,9 @@ A refactor that claims to change no number must leave every value here
 bit for bit; a change to the random-stream contract or to the arithmetic
 of a layer re-records them on purpose.
 """
+import hashlib
+
+import numpy as np
 import pytest
 
 from rwbsde import experiment
@@ -43,6 +46,24 @@ SQUARE_ROOTS_DEEP = {
     (1000, "implicit"): ("0x1.5bf0ad72a09bbp+2", "0x1.5b6b173e3b72bp+2"),
 }
 
+# sha256 of float.hex of couple_block's whole (walks, taus, b_t), 100 rows of
+# the square case at t = 0.5 from default_rng(n)
+COUPLE_BLOCK_N = {
+    1: ("2740c958029024797fa517b256fb3f4ee7bf3573eba07ef477abaf14a68616f8",
+        "48815fb0c0ca823d96a99a37ca27d68d4325aeb488a377e4d392903553609ebd",
+        "35df72b7feb58663d03c57995dcf37b29b5d24da6aeb1303a09e11d922d39527"),
+    37: ("1da12406e58b9e1601d19fa6a6909f3ec8507b0150464363e428f8b4e9c173b8",
+         "2edc9aaa4fbd471ca7f2f3bc016074b6765b2f94f290261e7e12d767a4568a28",
+         "5c1bc4f2b50b70b1374b9cea4bbc4e3ad02027418d82ae13f9e52bf16d6f71c4"),
+    64: ("4a68a38b4e432ec2c49457a9a3dcd8f9abe8f7f5f7c384ad2a7c436f558d528c",
+         "440154f2ec75a16a793a4ccc138060f58ce7ab656f3fd3d02ab6e01a83d5bd26",
+         "e87f72fb40056e5b4c785ea9044268467bc4d63d15e8d37872c218763a02f819"),
+}
+
+
+def _digest(values):
+    return hashlib.sha256(" ".join(float(v).hex() for v in np.ravel(values)).encode()).hexdigest()
+
 
 def _rows_hex(series):
     return [
@@ -79,6 +100,24 @@ def test_run_mc_rows_are_golden_across_row_passes(monkeypatch):
     assert _run("square") == SQUARE_EXPLICIT
     monkeypatch.setattr("rwbsde.experiment._BLOCK", 128)
     assert _run("square") == SQUARE_EXPLICIT_BLOCK_128
+
+
+@pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
+@pytest.mark.parametrize("pass_size", [2**15, 1000])
+def test_couple_block_is_golden(monkeypatch, n, pass_size):
+    # passes of 1000 uniforms are 27 and 15 rows at n = 37 and 64, so the
+    # narrow call keeps its column and brackets t across ragged passes
+    monkeypatch.setattr("rwbsde.experiment._PASS", pass_size)
+    problem = make_case("square", 1.0).problem(n)
+    walks, taus, b_t = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
+                                               range(n + 1))
+    assert (_digest(walks), _digest(taus), _digest(b_t)) == COUPLE_BLOCK_N[n]
+    k = n // 2
+    s_k, tau_k, b_t_narrow = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
+                                                     (k,))
+    assert s_k.shape == tau_k.shape == (100, 1)
+    assert np.array_equal(s_k[:, 0], walks[:, k]) and np.array_equal(tau_k[:, 0], taus[:, k])
+    assert _digest(b_t_narrow) == COUPLE_BLOCK_N[n][2]
 
 
 @pytest.mark.parametrize("scheme,solve", [("explicit", solve_explicit), ("implicit", solve_implicit)])

@@ -306,29 +306,30 @@ def test_evaluate_along_path():
     sol = solve_explicit(problem, levels=range(n + 1))
     rng = np.random.default_rng(3)
     walks = walk_sums(rng.integers(0, 2, (20, n)) * 2 - 1)
-    y0, z0 = evaluate_walks(sol, walks, 0)
+    y0, z0 = evaluate_walks(sol, walks[:, 0], 0)
     assert np.all(y0 == sol.y[0][0]) and np.all(z0 == sol.z[0][0])
-    y_up, z_up = evaluate_walks(sol, walk_sums(np.ones((1, n), dtype=np.int8)), n - 1)
+    y_up, z_up = evaluate_walks(sol, walk_sums(np.ones((1, n), dtype=np.int8))[:, n - 1], n - 1)
     assert (y_up[0], z_up[0]) == (sol.y[n - 1][n - 1], sol.z[n - 1][n - 1])
     signs = rng.integers(0, 2, (20, n)) * 2 - 1
     walks = walk_sums(signs)
     for k in range(n):
         i = np.sum(signs[:, :k] == 1, axis=1)
-        y, z = evaluate_walks(sol, walks, k)
+        y, z = evaluate_walks(sol, walks[:, k], k)
         assert np.array_equal(y, sol.y[k][i]) and np.array_equal(z, sol.z[k][i])
     with pytest.raises(IndexError):
-        evaluate_walks(sol, walks, n)
-    with pytest.raises(ValueError):
-        evaluate_walks(sol, walks[:, :-1], 0)
+        evaluate_walks(sol, walks[:, n], n)
+    # whole walks are not the (R,) level-k sums it reads
+    with pytest.raises(ValueError, match="level-k walk sums"):
+        evaluate_walks(sol, walks, 0)
 
 
 def test_evaluate_refuses_a_dropped_level():
     n = 9
     sol = solve_explicit(BsdeProblem(T=1.0, n=n, g=np.exp, f=linear_driver), levels=(4,))
     walks = walk_sums(np.ones((3, n), dtype=np.int8))
-    assert np.array_equal(evaluate_walks(sol, walks, 4)[0], np.full(3, sol.y[4][4]))
+    assert np.array_equal(evaluate_walks(sol, walks[:, 4], 4)[0], np.full(3, sol.y[4][4]))
     with pytest.raises(ValueError, match="level 3 was not kept"):
-        evaluate_walks(sol, walks, 3)
+        evaluate_walks(sol, walks[:, 3], 3)
 
 
 def test_evaluate_refuses_a_sum_that_names_no_node():
@@ -337,14 +338,10 @@ def test_evaluate_refuses_a_sum_that_names_no_node():
     n = 4
     sol = solve_explicit(BsdeProblem(T=1.0, n=n, g=np.exp, f=linear_driver),
                          levels=range(n + 1))
-    walks = walk_sums(np.ones((2, n), dtype=np.int8))
-    walks[1, 3] = -5
     with pytest.raises(ValueError, match="level-3 walk sums"):
-        evaluate_walks(sol, walks, 3)
-    walks = walk_sums(np.ones((2, n), dtype=np.int8))
-    walks[0, 2] = 1
+        evaluate_walks(sol, np.array([3, -5], np.int32), 3)
     with pytest.raises(ValueError, match="level-2 walk sums"):
-        evaluate_walks(sol, walks, 2)
+        evaluate_walks(sol, np.array([1, 2], np.int32), 2)
 
 
 def test_representation_single_step_identity():
