@@ -64,7 +64,7 @@ def _cmd_convergence(args, usage) -> int:
         note = ""
         if experiment.slope_flag(reg.slope, alpha):
             note = f"  [flag: above -alpha/2 + {experiment.SLOPE_SLACK}]"
-        print(f"slope_{label} = {reg.slope:+.4f}  (r2 = {reg.r_squared:.4f}){note}")
+        print(f"slope_{label} = {reg.slope:+.4f}  (r2 = {reg.r2:.4f}){note}")
     print(f"theory slope = {-0.5 * alpha:+.4f}   wrote {args.out}")
     return 0
 

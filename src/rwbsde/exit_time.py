@@ -159,8 +159,8 @@ def cdf_laplace_inversion(t: ArrayLike, h: float, degree: int = TALBOT_DEGREE) -
 
 @dataclass(frozen=True, eq=False)
 class ExitTimeCdf:
-    """The quantile table of sigma at time scale h, F(grid) = values; only
-    tabulate-exit reads grid and values, the rest read h."""
+    """The quantile table of sigma at time scale h, F(grid) = values. sample_sigma
+    reads h; tabulate-exit reads grid and values, perfbench's tracer values[-1]."""
 
     h: float
     grid: np.ndarray      # strictly increasing times, h times the table nodes

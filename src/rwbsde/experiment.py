@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,13 +96,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ErrorRow:
-    """Monte Carlo L2 errors at one n; e_z/se_z are None without a Z truth."""
+    """Monte Carlo L2 errors at one n; e_z/se_z are None without a Z truth.
+    Its fields, in order, are the convergence CSV's columns."""
 
     n: int
     e_y: float
     se_y: float
-    e_z: Optional[float]
-    se_z: Optional[float]
+    e_z: Optional[float] = None
+    se_z: Optional[float] = None
+
+
+# the CSV's value columns: every ErrorRow field after n
+_VALUE_FIELDS = fields(ErrorRow)[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +115,16 @@ class ErrorSeries:
     """One row per n, plus the config echo used by the CSV emitter."""
 
     rows: tuple
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 @dataclass(frozen=True)
 class RegressionResult:
+    """A log-log fit; its field names are emit_csv's footer keys."""
+
     slope: float
     intercept: float
-    r_squared: float
+    r2: float
 
 
 def _mean_and_se(d2: np.ndarray) -> tuple:
@@ -303,7 +310,7 @@ def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionRe
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return RegressionResult(slope=float(slope), intercept=float(intercept), r_squared=r2)
+    return RegressionResult(slope=float(slope), intercept=float(intercept), r2=r2)
 
 
 def fit_slopes(series: ErrorSeries) -> dict:
@@ -330,36 +337,33 @@ def _fmt(x: Optional[float]) -> str:
 def emit_csv(series: ErrorSeries, regressions: dict, path) -> None:
     """Write the error table with the config echo and regression footer.
 
-    Header comments echo the meta dict; the data header is
-    n,E_Y,SE_Y,E_Z,SE_Z with empty fields where no Z truth exists; footer
-    comments carry slope/intercept/r2 per fitted field, the theoretical
-    reference -alpha/2 and a flag line when a slope falls short of it.
+    Header comments echo the meta dict; the data header is ErrorRow's field
+    names upper-cased but n, with empty fields where no Z truth exists;
+    footer comments carry each RegressionResult field name per fitted label
+    (slope_Y, r2_Y, ...), the theoretical reference -alpha/2 from
+    meta["alpha"] and a flag line when a slope falls short of it.
     Raises before the file is opened when a row holds a non-finite value.
     """
     for row in series.rows:
-        for name in ("e_y", "se_y", "e_z", "se_z"):
-            value = getattr(row, name)
+        for f in _VALUE_FIELDS:
+            value = getattr(row, f.name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"row n={row.n} has non-finite {name}={value}")
+                raise ValueError(f"row n={row.n} has non-finite {f.name}={value}")
     lines = []
     for key in sorted(series.meta):
         lines.append(f"# {key}={series.meta[key]}")
-    lines.append("n,E_Y,SE_Y,E_Z,SE_Z")
+    lines.append(",".join(["n"] + [f.name.upper() for f in _VALUE_FIELDS]))
     for row in series.rows:
-        lines.append(
-            f"{row.n},{_fmt(row.e_y)},{_fmt(row.se_y)},{_fmt(row.e_z)},{_fmt(row.se_z)}"
-        )
-    alpha = series.meta.get("alpha")
+        lines.append(",".join([str(row.n)] + [_fmt(getattr(row, f.name)) for f in _VALUE_FIELDS]))
+    alpha = series.meta["alpha"]
     for label, reg in regressions.items():
-        lines.append(f"# slope_{label}={reg.slope:.17g}")
-        lines.append(f"# intercept_{label}={reg.intercept:.17g}")
-        lines.append(f"# r2_{label}={reg.r_squared:.17g}")
-        if alpha is not None and slope_flag(reg.slope, alpha):
+        for f in fields(reg):
+            lines.append(f"# {f.name}_{label}={getattr(reg, f.name):.17g}")
+        if slope_flag(reg.slope, alpha):
             lines.append(
                 f"# flag_{label}=slope above theoretical -alpha/2 + {SLOPE_SLACK}"
             )
-    if alpha is not None:
-        lines.append(f"# theory_slope={-0.5 * alpha:.17g}")
+    lines.append(f"# theory_slope={-0.5 * alpha:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -378,6 +382,7 @@ def parse_csv(path) -> tuple:
 
     Floats round-trip exactly (17 significant digits); comment keys seen
     before the data header populate meta, those after populate the footer.
+    An empty data field reads as None where ErrorRow's default is None.
     """
     meta, footer, rows = {}, {}, []
     seen_header = False
@@ -394,14 +399,8 @@ def parse_csv(path) -> tuple:
             if line.startswith("n,"):
                 seen_header = True
                 continue
-            parts = line.split(",")
-            rows.append(
-                ErrorRow(
-                    n=int(parts[0]),
-                    e_y=float(parts[1]),
-                    se_y=float(parts[2]),
-                    e_z=float(parts[3]) if parts[3] else None,
-                    se_z=float(parts[4]) if parts[4] else None,
-                )
-            )
+            n, *texts = line.split(",")
+            values = [None if not text and f.default is None else float(text)
+                      for f, text in zip(_VALUE_FIELDS, texts, strict=True)]
+            rows.append(ErrorRow(int(n), *values))
     return ErrorSeries(rows=tuple(rows), meta=meta), footer

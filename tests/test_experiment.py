@@ -161,7 +161,7 @@ def test_regression_recovers_exact_power_law():
     ns = (50, 100, 200, 400, 800)
     reg = regress_loglog(_series_from(ns, [7.0 * n**-0.5 for n in ns]))
     assert reg.slope == pytest.approx(-0.5, abs=1e-12)
-    assert reg.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert reg.r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_regression_flat_series_has_zero_slope():
@@ -241,3 +241,12 @@ def test_csv_footer_flags_shallow_slopes(tmp_path):
     out = tmp_path / "flat.csv"
     emit_csv(series, {"Y": reg}, out)
     assert "# flag_Y=" in out.read_text()
+
+
+@pytest.mark.parametrize("data", ["8,,0.1,,", "8,1.0,,,", "8,1.0,0.1,", "8,1.0,0.1,,,"],
+                         ids=["no_E_Y", "no_SE_Y", "short", "long"])
+def test_csv_parse_refuses_a_missing_y_error_or_a_ragged_row(tmp_path, data):
+    out = tmp_path / "bad.csv"
+    out.write_text(f"# alpha=1.0\nn,E_Y,SE_Y,E_Z,SE_Z\n{data}\n")
+    with pytest.raises(ValueError):
+        parse_csv(out)

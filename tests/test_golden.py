@@ -1,4 +1,5 @@
-"""Golden bits: run_mc rows and lattice roots recorded as float.hex.
+"""Golden bits: run_mc rows and lattice roots recorded as float.hex, and the
+convergence report's bytes.
 
 A refactor that claims to change no number must leave every value here
 bit for bit; a change to the random-stream contract or to the arithmetic
@@ -11,6 +12,7 @@ import pytest
 
 from rwbsde import experiment
 from rwbsde.benchmarks import make_case
+from rwbsde.cli import main
 from rwbsde.solver import solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
@@ -60,6 +62,20 @@ COUPLE_BLOCK_N = {
          "e87f72fb40056e5b4c785ea9044268467bc4d63d15e8d37872c218763a02f819"),
 }
 
+# sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
+# for a hand-made series whose Y slope is flagged
+REPORT_SHA256 = {
+    "square": "4bd59674b2b125af94e26c07f5185f7a1680b7395cdef745b7ea47d725b62c9c",
+    "sqrt": "4d1765a0d04efadf5529045e5921a66203cf6b157131044fcc0663dee24aa257",
+    "flagged": "88ce23b3fa22bf93d2cd8cfc6f454cb184700401dd9322cca94db34cbb093590",
+}
+# rwbsde convergence's stdout for the square config of _run, its --out masked
+CONVERGENCE_STDOUT = (
+    "slope_Y = -0.5494  (r2 = 0.9939)\n"
+    "slope_Z = -0.5771  (r2 = 0.9594)\n"
+    "theory slope = -0.5000   wrote <out>\n"
+)
+
 
 def _digest(values):
     return hashlib.sha256(" ".join(float(v).hex() for v in np.ravel(values)).encode()).hexdigest()
@@ -73,10 +89,18 @@ def _rows_hex(series):
     ]
 
 
+def _config(case, scheme="explicit"):
+    return experiment.ExperimentConfig(case=case, n_list=(8, 16, 32), M=300,
+                                       seed=2024, scheme=scheme)
+
+
 def _run(case, scheme="explicit"):
-    cfg = experiment.ExperimentConfig(case=case, n_list=(8, 16, 32), M=300,
-                                      seed=2024, scheme=scheme)
-    return _rows_hex(experiment.run_mc(cfg))
+    return _rows_hex(experiment.run_mc(_config(case, scheme)))
+
+
+def _report_sha256(series, regressions, path):
+    experiment.emit_csv(series, regressions, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case,scheme,expected", [
@@ -100,6 +124,30 @@ def test_run_mc_rows_are_golden_across_row_passes(monkeypatch):
     assert _run("square") == SQUARE_EXPLICIT
     monkeypatch.setattr("rwbsde.experiment._BLOCK", 128)
     assert _run("square") == SQUARE_EXPLICIT_BLOCK_128
+
+
+@pytest.mark.parametrize("case", ["square", "sqrt"])
+def test_report_bytes_are_golden(case, tmp_path):
+    # the sqrt case has no Z truth: its Z fields are empty and it has no Z fit
+    series = experiment.run_mc(_config(case))
+    regressions = experiment.fit_slopes(series)
+    assert _report_sha256(series, regressions, tmp_path / "r.csv") == REPORT_SHA256[case]
+
+
+def test_flagged_report_bytes_are_golden(tmp_path):
+    rows = tuple(experiment.ErrorRow(n=n, e_y=e, se_y=0.0, e_z=None, se_z=None)
+                 for n, e in zip((10, 20, 40, 80), (1.0, 0.95, 0.91, 0.88)))
+    series = experiment.ErrorSeries(rows=rows, meta={"alpha": 1.0})
+    regressions = {"Y": experiment.regress_loglog(series)}
+    assert _report_sha256(series, regressions, tmp_path / "r.csv") == REPORT_SHA256["flagged"]
+
+
+def test_convergence_command_output_is_golden(capsys, tmp_path):
+    out = tmp_path / "cli.csv"
+    assert main(["convergence", "--case", "square", "--n", "8,16,32", "--M", "300",
+                 "--seed", "2024", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "<out>") == CONVERGENCE_STDOUT
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256["square"]
 
 
 @pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
