@@ -277,7 +277,11 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
 
     e_y, se_y = _mean_and_se(d2_y)
     e_z, se_z = _mean_and_se(d2_z) if has_z else (None, None)
-    return ErrorRow(n=n, e_y=e_y, se_y=se_y, e_z=e_z, se_z=se_z)
+    row = ErrorRow(n=n, e_y=e_y, se_y=se_y, e_z=e_z, se_z=se_z)
+    # squared errors can overflow where the lattice and the truth do not
+    if not all(math.isfinite(v) for v in (e_y, se_y, e_z, se_z) if v is not None):
+        raise FloatingPointError(f"non-finite Monte Carlo error: {row}")
+    return row
 
 
 def run_mc(config: ExperimentConfig) -> ErrorSeries:

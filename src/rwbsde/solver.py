@@ -232,7 +232,9 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
 
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
     iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction, and
-    check_contraction refuses a problem that breaks it. Keeps the levels
+    check_contraction refuses a problem that breaks it. A level whose input
+    already holds a non-finite node takes its first update as it is, so an
+    overflow is reported as solve_explicit reports it. Keeps the levels
     named in levels, as solve_explicit does.
     """
     check_contraction(problem)
@@ -252,6 +254,10 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
             yk = ynew
             done += 1
             if delta < PICARD_TOL:
+                return yk
+            if not math.isfinite(delta) and not np.all(np.isfinite(base)):
+                # the level above is already non-finite: no iteration mends
+                # that, and _sweep names the level where it began
                 return yk
             if done == PICARD_MAX_ITER and q and math.isfinite(delta):
                 # each update is at most q = h*lip_f < 1 times the last: grant

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from rwbsde import checks, experiment
@@ -105,6 +106,30 @@ def test_convergence_writes_series(tmp_path, capsys):
     assert "n,E_Y,SE_Y,E_Z,SE_Z" in text
     assert "# slope_Y=" in text
     assert "slope_Y" in capsys.readouterr().out
+
+
+def test_convergence_prints_the_slope_flag(monkeypatch, tmp_path, capsys):
+    # the flagged series of test_flagged_report_bytes_are_golden: its Y slope
+    # sits above -alpha/2 + SLOPE_SLACK
+    rows = tuple(experiment.ErrorRow(n=n, e_y=e, se_y=0.0, e_z=None, se_z=None)
+                 for n, e in zip((10, 20, 40, 80), (1.0, 0.95, 0.91, 0.88)))
+    series = experiment.ErrorSeries(rows=rows, meta={"alpha": 1.0})
+    monkeypatch.setattr(experiment, "run_mc", lambda config: series)
+    assert main(["convergence", "--case", "square", "--out", str(tmp_path / "x.csv")]) == 0
+    slope_line = capsys.readouterr().out.splitlines()[0]
+    assert slope_line.startswith("slope_Y = ")
+    assert slope_line.endswith(f"  [flag: above -alpha/2 + {experiment.SLOPE_SLACK}]")
+
+
+def test_convergence_stops_at_a_non_finite_error(tmp_path):
+    # at T = 170 the squared errors overflow although the lattice and the
+    # truth e^{3.5T} are finite; the run stops at n = 50 and writes nothing
+    out = tmp_path / "overflow.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"ErrorRow\(n=50, e_y=inf"):
+            main(["convergence", "--case", "exp", "--T", "170", "--n", "50,100,200",
+                  "--M", "200", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_verify_reports_every_check(monkeypatch, capsys):

@@ -192,6 +192,18 @@ def test_non_finite_root_is_refused():
             solve_explicit(problem)
 
 
+def test_implicit_overflow_is_reported_as_the_explicit_one():
+    # from level 3799 down every base already holds a non-finite node: the
+    # Picard rule hands its update on at once, and _sweep names level 3800
+    problem = make_case("exp", 100.0).problem(3800)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as explicit:
+            solve_explicit(problem)
+        with pytest.raises(FloatingPointError) as implicit:
+            solve_implicit(problem)
+    assert str(implicit.value) == str(explicit.value)
+
+
 def test_failing_sweep_memory_is_linear_in_n():
     # the failure path builds the levels again one at a time to name the
     # bad one; keeping all 3801 levels would peak near 117 MB
