@@ -4,7 +4,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
+
+import numpy as np
 
 from . import benchmarks, checks, exit_time, experiment, solver
 
@@ -40,12 +43,18 @@ def _cmd_solve(args, usage) -> int:
     with usage:  # solve_implicit refuses a broken contraction with a ValueError
         case = benchmarks.make_case(args.case, args.T)
         y0, z0 = solve(case.problem(args.n)).root()
+    exact = {"Y": case.exact.y_fn(0.0, 0.0)}
+    if case.exact.z_fn is not None:
+        exact["Z"] = case.exact.z_fn(0.0, 0.0)
+    # the truth can overflow where the lattice does not (exp case, T > 202.8)
+    if not all(math.isfinite(v) for v in exact.values()):
+        raise FloatingPointError(f"non-finite exact root at T={args.T}: "
+                                 + ", ".join(f"{k}(0,0)={v}" for k, v in exact.items()))
     print(f"case={args.case} n={args.n} T={args.T} scheme={args.scheme}")
     print(f"Y0 = {y0:.12g}")
     print(f"Z0 = {z0:.12g}")
-    print(f"exact Y(0,0) = {case.exact.y_fn(0.0, 0.0):.12g}")
-    if case.exact.z_fn is not None:
-        print(f"exact Z(0,0) = {case.exact.z_fn(0.0, 0.0):.12g}")
+    for name, value in exact.items():
+        print(f"exact {name}(0,0) = {value:.12g}")
     return 0
 
 
@@ -72,10 +81,8 @@ def _cmd_convergence(args, usage) -> int:
 def _cmd_tabulate_exit(args, usage) -> int:
     with usage:
         cdf = exit_time.tabulate(args.h)
-    with open(args.out, "w") as fh:
-        fh.write("t,F\n")
-        for t, f in zip(cdf.grid, cdf.values):
-            fh.write(f"{t:.17g},{f:.17g}\n")
+    np.savetxt(args.out, np.column_stack((cdf.grid, cdf.values)), fmt="%.17g", delimiter=",",
+               header="t,F", comments="")
     print(f"wrote {cdf.grid.size} rows to {args.out}")
     return 0
 

@@ -163,10 +163,18 @@ def tabulate(h: float) -> ExitTimeCdf:
 
     Its 2^15 + 1 nodes span t in [0.0142h, 30.19h] and sit within 7e-16 of
     F; the mass outside them is below 1e-16 at either end. tabulate(h).grid
-    is h * tabulate(1.0).grid bit for bit.
+    is h * tabulate(1.0).grid bit for bit. An h that would scale a node
+    out of the normal doubles (h outside about [1.57e-306, 5.96e306])
+    raises ValueError, so the grid stays strictly increasing and finite.
     """
     _check_h(h)
     nodes, _, values = _quantile_table()
+    # on Python floats, so that an overflow is inf and not a numpy warning;
+    # tiny is the smallest normal double
+    first, last = float(h) * float(nodes[0]), float(h) * float(nodes[-1])
+    if not (first >= np.finfo(float).tiny and last < math.inf):
+        raise ValueError(f"h={h} scales the table's times [{nodes[0]:.5g}h, {nodes[-1]:.5g}h] "
+                         f"out of the normal doubles")
     return ExitTimeCdf(h=h, grid=h * nodes, values=values)
 
 

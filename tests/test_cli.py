@@ -84,6 +84,8 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
     ["solve", "--case", "square", "--n", "1", "--T", "2", "--scheme", "implicit"],
     ["convergence", "--case", "square", "--scheme", "implicit", "--T", "3", "--n", "4,3,2",
      "--out", "unused.csv"],
+    # h * 30.19 overflows: the table's times would be inf
+    ["tabulate-exit", "--h", "1e308", "--out", "unused.csv"],
 ])
 def test_invalid_values_are_usage_errors(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
@@ -92,6 +94,25 @@ def test_invalid_values_are_usage_errors(argv, capsys, monkeypatch, tmp_path):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("rwbsde: error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_n_list_is_named(capsys, monkeypatch, tmp_path):
+    # argparse's own message would name the parser function, not the list
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--case", "square", "--n", "5a,10", "--out", "unused.csv"])
+    assert exc.value.code == 2
+    assert "argument --n: bad n list '5a,10'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_stops_at_a_non_finite_exact_value(capsys):
+    # the lattice root is finite at n = 2, but the truth e^{3.5T} overflows
+    # past T = 202.8: nothing is printed
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match=r"Y\(0,0\)=inf, Z\(0,0\)=inf"):
+            main(["solve", "--case", "exp", "--T", "205", "--n", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_convergence_writes_series(tmp_path, capsys):

@@ -101,6 +101,11 @@ def test_inversion_instability_is_reported():
         cdf_laplace_inversion(0.5, 1.0, degree=128)
 
 
+def test_inversion_refuses_a_degree_below_two():
+    with pytest.raises(ValueError, match="degree >= 2"):
+        cdf_laplace_inversion(0.5, 1.0, degree=1)
+
+
 def test_tabulate_default_invariants():
     cdf = tabulate(1.0)
     assert cdf.values[0] <= 1e-16
@@ -125,6 +130,16 @@ def test_tabulate_rejects_bad_windows():
             tabulate(h)
         with pytest.raises(ValueError):
             tabulated_moment(h)
+    # the times h * [0.0142, 30.19] would overflow, or leave the normal doubles
+    # and stop increasing
+    for h in (1e308, 1e-320):
+        with pytest.raises(ValueError, match="normal doubles"):
+            tabulate(h)
+    for h in (1.6e-306, 5.9e306):
+        assert np.all(np.diff(tabulate(h).grid) > 0)
+    for p in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="p > 0"):
+            tabulated_moment(1.0, p)
 
 
 _MOMENT_HS = (1.0, 0.7, 0.4, 0.25, 0.01, 0.002, 1.0 / 800)

@@ -208,6 +208,10 @@ def test_csv_round_trip(tmp_path):
     assert "slope_Y" in footer
     assert footer["slope_Y"] == pytest.approx(regs["Y"].slope, abs=0)
     assert "theory_slope" in footer
+    # a blank line reads as nothing
+    out.write_text(out.read_text().replace("\n", "\n\n"))
+    reread, reread_footer = parse_csv(out)
+    assert (reread.rows, reread.meta, reread_footer) == (series.rows, series.meta, footer)
 
 
 def test_csv_absent_z_fields_are_empty(tmp_path):

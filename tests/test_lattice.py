@@ -64,6 +64,8 @@ def test_enumeration_yields_each_sequence_once():
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
         sign_matrix(ENUMERATION_CAP + 1)
+    with pytest.raises(ValueError, match="m >= 0"):
+        sign_matrix(-1)
 
 
 def test_recombination_level_values():

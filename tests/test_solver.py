@@ -397,6 +397,15 @@ def test_representation_refuses_a_dropped_level():
         z_by_representation(sol, 1, 0)
 
 
+def test_representation_refuses_a_node_off_the_lattice():
+    n = 6
+    sol = solve_explicit(BsdeProblem(T=1.0, n=n, g=np.abs, f=zero_driver), levels=range(n + 1))
+    with pytest.raises(IndexError, match="level k=6"):
+        z_by_representation(sol, n, 0)
+    with pytest.raises(IndexError, match="node i=3"):
+        z_by_representation(sol, 2, 3)
+
+
 def test_representation_cap():
     problem = BsdeProblem(T=1.0, n=25, g=np.abs, f=zero_driver)
     sol = solve_explicit(problem)
