@@ -115,8 +115,8 @@ def make_case(name: str, T: float) -> BenchmarkCase:
             tau = time_to_go(t)
             if tau == 0.0:
                 return np.sqrt(np.abs(b))
-            sig = math.sqrt(tau)
-            return math.exp(tau) * math.sqrt(sig) * sqrt_abs_moment((b + tau) / sig)
+            sig = np.sqrt(tau)
+            return np.exp(tau) * np.sqrt(sig) * sqrt_abs_moment((b + tau) / sig)
 
         return BenchmarkCase(name, T, lambda x: np.sqrt(np.abs(x)), f,
                              ExactSolution(y_fn, z_fn=None), alpha=0.5)

@@ -25,6 +25,9 @@ sup_u |F(Q(u)) - u| <= 1e-7 (8.9e-8 measured). tabulated_moment integrates
 the same nodes: E sigma^p = h^p * integral Q(u)^p du, taken over the logit
 grid. tabulate(h) hands out the table as a forward table, times h * q_i
 against F = sigmoid(x_i), for the tabulate-exit command.
+
+laplace_transform, cdf_series, cdf_laplace_inversion and sample_sigma take
+any array-like input and give a numpy float64 for a 0-d one.
 """
 from __future__ import annotations
 

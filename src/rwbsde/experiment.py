@@ -1,26 +1,18 @@
 """Monte Carlo convergence harness.
 
-For each step count n the lattice is solved once; then M independent
-replications each draw a sign path and an exit-time ladder, couple them,
-read (Y^n, Z^n) along the path at the evaluation level, recover the true
-Brownian value there by a bridge draw and accumulate squared differences
-against the exact solution. fit_slopes regresses the per-n L2 errors
-log-log against n, for `rwbsde convergence` and criteria 7-9 alike.
+For each step count n the lattice is solved once; then the M replications
+run in blocks of _BLOCK rows through four stages:
 
-The replications run in blocks of _BLOCK rows through four stages. The
-first two are couple_block, the one coupling draw that run_mc, acceptance
-criterion 4 and the coupling tests all run: draw (signs, uniforms,
-normals) and embed (int32 walks, exit-time ladders and the bridge draw at
-t_k); the layout of a coupled path is written there alone. A block holds
-its int8 sign bits and per-row answers only. Everything else runs in row
-passes of about _PASS values, the one loop on this path that sizes work
-to the cache: a pass draws and inverts its uniforms, sums them and its
-signs into pass-sized ladders and walks, keeps the two ladder ends around
-t_k that ladder_ends finds and copies out the columns its caller reads
-(run_mc reads level k alone). The bridge then draws from those ends.
-Then evaluate (lattice values at each row's level-k node, exact values at
-the bridged point) and accumulate (each row's squared errors, stored in
-place and summed once by math.fsum).
+* draw and embed: couple_block, the one coupling draw, which acceptance
+  criterion 4 and the coupling tests run too, gives each row's walk sum at
+  the evaluation level k and the Brownian value bridged at t_k;
+* evaluate: (Y^n, Z^n) at each row's level-k node (evaluate_walks) and
+  the exact solution at the bridged value;
+* accumulate: each row's squared errors, stored in place and summed once
+  by math.fsum.
+
+fit_slopes regresses the per-n L2 errors log-log against n, for
+`rwbsde convergence` and criteria 7-9 alike.
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
@@ -210,7 +202,9 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     ladders tau_m there (tau_0 = 0 < tau_1 < ... < tau_n at time scale
     problem.h); and b_t, the Brownian value at time t bridged between the
     two skeleton points (tau_j, sqrt(h) * S_j) that bracket t. With
-    columns=range(n + 1) walks and taus are the whole paths.
+    columns=range(n + 1) walks and taus are the whole paths. A block of
+    4096 rows thus holds ~5 MiB at n = 800 and ~41 MiB at n = 10^4, nearly
+    all of it sign bits.
     """
     n = problem.n
     columns = np.asarray(columns, np.intp)
@@ -285,7 +279,12 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
 
 
 def run_mc(config: ExperimentConfig) -> ErrorSeries:
-    """Run the paired (walk, tau, bridge) protocol over config.n_list."""
+    """Run the paired (walk, tau, bridge) protocol over config.n_list.
+
+    Raises FloatingPointError at the first n whose error or standard error
+    is not finite, before the next n is solved: the squared errors can
+    overflow where the lattice and the truth do not.
+    """
     case = make_case(config.case, config.T)
     children = np.random.SeedSequence(config.seed).spawn(len(config.n_list))
     rows = tuple(
@@ -338,6 +337,14 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
+def _refuse_non_finite(row: ErrorRow) -> None:
+    """Raise ValueError when a value of row is not finite: no CSV holds one."""
+    for f in _VALUE_FIELDS:
+        value = getattr(row, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"row n={row.n} has non-finite {f.name}={value}")
+
+
 def emit_csv(series: ErrorSeries, regressions: dict, path) -> None:
     """Write the error table with the config echo and regression footer.
 
@@ -349,10 +356,7 @@ def emit_csv(series: ErrorSeries, regressions: dict, path) -> None:
     Raises before the file is opened when a row holds a non-finite value.
     """
     for row in series.rows:
-        for f in _VALUE_FIELDS:
-            value = getattr(row, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"row n={row.n} has non-finite {f.name}={value}")
+        _refuse_non_finite(row)
     lines = []
     for key in sorted(series.meta):
         lines.append(f"# {key}={series.meta[key]}")
@@ -386,7 +390,8 @@ def parse_csv(path) -> tuple:
 
     Floats round-trip exactly (17 significant digits); comment keys seen
     before the data header populate meta, those after populate the footer.
-    An empty data field reads as None where ErrorRow's default is None.
+    An empty data field reads as None where ErrorRow's default is None; a
+    non-finite value raises ValueError, as emit_csv refuses to write one.
     """
     meta, footer, rows = {}, {}, []
     seen_header = False
@@ -407,4 +412,5 @@ def parse_csv(path) -> tuple:
             values = [None if not text and f.default is None else float(text)
                       for f, text in zip(_VALUE_FIELDS, texts, strict=True)]
             rows.append(ErrorRow(int(n), *values))
+            _refuse_non_finite(rows[-1])
     return ErrorSeries(rows=tuple(rows), meta=meta), footer

@@ -207,7 +207,10 @@ def solve_explicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
 
     Per node y[k][i] = (Y+ + Y-)/2 + h*(f(t_{k+1}, x, Y+, z) + f(t_{k+1}, x, Y-, z))/2,
     the two-point conditional expectation over the next sign. Keeps the
-    levels named in levels (the root by default; range(n + 1) keeps all).
+    levels named in levels (the root by default; range(n + 1) keeps all)
+    and holds two levels at a time besides, so memory is O(n) plus the kept
+    levels. A root that is not finite raises FloatingPointError naming the
+    highest level with non-finite nodes.
     """
     f, h = problem.f, problem.h
 
@@ -232,10 +235,17 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
 
     Per node solves y = (Y+ + Y-)/2 + h*f(t_{k+1}, x, y, z) by Picard
     iteration from y = (Y+ + Y-)/2; h*lip_f < 1 guarantees contraction, and
-    check_contraction refuses a problem that breaks it. A level whose input
-    already holds a non-finite node takes its first update as it is, so an
-    overflow is reported as solve_explicit reports it. Keeps the levels
-    named in levels, as solve_explicit does.
+    check_contraction refuses a problem that breaks it. The iteration at a
+    level stops at a sup-norm update below PICARD_TOL, which an update with
+    a NaN node never is, and gets PICARD_MAX_ITER iterations; when lip_f is
+    known, so that each update is at most q = h*lip_f times the last, a
+    level still above PICARD_TOL then gets as many more as that bound needs
+    to reach it, plus one (n = 4, T = 3, q = 0.75 on the square case: 449
+    generator calls in all). A level that runs out raises
+    PicardConvergenceError, as does an update that turns non-finite from
+    finite input. A level whose input already holds a non-finite node takes
+    its first update as it is, so an overflow is reported as solve_explicit
+    reports it. Keeps the levels named in levels, as solve_explicit does.
     """
     check_contraction(problem)
     f, h = problem.f, problem.h

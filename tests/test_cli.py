@@ -107,11 +107,13 @@ def test_bad_n_list_is_named(capsys, monkeypatch, tmp_path):
 
 
 def test_solve_stops_at_a_non_finite_exact_value(capsys):
-    # the lattice root is finite at n = 2, but the truth e^{3.5T} overflows
-    # past T = 202.8: nothing is printed
+    # the lattice root is finite at n = 2, but the truth overflows past
+    # T = 202.8 (exp, e^{3.5T}) and T = 709.78 (sqrt, e^T): nothing is printed
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match=r"Y\(0,0\)=inf, Z\(0,0\)=inf"):
             main(["solve", "--case", "exp", "--T", "205", "--n", "2"])
+        with pytest.raises(FloatingPointError, match=r"Y\(0,0\)=inf$"):
+            main(["solve", "--case", "sqrt", "--T", "710", "--n", "2"])
     assert capsys.readouterr().out == ""
 
 

@@ -1,22 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from walks import walk_sums
+from helpers import skeleton, traced_peak, walk_sums, zero_driver_problem
 
 from rwbsde.benchmarks import make_case
 from rwbsde.experiment import bridge_sample_batch, couple_block, ladder_ends
-from rwbsde.solver import BsdeProblem
-
-
-def _skeleton(signs, h):
-    """(1, n+1) Brownian skeleton sqrt(h)*S of one sign row."""
-    return math.sqrt(h) * walk_sums(np.array([signs]))
-
-
-def _problem(T, n):
-    return BsdeProblem(T=T, n=n, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
 
 
 def _coupled(rng, problem, rows):
@@ -38,16 +27,16 @@ def _bridge(taus, walks, h, t, z):
 
 def test_couple_two_steps():
     h = 0.49
-    skeleton = _skeleton([1, -1], h)[0]
-    assert skeleton[0] == 0.0
-    assert skeleton[1] == math.sqrt(h)
-    assert skeleton[2] == 0.0
+    path = skeleton([1, -1], h)[0]
+    assert path[0] == 0.0
+    assert path[1] == math.sqrt(h)
+    assert path[2] == 0.0
 
 
 def test_skeleton_is_bitwise_walk_values():
     # the skeleton sits bit for bit on the lattice node each walk reaches
     rng = np.random.default_rng(1)
-    problem = _problem(1.0, 64)
+    problem = zero_driver_problem(1.0, 64)
     walks, _, skels = _coupled(rng, problem, 25)
     for k in range(65):
         node = (k + walks[:, k]) // 2
@@ -58,7 +47,7 @@ def test_increments_are_exactly_sqrt_h():
     # B_tau_k - B_tau_{k-1} = sqrt(h)*(S_k - S_{k-1}) with |S_k - S_{k-1}| = 1
     # exactly, and each skeleton value is a single sqrt(h)*S_k product
     rng = np.random.default_rng(2)
-    problem = _problem(0.37 * 30, 30)
+    problem = zero_driver_problem(0.37 * 30, 30)
     walks, taus, skels = _coupled(rng, problem, 100)
     assert np.all(walks[:, 0] == 0)
     assert np.all(np.abs(np.diff(walks, axis=1)) == 1)
@@ -69,23 +58,23 @@ def test_increments_are_exactly_sqrt_h():
 def test_couple_rejects_mismatch():
     taus = np.array([[0.0, 0.1, 0.5]])
     with pytest.raises(ValueError, match="length"):
-        bridge_sample_batch(taus, _skeleton([1, 1, -1], 0.5), 0.3, np.zeros(1))
+        bridge_sample_batch(taus, skeleton([1, 1, -1], 0.5), 0.3, np.zeros(1))
     with pytest.raises(ValueError, match="length"):
-        bridge_sample_batch(taus, _skeleton([1, 1], 0.5), 0.3, np.zeros(2))
+        bridge_sample_batch(taus, skeleton([1, 1], 0.5), 0.3, np.zeros(2))
     # whole ladders of matching shapes are not the (R, 2) ends the bridge takes
     with pytest.raises(ValueError, match="length"):
-        bridge_sample_batch(taus, _skeleton([1, 1], 0.5), 0.3, np.zeros(1))
+        bridge_sample_batch(taus, skeleton([1, 1], 0.5), 0.3, np.zeros(1))
     with pytest.raises(ValueError, match="length"):
-        bridge_sample_batch(taus[:, :2], _skeleton([1], 0.5), 0.3, np.zeros(2))
+        bridge_sample_batch(taus[:, :2], skeleton([1], 0.5), 0.3, np.zeros(2))
     # a left end after t brackets nothing
     with pytest.raises(ValueError, match="left end"):
-        bridge_sample_batch(taus[:, 1:], _skeleton([1], 0.5), 0.05, np.zeros(1))
+        bridge_sample_batch(taus[:, 1:], skeleton([1], 0.5), 0.05, np.zeros(1))
 
 
 def test_skeleton_increment_variance():
     # E (B_tau_m - B_tau_k)^2 = t_m - t_k over sampled sign paths
     rng = np.random.default_rng(3)
-    problem = _problem(1.0, 100)
+    problem = zero_driver_problem(1.0, 100)
     paths, k, m = 10_000, 25, 75
     _, _, skels = _coupled(rng, problem, paths)
     seg = skels[:, m] - skels[:, k]
@@ -98,20 +87,20 @@ def test_bridge_exact_at_embedding_times():
     h = 0.3
     taus = [0.0, 0.2, 0.5, 0.8, 1.3]
     walks = walk_sums([[1, 1, -1, 1]])
-    skeleton = _skeleton([1, 1, -1, 1], h)
+    path = skeleton([1, 1, -1, 1], h)
     for j, t in enumerate(taus):
         a = _bridge(taus, walks, h, t, np.random.default_rng(0).standard_normal())
         b = _bridge(taus, walks, h, t, np.random.default_rng(99).standard_normal())
-        assert a[0] == b[0] == skeleton[0, j]
+        assert a[0] == b[0] == path[0, j]
 
 
 def test_bridge_midpoint_moments():
     h = 1.0
-    skeleton = _skeleton([1, -1], h)
+    path = skeleton([1, -1], h)
     t = 2.0  # midpoint of (tau_1, tau_2)
     rng = np.random.default_rng(8)
     draws = _bridge([0.0, 1.0, 3.0], walk_sums([[1, -1]]), h, t, rng.standard_normal(100_000))
-    mean_expected = 0.5 * (skeleton[0, 1] + skeleton[0, 2])
+    mean_expected = 0.5 * (path[0, 1] + path[0, 2])
     var_expected = (3.0 - 1.0) / 4.0
     se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - mean_expected) <= 4 * se_mean
@@ -122,11 +111,11 @@ def test_bridge_midpoint_moments():
 
 def test_bridge_beyond_last_exit_uses_free_increment():
     h = 0.5
-    skeleton = _skeleton([1, 1], h)
+    path = skeleton([1, 1], h)
     t = 1.5
     z = np.random.default_rng(314).standard_normal()
     draw = _bridge([0.0, 0.4, 0.9], walk_sums([[1, 1]]), h, t, z)[0]
-    assert draw == skeleton[0, -1] + math.sqrt(t - 0.9) * z
+    assert draw == path[0, -1] + math.sqrt(t - 0.9) * z
 
 
 def test_bridge_ignores_far_skeleton():
@@ -146,7 +135,7 @@ def test_ladder_ends_bracket_matches_searchsorted(n):
     # walks that hold their own column index show the bracket j itself
     rng = np.random.default_rng(11)
     rows = 200
-    _, taus, _ = _coupled(rng, _problem(1.0, n), rows)
+    _, taus, _ = _coupled(rng, zero_driver_problem(1.0, n), rows)
     columns = np.broadcast_to(np.arange(n + 1), taus.shape)
     on_tau = (taus[0, min(5, n)], taus[3, n])             # t on a tau, and on tau_n
     before_first = 0.5 * taus[:, 1].min()                 # t < tau_1 in every row
@@ -179,12 +168,8 @@ def _block_peak(n, rows):
     """tracemalloc peak in MiB of one run_mc-style block: square case, level n // 2 kept."""
     problem = make_case("square", 1.0).problem(n)
     couple_block(np.random.default_rng(0), 8, problem, 0.5, (n // 2,))  # builds the quantile table
-    tracemalloc.start()
-    try:
-        couple_block(np.random.default_rng(1), rows, problem, 0.5, (n // 2,))
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: couple_block(np.random.default_rng(1), rows, problem, 0.5,
+                                            (n // 2,))) / 2**20
 
 
 def test_couple_block_memory_is_bounded():
@@ -203,7 +188,7 @@ def test_couple_block_memory_at_large_n():
 
 
 def test_couple_block_refuses_columns_off_the_path():
-    problem = _problem(1.0, 8)
+    problem = zero_driver_problem(1.0, 8)
     for columns in ((9,), (-1,), 4, ((1, 2),)):
         with pytest.raises(IndexError, match="columns"):
             couple_block(np.random.default_rng(0), 4, problem, 0.5, columns)
@@ -220,7 +205,7 @@ def test_batch_bridge_matches_scalar_bridge():
     # per-row closed form: the searchsorted interval, the bridge mean and variance
     rng = np.random.default_rng(21)
     n, rows = 25, 64
-    problem = _problem(1.0, n)
+    problem = zero_driver_problem(1.0, n)
     walks, taus, skels = _coupled(rng, problem, rows)
     t = 0.5
     z = rng.standard_normal(rows)
@@ -244,7 +229,7 @@ def test_batch_bridge_matches_scalar_bridge():
 def test_coupling_discrepancy_trend():
     # E |B_tau_k - B_t_k|^2 / sqrt(t_k h) stays bounded across k
     rng = np.random.default_rng(17)
-    problem = _problem(1.0, 100)
+    problem = zero_driver_problem(1.0, 100)
     n, h, paths = problem.n, problem.h, 10_000
     for k in (n // 4, n // 2, n):
         t_k = k * h

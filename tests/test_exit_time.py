@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import open_uniforms
 from scipy.optimize import brentq
 
 import rwbsde
@@ -13,6 +14,7 @@ from rwbsde.exit_time import (
     LaplaceInversionError,
     _logit_grid,
     _quantile_table,
+    _scaled_law,
     cdf_laplace_inversion,
     cdf_series,
     laplace_transform,
@@ -186,6 +188,18 @@ def test_sample_sigma_round_trips_grid_points():
     assert np.array_equal(cdf.grid, nodes) and np.array_equal(cdf.values, u_all)
 
 
+def test_quantile_table_refuses_a_newton_run_that_does_not_converge(monkeypatch):
+    # a density ten times too large cuts every Newton step to a tenth;
+    # __wrapped__ builds a table apart from the cached one
+    def too_dense(s):
+        cdf, surv, dens = _scaled_law(s)
+        return cdf, surv, 10.0 * dens
+
+    monkeypatch.setattr("rwbsde.exit_time._scaled_law", too_dense)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _quantile_table.__wrapped__()
+
+
 def _run_fresh(code):
     """Run code in a fresh interpreter that imports this checkout's rwbsde."""
     src = os.path.dirname(os.path.dirname(rwbsde.__file__))
@@ -224,8 +238,7 @@ def test_sample_sigma_inverts_the_series_cdf(h):
 
 
 def test_one_table_serves_every_h():
-    u = np.random.default_rng(8).random(10_000)
-    u[u == 0.0] = 2.0**-53
+    u = open_uniforms(np.random.default_rng(8), 10_000)
     ref = sample_sigma(tabulate(1.0), u)
     for h in (0.5, 0.01, 1.0 / 800):
         assert np.array_equal(sample_sigma(tabulate(h), u), h * ref)
@@ -265,8 +278,7 @@ def test_sample_sigma_bits_are_pinned(h):
 
 
 def test_sample_sigma_keeps_the_shape_of_its_input():
-    u = np.random.default_rng(9).random((3, 20_000))
-    u[u == 0.0] = 2.0**-53
+    u = open_uniforms(np.random.default_rng(9), (3, 20_000))
     cdf = tabulate(0.01)
     flat = sample_sigma(cdf, u.ravel()).reshape(u.shape)
     assert np.array_equal(sample_sigma(cdf, u), flat)
@@ -301,18 +313,14 @@ def test_sample_sigma_is_monotone():
 def test_sample_mean_near_h():
     h = 0.25
     cdf = tabulate(h)
-    rng = np.random.default_rng(42)
-    u = rng.random(100_000)
-    u[u == 0.0] = 2.0**-53
+    u = open_uniforms(np.random.default_rng(42), 100_000)
     draws = sample_sigma(cdf, u)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - h) <= 3 * se
 
 
 def _ladders(cdf, n, rows, rng):
-    u = rng.random((rows, n))
-    u[u == 0.0] = 2.0**-53
-    return np.cumsum(sample_sigma(cdf, u), axis=1)
+    return np.cumsum(sample_sigma(cdf, open_uniforms(rng, (rows, n))), axis=1)
 
 
 def test_tau_sequence_shape_and_growth():
@@ -328,9 +336,7 @@ def test_tau_terminal_mean():
     # E tau_n = n*h, checked over many replications
     h, n, reps = 0.01, 100, 10_000
     cdf = tabulate(h)
-    rng = np.random.default_rng(123)
-    u = rng.random((reps, n))
-    u[u == 0.0] = 2.0**-53
+    u = open_uniforms(np.random.default_rng(123), (reps, n))
     sig = np.asarray(sample_sigma(cdf, u.ravel())).reshape(reps, n)
     tau_n = sig.sum(axis=1)
     se = tau_n.std(ddof=1) / math.sqrt(reps)
@@ -340,9 +346,7 @@ def test_tau_terminal_mean():
 def test_tau_increment_variance_matches_table_moment():
     h, reps = 0.5, 40_000
     cdf = tabulate(h)
-    rng = np.random.default_rng(5)
-    u = rng.random(reps)
-    u[u == 0.0] = 2.0**-53
+    u = open_uniforms(np.random.default_rng(5), reps)
     sig = np.asarray(sample_sigma(cdf, u))
     table_var = tabulated_moment(h, 2.0) - tabulated_moment(h, 1.0) ** 2
     sq = (sig - sig.mean()) ** 2

@@ -247,8 +247,8 @@ def test_csv_footer_flags_shallow_slopes(tmp_path):
     assert "# flag_Y=" in out.read_text()
 
 
-@pytest.mark.parametrize("data", ["8,,0.1,,", "8,1.0,,,", "8,1.0,0.1,", "8,1.0,0.1,,,"],
-                         ids=["no_E_Y", "no_SE_Y", "short", "long"])
+@pytest.mark.parametrize("data", ["8,,0.1,,", "8,1.0,,,", "8,1.0,0.1,", "8,1.0,0.1,,,", "8,1.0,inf,,"],
+                         ids=["no_E_Y", "no_SE_Y", "short", "long", "inf_SE_Y"])
 def test_csv_parse_refuses_a_missing_y_error_or_a_ragged_row(tmp_path, data):
     out = tmp_path / "bad.csv"
     out.write_text(f"# alpha=1.0\nn,E_Y,SE_Y,E_Z,SE_Z\n{data}\n")

@@ -2,45 +2,35 @@ import math
 
 import numpy as np
 import pytest
-from walks import walk_sums
+from helpers import skeleton, walk_sums, zero_driver_problem
 
-from rwbsde.solver import ENUMERATION_CAP, BsdeProblem, sign_matrix
-
-
-def _problem(n, T):
-    """A problem on n steps of size T/n; only its grid is read here."""
-    return BsdeProblem(T=T, n=n, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
-
-
-def _walk(signs, h):
-    """Walk positions sqrt(h)*S_k of one sign row, k = 0..n."""
-    return math.sqrt(h) * walk_sums(np.array([signs]))[0]
+from rwbsde.solver import ENUMERATION_CAP, sign_matrix
 
 
 def test_walk_single_up_step():
-    assert _walk([1], 1.0).tolist() == [0.0, 1.0]
+    assert skeleton([1], 1.0)[0].tolist() == [0.0, 1.0]
 
 
 def test_walk_up_down_recombines():
-    vals = _walk([1, -1], 0.5)
+    vals = skeleton([1, -1], 0.5)[0]
     assert vals[0] == 0.0
     assert vals[1] == math.sqrt(0.5)
     assert vals[2] == 0.0
 
 
 def test_walk_all_up_endpoint():
-    assert _walk([1, 1, 1, 1], 0.25)[-1] == 4 * 0.5
+    assert skeleton([1, 1, 1, 1], 0.25)[0, -1] == 4 * 0.5
 
 
 def test_node_coordinate_examples():
-    problem = _problem(n=2, T=2.0)
+    problem = zero_driver_problem(2.0, 2)
     assert problem.level_coordinates(2)[1] == 0.0
     assert problem.level_coordinates(2)[2] == 2.0
-    assert _problem(n=4, T=1.0).level_coordinates(3)[0] == -1.5
+    assert zero_driver_problem(1.0, 4).level_coordinates(3)[0] == -1.5
 
 
 def test_node_coordinate_rejects_out_of_range():
-    problem = _problem(n=3, T=3.0)
+    problem = zero_driver_problem(3.0, 3)
     with pytest.raises(IndexError):
         problem.level_coordinates(4)
     with pytest.raises(IndexError):
@@ -71,7 +61,7 @@ def test_enumeration_cap_enforced():
 def test_recombination_level_values():
     # walk value after k steps depends only on (#up - #down): k+1 distinct values
     n, h = 8, 0.125
-    problem = _problem(n=n, T=n * h)
+    problem = zero_driver_problem(n * h, n)
     walks = math.sqrt(h) * walk_sums(sign_matrix(n))
     for k in (3, 5, 8):
         endpoints = set(walks[:, k].tolist())
@@ -80,7 +70,7 @@ def test_recombination_level_values():
 
 
 def test_node_parity_matches_level():
-    problem = _problem(n=7, T=7.0)
+    problem = zero_driver_problem(7.0, 7)
     for k in range(problem.n + 1):
         coords = problem.level_coordinates(k) / problem.sqrt_h
         assert np.all((np.rint(coords).astype(int) - k) % 2 == 0)
@@ -88,7 +78,7 @@ def test_node_parity_matches_level():
 
 @pytest.mark.parametrize("n", [1, 4, 9, 12])
 def test_endpoint_variance_equals_horizon_exactly(n):
-    h = _problem(n=n, T=1.7).h
+    h = zero_driver_problem(1.7, n).h
     ends = sign_matrix(n).sum(axis=1, dtype=np.int64)
     # mean of S^2 over all 2^n sign rows is exactly n (integer arithmetic)
     mean_sq = float((ends * ends).sum()) / 2**n

@@ -1,10 +1,9 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from walks import walk_sums
+from helpers import traced_peak, walk_sums, zero_driver_problem
 
 from rwbsde.benchmarks import make_case
 from rwbsde.solver import (
@@ -18,16 +17,12 @@ from rwbsde.solver import (
 )
 
 
-def zero_driver(t, x, y, z):
-    return 0.0 * y
-
-
 def linear_driver(t, x, y, z):
     return y + z
 
 
 def test_single_step_identity_terminal():
-    problem = BsdeProblem(T=1.0, n=1, g=lambda x: x, f=zero_driver)
+    problem = zero_driver_problem(1.0, 1, lambda x: x)
     sol = solve_explicit(problem)
     assert sol.y[0][0] == 0.0
     assert sol.z[0][0] == 1.0
@@ -36,7 +31,7 @@ def test_single_step_identity_terminal():
 @pytest.mark.parametrize("n,T", [(1, 1.0), (13, 0.8), (60, 2.0)])
 def test_quadratic_terminal_root_value(n, T):
     # E (B^n_T)^2 = n*h = T for f == 0
-    problem = BsdeProblem(T=T, n=n, g=lambda x: x * x, f=zero_driver)
+    problem = zero_driver_problem(T, n, lambda x: x * x)
     sol = solve_explicit(problem)
     assert sol.y[0][0] == pytest.approx(T, abs=1e-12)
 
@@ -73,7 +68,7 @@ def test_martingale_average_for_zero_driver():
     for n in (5, 9, 12):
         coeff = rng.normal(size=4)
         g = lambda x, c=coeff: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3
-        problem = BsdeProblem(T=1.2, n=n, g=g, f=zero_driver)
+        problem = zero_driver_problem(1.2, n, g)
         sol = solve_explicit(problem, levels=range(n + 1))
         # every interior node is the plain two-point average
         for k in range(n):
@@ -85,7 +80,7 @@ def test_martingale_average_for_zero_driver():
 def test_zero_driver_solution_is_linear_in_g():
     rng = np.random.default_rng(11)
     n = 10
-    xs = BsdeProblem(T=1.0, n=n, g=np.abs, f=zero_driver).level_coordinates(n)
+    xs = zero_driver_problem(1.0, n).level_coordinates(n)
     v1, v2 = rng.normal(size=xs.size), rng.normal(size=xs.size)
     a, b = -1.7, 0.4
 
@@ -93,10 +88,9 @@ def test_zero_driver_solution_is_linear_in_g():
         return lambda x: np.interp(x, xs, vals)
 
     every = range(n + 1)
-    s1 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(v1), f=zero_driver), every)
-    s2 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(v2), f=zero_driver), every)
-    s12 = solve_explicit(BsdeProblem(T=1.0, n=n, g=tabulated(a * v1 + b * v2), f=zero_driver),
-                         every)
+    s1 = solve_explicit(zero_driver_problem(1.0, n, tabulated(v1)), every)
+    s2 = solve_explicit(zero_driver_problem(1.0, n, tabulated(v2)), every)
+    s12 = solve_explicit(zero_driver_problem(1.0, n, tabulated(a * v1 + b * v2)), every)
     for k in range(n + 1):
         assert np.allclose(s12.y[k], a * s1.y[k] + b * s2.y[k], rtol=0, atol=1e-12)
     for k in range(n):
@@ -119,7 +113,7 @@ def test_changing_g_outside_cone_changes_nothing():
 
 
 def test_implicit_equals_explicit_for_zero_driver():
-    problem = BsdeProblem(T=1.0, n=20, g=lambda x: x**2 - x, f=zero_driver)
+    problem = zero_driver_problem(1.0, 20, lambda x: x**2 - x)
     exp_sol = solve_explicit(problem, levels=range(21))
     imp_sol = solve_implicit(problem, levels=range(21))
     for k in range(21):
@@ -209,15 +203,13 @@ def test_failing_sweep_memory_is_linear_in_n():
     # bad one; keeping all 3801 levels would peak near 117 MB
     case = make_case("exp", 100.0)
     problem = case.problem(3800)
-    tracemalloc.start()
-    try:
+
+    def failing_solve():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="level 3800"):
                 solve_explicit(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 << 20
+
+    assert traced_peak(failing_solve) <= 2 << 20
 
 
 def test_interior_failure_names_its_level():
@@ -230,13 +222,13 @@ def test_interior_failure_names_its_level():
 
 
 def test_problem_owns_the_step_grid():
-    problem = BsdeProblem(T=0.7, n=9, g=np.abs, f=zero_driver)
+    problem = zero_driver_problem(0.7, 9)
     assert problem.h == 0.7 / 9
     assert problem.sqrt_h == math.sqrt(0.7 / 9)
     assert np.array_equal(problem.level_coordinates(3), np.array([-3, -1, 1, 3]) * problem.sqrt_h)
     assert solve_explicit(problem).problem is problem
     for n in (1, 2, 7, 8, 64):
-        problem = BsdeProblem(T=0.7, n=n, g=np.abs, f=zero_driver)
+        problem = zero_driver_problem(0.7, n)
         for k in range(n + 1):
             x = problem.level_coordinates(k)
             expected = (2 * np.arange(k + 1) - k) * problem.sqrt_h
@@ -246,39 +238,39 @@ def test_problem_owns_the_step_grid():
                 x[0] = 1.0
             assert np.shares_memory(x, problem.level_coordinates(k))
     # a g that returns its input keeps level n read-only, never a writable alias
-    sol = solve_explicit(BsdeProblem(T=0.7, n=9, g=lambda x: x, f=zero_driver), levels=(9,))
+    sol = solve_explicit(zero_driver_problem(0.7, 9, lambda x: x), levels=(9,))
     assert not sol.y[9].flags.writeable
 
 
 def test_terminal_level_shape_is_checked():
-    problem = BsdeProblem(T=1.0, n=4, g=lambda x: x[:-1], f=zero_driver)
+    problem = zero_driver_problem(1.0, 4, lambda x: x[:-1])
     with pytest.raises(ValueError, match="level array"):
         solve_explicit(problem)
 
 
 def test_scalar_terminal_value_is_broadcast():
     # a constant g may return a scalar; the terminal level repeats it
-    sol = solve_explicit(BsdeProblem(T=1.0, n=5, g=lambda x: 2.0, f=zero_driver))
+    sol = solve_explicit(zero_driver_problem(1.0, 5, lambda x: 2.0))
     assert sol.root() == (2.0, 0.0)
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        BsdeProblem(T=0.0, n=4, g=np.abs, f=zero_driver)
+        zero_driver_problem(0.0, 4)
     with pytest.raises(ValueError):
-        BsdeProblem(T=math.inf, n=4, g=np.abs, f=zero_driver)
+        zero_driver_problem(math.inf, 4)
     with pytest.raises(ValueError):
-        BsdeProblem(T=1.0, n=0, g=np.abs, f=zero_driver)
+        zero_driver_problem(1.0, 0)
     with pytest.raises(TypeError):
-        BsdeProblem(T=1.0, n=2.5, g=np.abs, f=zero_driver)
-    assert BsdeProblem(T=1.0, n=np.int64(4), g=np.abs, f=zero_driver).h == 0.25
+        zero_driver_problem(1.0, 2.5)
+    assert zero_driver_problem(1.0, np.int64(4)).h == 0.25
     with pytest.raises(ValueError):
-        BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=0.0)
+        zero_driver_problem(1.0, 4, alpha=0.0)
     with pytest.raises(ValueError):
-        BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, alpha=1.2)
+        zero_driver_problem(1.0, 4, alpha=1.2)
     for lip_f in (-1.0, math.nan):
         with pytest.raises(ValueError, match="lip_f"):
-            BsdeProblem(T=1.0, n=4, g=np.abs, f=zero_driver, lip_f=lip_f)
+            zero_driver_problem(1.0, 4, lip_f=lip_f)
 
 
 @pytest.mark.parametrize("case_name", ["square", "exp"])
@@ -302,14 +294,8 @@ def test_kept_levels_are_bit_identical_to_the_full_sweep(case_name, solve, n):
 def test_default_sweep_memory_is_linear_in_n():
     case = make_case("square", 1.0)
     problem = case.problem(2000)
-    tracemalloc.start()
-    try:
-        solve_explicit(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # every level kept would be ~32 MB; two live levels are ~32 kB
-    assert peak <= 1 << 20
+    assert traced_peak(lambda: solve_explicit(problem)) <= 1 << 20
 
 
 def test_evaluate_along_path():
@@ -357,14 +343,14 @@ def test_evaluate_refuses_a_sum_that_names_no_node():
 
 
 def test_representation_single_step_identity():
-    problem = BsdeProblem(T=1.0, n=1, g=lambda x: x, f=zero_driver)
+    problem = zero_driver_problem(1.0, 1, lambda x: x)
     sol = solve_explicit(problem)
     assert z_by_representation(sol, 0, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_representation_odd_weight_kills_even_terminal():
     for n in (2, 5, 8):
-        problem = BsdeProblem(T=1.0, n=n, g=lambda x: x * x, f=zero_driver)
+        problem = zero_driver_problem(1.0, n, lambda x: x * x)
         sol = solve_explicit(problem, levels=range(n + 1))
         assert z_by_representation(sol, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
@@ -399,7 +385,7 @@ def test_representation_refuses_a_dropped_level():
 
 def test_representation_refuses_a_node_off_the_lattice():
     n = 6
-    sol = solve_explicit(BsdeProblem(T=1.0, n=n, g=np.abs, f=zero_driver), levels=range(n + 1))
+    sol = solve_explicit(zero_driver_problem(1.0, n), levels=range(n + 1))
     with pytest.raises(IndexError, match="level k=6"):
         z_by_representation(sol, n, 0)
     with pytest.raises(IndexError, match="node i=3"):
@@ -407,7 +393,7 @@ def test_representation_refuses_a_node_off_the_lattice():
 
 
 def test_representation_cap():
-    problem = BsdeProblem(T=1.0, n=25, g=np.abs, f=zero_driver)
+    problem = zero_driver_problem(1.0, 25)
     sol = solve_explicit(problem)
     with pytest.raises(ValueError, match="cap"):
         z_by_representation(sol, 0, 0)
