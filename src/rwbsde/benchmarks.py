@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import hyp1f1
 
 from .solver import BsdeProblem
 
@@ -71,8 +69,10 @@ def sqrt_abs_moment(m: ArrayLike) -> ArrayLike:
 
     E|Z|^nu = 2^{nu/2} Gamma((1+nu)/2)/sqrt(pi) * 1F1(-nu/2; 1/2; -m^2/2).
     """
+    # here, so that importing rwbsde leaves scipy.special out
+    from scipy.special import gamma, hyp1f1
     m_arr = np.asarray(m, dtype=float)
-    c = 2.0**0.25 * gamma_fn(0.75) / math.sqrt(math.pi)
+    c = 2.0**0.25 * gamma(0.75) / math.sqrt(math.pi)
     return c * hyp1f1(-0.25, 0.5, -0.5 * m_arr * m_arr)
 
 

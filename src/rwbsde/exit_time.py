@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -83,6 +82,7 @@ def _scaled_law(s: np.ndarray) -> tuple:
     relative accuracy. Six terms of either leave an alternating error below
     its first omitted term, under 1e-18 on its range.
     """
+    from scipy.special import erfc  # here, so that importing rwbsde leaves scipy.special out
     cdf, surv, dens = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     head = s < 1.0
     z = np.sqrt(0.5 / s[head])
@@ -209,6 +209,7 @@ def _quantile_table() -> tuple:
     (8/pi^2) log(4/(pi(1-u))) for x >= 0, each within 0.3% of the root, and
     stops at relative steps of 1e-14; the nodes then sit within 7e-16 of F.
     """
+    from scipy.special import erfcinv  # here, so that importing rwbsde leaves scipy.special out
     x = _logit_grid()
     u = 1.0 / (1.0 + np.exp(-x))                 # exactly 1.0 at x = 37
     head = x < 0.0

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkCase, make_case
-from .exit_time import sample_sigma, tabulate
+from .exit_time import ExitTimeCdf, sample_sigma, tabulate
 from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, solve_explicit,
                      solve_implicit)
 
@@ -45,6 +45,11 @@ _BLOCK = 4096
 # stay in cache; on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800
 # took 0.10 s at 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
 _PASS = 2**15
+# ladder steps a row pass inverts and sums past t/h, in units of
+# sqrt(2(t/h)/3 + 1), about the standard deviation of the step j that
+# brackets t; a row whose ladder has not passed t there is redone at full
+# width (about Phi(-6) of rows at 6), so this sets the run time, never a bit
+_REACH = 6.0
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
 SLOPE_SLACK = 0.15
@@ -129,6 +134,11 @@ def _mean_and_se(d2: np.ndarray) -> tuple:
     return mean, math.sqrt(var / m)
 
 
+def _check_t(t: float) -> None:
+    if not 0.0 <= t < math.inf:  # also refuses NaN
+        raise ValueError(f"need finite t >= 0, got t={t}")
+
+
 def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
                         z: np.ndarray) -> np.ndarray:
     """Vectorised two-point bridge draw at one fixed time across rows.
@@ -146,8 +156,7 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
     path keeps to between two exit times; past tau_n the free increment is
     used because the embedding carries no information there.
     """
-    if not 0.0 <= t < np.inf:  # also refuses NaN
-        raise ValueError(f"need finite t >= 0, got t={t}")
+    _check_t(t)
     n_rows = taus.shape[0]
     if taus.shape != (n_rows, 2) or skeletons.shape != taus.shape or np.shape(z) != (n_rows,):
         raise ValueError(
@@ -185,17 +194,35 @@ def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
 
+def _embed(cdf: ExitTimeCdf, uniforms: np.ndarray, signs: np.ndarray, ladder: np.ndarray,
+           walk: np.ndarray) -> None:
+    """Write the exit-time ladders ladder[:, 1:] and walk sums walk[:, 1:] of
+    rows of uniforms and int8 signs; columns 0 stay as the caller set them."""
+    # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
+    # alone into the open interval, into a contiguous copy of a column slice,
+    # which sample_sigma reads faster than the slice itself
+    np.cumsum(sample_sigma(cdf, np.maximum(uniforms, 2.0**-53)), axis=1, out=ladder[:, 1:])
+    np.cumsum(signs, axis=1, dtype=np.int32, out=walk[:, 1:])
+
+
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
                  t: float, columns: Sequence[int]) -> tuple:
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
 
     Draws from rng, in the stream contract's order, the (rows, n) sign bits,
     the (rows, n) exit-time uniforms and the (rows,) bridge normals. Only the
-    int8 signs are held for the whole block. The rest comes in passes of
-    _PASS // n rows, each drawn, inverted, summed into pass-sized walks and
-    ladders and read before the next, so each pass's work stays in cache;
-    consecutive row draws give the doubles of one (rows, n) draw. A pass
-    keeps, per row, the two ladder ends around t and the named columns.
+    int8 signs are held for the whole block. The uniforms come in passes of
+    _PASS // n rows, each drawn whole and read before the next, so each
+    pass's work stays in cache; consecutive row draws give the doubles of
+    one (rows, n) draw. A pass inverts and sums only the first
+    width = min(n, max(max(columns), ceil(t/h + _REACH * sqrt(2(t/h)/3 + 1)) + 1))
+    uniforms and signs of each row, into ladders and walks of columns
+    0..width, and keeps, per row, the two ladder ends around t and the named
+    columns. A row whose ladder has not passed t by column width (when
+    width < n) is redone at full width from the same uniforms and signs.
+    The inversion is elementwise and the cumsums add in sequence, so the
+    truncated and the redone rows hold the bits of full-width rows, and
+    _REACH moves the run time but never a bit.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
@@ -204,12 +231,17 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     two skeleton points (tau_j, sqrt(h) * S_j) that bracket t. With
     columns=range(n + 1) walks and taus are the whole paths. A block of
     4096 rows thus holds ~5 MiB at n = 800 and ~41 MiB at n = 10^4, nearly
-    all of it sign bits.
+    all of it sign bits. A column outside 0..n raises IndexError, and a t
+    that is negative, infinite or NaN ValueError, before anything is drawn.
     """
     n = problem.n
     columns = np.asarray(columns, np.intp)
     if columns.ndim != 1 or np.any((columns < 0) | (columns > n)):
         raise IndexError(f"columns {columns} are not a sequence of levels in 0..{n}")
+    _check_t(t)
+    steps = t / problem.h
+    width = min(n, max(columns.max(initial=0),
+                       math.ceil(steps + _REACH * math.sqrt(2.0 * steps / 3.0 + 1.0)) + 1))
     signs = rng.integers(0, 2, (rows, n), dtype=np.int8)
     signs *= 2
     signs -= 1
@@ -220,21 +252,23 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     cdf = tabulate(problem.h)
     step = max(1, min(_PASS // n, rows))
     uniform_buf = np.empty((step, n))
-    ladder_buf = np.zeros((step, n + 1))
-    walk_buf = np.zeros((step, n + 1), np.int32)
+    ladder_buf = np.zeros((step, width + 1))
+    walk_buf = np.zeros((step, width + 1), np.int32)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         m = stop - start
         uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
         rng.random(out=uniforms)
-        # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
-        # alone into the open interval
-        np.maximum(uniforms, 2.0**-53, out=uniforms)
-        np.cumsum(sample_sigma(cdf, uniforms), axis=1, out=ladder[:, 1:])
-        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walk[:, 1:])
+        _embed(cdf, uniforms[:, :width], signs[start:stop, :width], ladder, walk)
         tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
         taus[start:stop] = ladder[:, columns]
         walks[start:stop] = walk[:, columns]
+        # rows whose ladder has not passed t by column width, redone at full width
+        short = np.flatnonzero(ladder[:, width] <= t) if width < n else []
+        if len(short):
+            full = np.zeros((len(short), n + 1)), np.zeros((len(short), n + 1), np.int32)
+            _embed(cdf, uniforms[short], signs[start + short], *full)
+            tau_ends[start + short], walk_ends[start + short] = ladder_ends(*full, t)
     normals = rng.standard_normal(rows)
     b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
     return walks, taus, b_t

@@ -164,6 +164,24 @@ def test_row_passes_draw_the_block_stream():
     assert np.array_equal(np.concatenate(passes), block)
 
 
+@pytest.mark.parametrize("reach", [6.0, -3.0])
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.97])
+def test_narrow_calls_bracket_t_as_whole_paths_do(monkeypatch, t, reach):
+    # a narrow call sums each row only some columns past t and redoes at full
+    # width a row whose ladder has not passed t there: at reach -3 about half
+    # the rows of the (k,) call and nearly every row of the (0,) call; at
+    # t = 0.97 some rows end their whole ladder before t
+    monkeypatch.setattr("rwbsde.experiment._REACH", reach)
+    n = 64
+    problem = make_case("square", 1.0).problem(n)
+    k = int(t / problem.h)
+    walks, taus, b_t = couple_block(np.random.default_rng(11), 200, problem, t, range(n + 1))
+    for columns in ((k,), (0,)):
+        s, tau, b = couple_block(np.random.default_rng(11), 200, problem, t, columns)
+        assert np.array_equal(b, b_t)
+        assert np.array_equal(s, walks[:, columns]) and np.array_equal(tau, taus[:, columns])
+
+
 def _block_peak(n, rows):
     """tracemalloc peak in MiB of one run_mc-style block: square case, level n // 2 kept."""
     problem = make_case("square", 1.0).problem(n)

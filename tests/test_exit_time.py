@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import open_uniforms
+from helpers import open_uniforms, zero_driver_problem
 from scipy.optimize import brentq
 
 import rwbsde
@@ -22,7 +22,7 @@ from rwbsde.exit_time import (
     tabulate,
     tabulated_moment,
 )
-from rwbsde.experiment import bridge_sample_batch
+from rwbsde.experiment import bridge_sample_batch, couple_block
 
 
 def test_laplace_transform_values():
@@ -40,8 +40,10 @@ def test_laplace_transform_values():
     lambda: cdf_laplace_inversion(math.nan, 1.0),
     lambda: bridge_sample_batch(np.array([[0.0, 0.4]]), np.array([[0.0, 0.7]]), math.nan, np.zeros(1)),
     lambda: bridge_sample_batch(np.array([[0.0, 0.4]]), np.array([[0.0, 0.7]]), math.inf, np.zeros(1)),
+    lambda: couple_block(np.random.default_rng(0), 4, zero_driver_problem(1.0, 8), math.nan, (1,)),
+    lambda: couple_block(np.random.default_rng(0), 4, zero_driver_problem(1.0, 8), math.inf, (1,)),
 ], ids=["cdf_series", "cdf_series_array", "cdf_series_h", "laplace_transform", "cdf_laplace_inversion",
-        "bridge_nan", "bridge_inf"])
+        "bridge_nan", "bridge_inf", "couple_block_nan", "couple_block_inf"])
 def test_non_finite_input_is_refused(call):
     with pytest.raises(ValueError):
         call()
@@ -213,9 +215,11 @@ def test_quantile_table_is_built_on_first_use():
 
 
 def test_import_leaves_the_quadrature_module_unloaded():
-    # only the criterion-5 oracle integrates adaptively, and it imports quad itself
+    # only the criterion-5 oracle integrates adaptively, and it imports quad
+    # itself; the special functions are imported by the functions that call them
     _run_fresh("import sys, rwbsde, rwbsde.cli; from rwbsde.benchmarks import make_case; "
-               "make_case('square', 1.0); assert 'scipy.integrate' not in sys.modules")
+               "make_case('square', 1.0); assert 'scipy.integrate' not in sys.modules; "
+               "assert 'scipy.special' not in sys.modules")
 
 
 def test_sample_sigma_median_against_series_root():
@@ -283,6 +287,9 @@ def test_sample_sigma_keeps_the_shape_of_its_input():
     flat = sample_sigma(cdf, u.ravel()).reshape(u.shape)
     assert np.array_equal(sample_sigma(cdf, u), flat)
     assert np.array_equal(sample_sigma(cdf, np.asfortranarray(u)), flat)
+    # a column slice of a wider array, such as the first columns of a row pass
+    assert np.array_equal(sample_sigma(cdf, u[:, :7_000]),
+                          sample_sigma(cdf, np.ascontiguousarray(u[:, :7_000])))
     # a 0-d array is a scalar, as are its transform and CDF
     for result in (sample_sigma(cdf, np.array(0.5)), cdf_series(np.array(0.5), 0.01),
                    laplace_transform(np.array(2.0), 0.01)):

@@ -180,3 +180,12 @@ def test_square_roots_are_golden(scheme, solve):
 def test_deep_square_roots_are_golden(scheme, solve, n):
     problem = make_case("square", 1.0).problem(n)
     assert tuple(v.hex() for v in solve(problem).root()) == SQUARE_ROOTS_DEEP[n, scheme]
+
+
+@pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
+@pytest.mark.parametrize("pass_size", [2**15, 1000])
+def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
+    # at reach -3 the narrow call redoes about half its rows at full width,
+    # and all of them at n = 1
+    monkeypatch.setattr("rwbsde.experiment._REACH", -3.0)
+    test_couple_block_is_golden(monkeypatch, n, pass_size)
