@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,6 +28,15 @@ def _config_help(name: str, text: str) -> str:
     if isinstance(default, tuple):
         default = ",".join(map(str, default))
     return text if default is None else f"{text} (default: {default})"
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out that names a directory or sits in none."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: no directory {folder}")
 
 
 @contextlib.contextmanager
@@ -61,6 +71,7 @@ def _cmd_solve(args, usage) -> int:
 def _cmd_convergence(args, usage) -> int:
     fields = {f.name for f in dataclasses.fields(experiment.ExperimentConfig)}
     with usage:
+        _check_out(args.out)
         config = experiment.ExperimentConfig(
             **{name: value for name, value in vars(args).items() if name in fields})
         if len(config.n_list) < 3:  # ExperimentConfig already refuses a repeated n
@@ -80,6 +91,7 @@ def _cmd_convergence(args, usage) -> int:
 
 def _cmd_tabulate_exit(args, usage) -> int:
     with usage:
+        _check_out(args.out)
         cdf = exit_time.tabulate(args.h)
     np.savetxt(args.out, np.column_stack((cdf.grid, cdf.values)), fmt="%.17g", delimiter=",",
                header="t,F", comments="")

@@ -161,23 +161,30 @@ class ExitTimeCdf:
     values: np.ndarray    # F(grid), shared read-only; from 8.5e-17 to exactly 1
 
 
-def tabulate(h: float) -> ExitTimeCdf:
-    """The quantile table that sample_sigma inverts, as tabulate-exit's table.
-
-    Its 2^15 + 1 nodes span t in [0.0142h, 30.19h] and sit within 7e-16 of
-    F; the mass outside them is below 1e-16 at either end. tabulate(h).grid
-    is h * tabulate(1.0).grid bit for bit. An h that would scale a node
-    out of the normal doubles (h outside about [1.57e-306, 5.96e306])
-    raises ValueError, so the grid stays strictly increasing and finite.
-    """
+def check_scale(h: float) -> None:
+    """Refuse, with ValueError, an h that is not finite and positive or that
+    would scale a node of the quantile table out of the normal doubles (h
+    outside about [1.57e-306, 5.96e306]): tabulate(h) takes exactly these."""
     _check_h(h)
-    nodes, _, values = _quantile_table()
+    nodes = _quantile_table()[0]
     # on Python floats, so that an overflow is inf and not a numpy warning;
     # tiny is the smallest normal double
     first, last = float(h) * float(nodes[0]), float(h) * float(nodes[-1])
     if not (first >= np.finfo(float).tiny and last < math.inf):
         raise ValueError(f"h={h} scales the table's times [{nodes[0]:.5g}h, {nodes[-1]:.5g}h] "
                          f"out of the normal doubles")
+
+
+def tabulate(h: float) -> ExitTimeCdf:
+    """The quantile table that sample_sigma inverts, as tabulate-exit's table.
+
+    Its 2^15 + 1 nodes span t in [0.0142h, 30.19h] and sit within 7e-16 of
+    F; the mass outside them is below 1e-16 at either end. tabulate(h).grid
+    is h * tabulate(1.0).grid bit for bit. An h that check_scale refuses
+    raises its ValueError, so the grid stays strictly increasing and finite.
+    """
+    check_scale(h)
+    nodes, _, values = _quantile_table()
     return ExitTimeCdf(h=h, grid=h * nodes, values=values)
 
 

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkCase, make_case
-from .exit_time import ExitTimeCdf, sample_sigma, tabulate
+from .exit_time import check_scale, sample_sigma, tabulate
 from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, solve_explicit,
                      solve_implicit)
 
@@ -47,8 +47,9 @@ _BLOCK = 4096
 _PASS = 2**15
 # ladder steps a row pass inverts and sums past t/h, in units of
 # sqrt(2(t/h)/3 + 1), about the standard deviation of the step j that
-# brackets t; a row whose ladder has not passed t there is redone at full
-# width (about Phi(-6) of rows at 6), so this sets the run time, never a bit
+# brackets t; a pass in which a ladder has not passed t there is embedded
+# again at full width (about Phi(-6) of rows each at 6), so this sets the
+# run time, never a bit
 _REACH = 6.0
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
@@ -76,9 +77,11 @@ class ExperimentConfig:
         if len(set(n_list)) < len(n_list):
             raise ValueError(f"every n must appear once, got {n_list}")
         object.__setattr__(self, "n_list", n_list)
-        if operator.index(self.M) < 1:
+        object.__setattr__(self, "M", operator.index(self.M))
+        if self.M < 1:
             raise ValueError(f"need M >= 1, got M={self.M}")
-        if operator.index(self.seed) < 0:
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.seed < 0:
             raise ValueError(f"need seed >= 0, got seed={self.seed}")
         t_eval = 0.5 * self.T if self.t_eval is None else float(self.t_eval)
         if not 0.0 <= t_eval < self.T:
@@ -86,9 +89,12 @@ class ExperimentConfig:
         object.__setattr__(self, "t_eval", t_eval)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be explicit or implicit, got {self.scheme!r}")
-        if self.scheme == "implicit":
-            # the smallest n has the largest h, so it alone can break h*lip_f < 1
-            check_contraction(case.problem(min(n_list)))
+        # every check a run makes on an n's problem, before the first n is solved
+        for n in n_list:
+            problem = case.problem(n)
+            check_scale(problem.h)   # couple_block tabulates the exit times at h
+            if self.scheme == "implicit":
+                check_contraction(problem)
 
 
 @dataclass(frozen=True)
@@ -194,17 +200,6 @@ def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
 
-def _embed(cdf: ExitTimeCdf, uniforms: np.ndarray, signs: np.ndarray, ladder: np.ndarray,
-           walk: np.ndarray) -> None:
-    """Write the exit-time ladders ladder[:, 1:] and walk sums walk[:, 1:] of
-    rows of uniforms and int8 signs; columns 0 stay as the caller set them."""
-    # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
-    # alone into the open interval, into a contiguous copy of a column slice,
-    # which sample_sigma reads faster than the slice itself
-    np.cumsum(sample_sigma(cdf, np.maximum(uniforms, 2.0**-53)), axis=1, out=ladder[:, 1:])
-    np.cumsum(signs, axis=1, dtype=np.int32, out=walk[:, 1:])
-
-
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
                  t: float, columns: Sequence[int]) -> tuple:
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
@@ -218,10 +213,10 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     width = min(n, max(max(columns), ceil(t/h + _REACH * sqrt(2(t/h)/3 + 1)) + 1))
     uniforms and signs of each row, into ladders and walks of columns
     0..width, and keeps, per row, the two ladder ends around t and the named
-    columns. A row whose ladder has not passed t by column width (when
-    width < n) is redone at full width from the same uniforms and signs.
-    The inversion is elementwise and the cumsums add in sequence, so the
-    truncated and the redone rows hold the bits of full-width rows, and
+    columns. A pass in which some ladder has not passed t by column width
+    (when width < n) is embedded again whole at full width from the same
+    uniforms and signs. The inversion is elementwise and the cumsums add in
+    sequence, so truncated and full-width passes hold the same bits, and
     _REACH moves the run time but never a bit.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
@@ -231,11 +226,15 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     two skeleton points (tau_j, sqrt(h) * S_j) that bracket t. With
     columns=range(n + 1) walks and taus are the whole paths. A block of
     4096 rows thus holds ~5 MiB at n = 800 and ~41 MiB at n = 10^4, nearly
-    all of it sign bits. A column outside 0..n raises IndexError, and a t
-    that is negative, infinite or NaN ValueError, before anything is drawn.
+    all of it sign bits. A column outside 0..n raises IndexError, a column
+    that is not a whole number TypeError, and a t that is negative,
+    infinite or NaN ValueError, before anything is drawn.
     """
     n = problem.n
-    columns = np.asarray(columns, np.intp)
+    columns = np.asarray(columns)
+    if columns.size and columns.dtype.kind not in "iu":
+        raise TypeError(f"columns {columns} are not whole numbers")
+    columns = columns.astype(np.intp)
     if columns.ndim != 1 or np.any((columns < 0) | (columns > n)):
         raise IndexError(f"columns {columns} are not a sequence of levels in 0..{n}")
     _check_t(t)
@@ -259,16 +258,20 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
         m = stop - start
         uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
         rng.random(out=uniforms)
-        _embed(cdf, uniforms[:, :width], signs[start:stop, :width], ladder, walk)
+        for w in (width, n):
+            # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact
+            # 0 alone into the open interval, into a contiguous copy of a column
+            # slice, which sample_sigma reads faster than the slice itself
+            np.cumsum(sample_sigma(cdf, np.maximum(uniforms[:, :w], 2.0**-53)), axis=1,
+                      out=ladder[:, 1:])
+            np.cumsum(signs[start:stop, :w], axis=1, dtype=np.int32, out=walk[:, 1:])
+            if w == n or np.all(ladder[:, w] > t):
+                break
+            # a ladder has not passed t by column width: the whole pass again at full width
+            ladder, walk = np.zeros((m, n + 1)), np.zeros((m, n + 1), np.int32)
         tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
         taus[start:stop] = ladder[:, columns]
         walks[start:stop] = walk[:, columns]
-        # rows whose ladder has not passed t by column width, redone at full width
-        short = np.flatnonzero(ladder[:, width] <= t) if width < n else []
-        if len(short):
-            full = np.zeros((len(short), n + 1)), np.zeros((len(short), n + 1), np.int32)
-            _embed(cdf, uniforms[short], signs[start + short], *full)
-            tau_ends[start + short], walk_ends[start + short] = ladder_ends(*full, t)
     normals = rng.standard_normal(rows)
     b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
     return walks, taus, b_t

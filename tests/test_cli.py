@@ -86,6 +86,14 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
      "--out", "unused.csv"],
     # h * 30.19 overflows: the table's times would be inf
     ["tabulate-exit", "--h", "1e308", "--out", "unused.csv"],
+    # h = 2e-307 at n = 50 would scale the table's first time below the normal doubles
+    ["convergence", "--case", "square", "--T", "1e-305", "--n", "50,100,200", "--M", "10",
+     "--out", "unused.csv"],
+    # an --out in a missing directory, or a directory itself
+    ["convergence", "--case", "square", "--n", "8,16,32", "--M", "10", "--out", "missing/x.csv"],
+    ["convergence", "--case", "square", "--n", "8,16,32", "--M", "10", "--out", "."],
+    ["tabulate-exit", "--h", "0.1", "--out", "missing/y.csv"],
+    ["tabulate-exit", "--h", "0.1", "--out", "."],
 ])
 def test_invalid_values_are_usage_errors(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)

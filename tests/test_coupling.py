@@ -167,10 +167,10 @@ def test_row_passes_draw_the_block_stream():
 @pytest.mark.parametrize("reach", [6.0, -3.0])
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.97])
 def test_narrow_calls_bracket_t_as_whole_paths_do(monkeypatch, t, reach):
-    # a narrow call sums each row only some columns past t and redoes at full
-    # width a row whose ladder has not passed t there: at reach -3 about half
-    # the rows of the (k,) call and nearly every row of the (0,) call; at
-    # t = 0.97 some rows end their whole ladder before t
+    # a narrow call sums each row only some columns past t and embeds a pass
+    # again at full width when a ladder has not passed t there: at reach -3
+    # nearly every pass of either call; at t = 0.97 some rows end their whole
+    # ladder before t
     monkeypatch.setattr("rwbsde.experiment._REACH", reach)
     n = 64
     problem = make_case("square", 1.0).problem(n)
@@ -210,6 +210,9 @@ def test_couple_block_refuses_columns_off_the_path():
     for columns in ((9,), (-1,), 4, ((1, 2),)):
         with pytest.raises(IndexError, match="columns"):
             couple_block(np.random.default_rng(0), 4, problem, 0.5, columns)
+    # not truncated to column 2
+    with pytest.raises(TypeError, match="columns"):
+        couple_block(np.random.default_rng(0), 4, problem, 0.5, (2.5,))
 
 
 def test_bridge_rejects_negative_time():

@@ -45,6 +45,13 @@ def test_config_defaults_and_validation():
             ExperimentConfig(case="square", **bad)
     cfg = ExperimentConfig(case="square", n_list=np.array([8, 16]), M=np.int64(3))
     assert cfg.n_list == (8, 16) and all(type(n) is int for n in cfg.n_list)
+    assert type(cfg.M) is int and cfg.M == 3
+    cfg = ExperimentConfig(case="square", n_list=(8, 16, 32), M=True, seed=False)
+    assert type(cfg.M) is int and cfg.M == 1 and type(cfg.seed) is int and cfg.seed == 0
+    # h = 2e-307 at n = 50 scales the exit-time table's first time below the
+    # normal doubles: refused when the config is built, not at the first block
+    with pytest.raises(ValueError, match="normal doubles"):
+        ExperimentConfig(case="square", T=1e-305, n_list=(50, 100, 200))
 
 
 def test_run_mc_rows_come_from_couple_block(monkeypatch):

@@ -36,6 +36,12 @@ SQUARE_EXPLICIT_BLOCK_128 = [
     (16, "0x1.e0e5761da38dcp+0", "0x1.a103cf0aa5661p-2", "0x1.a0988ca01131ap+0", "0x1.49b0fa7ff2a86p-3"),
     (32, "0x1.bb3117084d13dp-1", "0x1.b75c81803d0b2p-3", "0x1.07802fccbac6fp+0", "0x1.f4e9ec1d3241ep-4"),
 ]
+# n = 64, 128 and 256 at t = T/2: row passes of width 62, 105 and 185
+SQUARE_EXPLICIT_TRUNCATED = [
+    (64, "0x1.2c2419e081c65p-1", "0x1.71fda6d3da653p-4", "0x1.49d9f30fece24p-1", "0x1.b635c5ad7b253p-5"),
+    (128, "0x1.1ac77a24fe4e7p-2", "0x1.3f85eb45bbc4cp-5", "0x1.fe9b00efa9df7p-2", "0x1.a46f487b56cdep-5"),
+    (256, "0x1.7721be37c3c53p-3", "0x1.bfceb41160e0bp-6", "0x1.386dcf34a0364p-2", "0x1.1a0574a5e51cbp-5"),
+]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
     "implicit": ("0x1.5bf542e629c78p+2", "0x1.53d2fe1f65a78p+2"),
@@ -89,13 +95,13 @@ def _rows_hex(series):
     ]
 
 
-def _config(case, scheme="explicit"):
-    return experiment.ExperimentConfig(case=case, n_list=(8, 16, 32), M=300,
+def _config(case, scheme="explicit", n_list=(8, 16, 32)):
+    return experiment.ExperimentConfig(case=case, n_list=n_list, M=300,
                                        seed=2024, scheme=scheme)
 
 
-def _run(case, scheme="explicit"):
-    return _rows_hex(experiment.run_mc(_config(case, scheme)))
+def _run(case, scheme="explicit", n_list=(8, 16, 32)):
+    return _rows_hex(experiment.run_mc(_config(case, scheme, n_list)))
 
 
 def _report_sha256(series, regressions, path):
@@ -110,6 +116,11 @@ def _report_sha256(series, regressions, path):
 ])
 def test_run_mc_rows_are_golden(case, scheme, expected):
     assert _run(case, scheme) == expected
+
+
+def test_run_mc_rows_are_golden_with_truncated_passes():
+    # at n = 8, 16 and 32 a pass spans every column; here it stops short of n
+    assert _run("square", n_list=(64, 128, 256)) == SQUARE_EXPLICIT_TRUNCATED
 
 
 def test_run_mc_rows_are_golden_across_blocks(monkeypatch):
@@ -185,7 +196,6 @@ def test_deep_square_roots_are_golden(scheme, solve, n):
 @pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
 @pytest.mark.parametrize("pass_size", [2**15, 1000])
 def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
-    # at reach -3 the narrow call redoes about half its rows at full width,
-    # and all of them at n = 1
+    # at reach -3 the narrow call embeds nearly every pass again at full width
     monkeypatch.setattr("rwbsde.experiment._REACH", -3.0)
     test_couple_block_is_golden(monkeypatch, n, pass_size)
