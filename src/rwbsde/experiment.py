@@ -17,12 +17,16 @@ fit_slopes regresses the per-n L2 errors log-log against n, for
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
 block of _BLOCK rows. Row r at n-index j therefore comes from stream
-(seed, j, r // _BLOCK), which draws, for its whole block in this order, the
-(rows, n) sign bits, the (rows, n) exit-time uniforms and the (rows,)
-bridge normals. The uniforms' row passes draw the same doubles as one
-(rows, n) draw, so the pass size moves no bit. The error sums are exactly
-rounded, so they do not depend on the order of the rows, and a given
-config gives the same bits on every run.
+(seed, j, r // _BLOCK). For its whole block, that stream draws what
+couple_block lists, in its order: the walk and exit-time sums S_m0 and
+tau_m0 of the skipped steps (none when m0 = 0), the (rows, w - m0) sign
+bits and exit-time uniforms of the window m0..w, the (rows,) bridge
+normals, and then the draws of the rows that fall back (stepping on past w,
+or drawn again whole). The window depends only on n, t_k and the level k,
+and the uniforms' row passes draw the same doubles as one (rows, w - m0)
+draw, so the pass size moves no bit. The error sums are exactly rounded,
+so they do not depend on the order of the rows, and a given config gives
+the same bits on every run.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkCase, make_case
-from .exit_time import check_scale, sample_sigma, tabulate
+from .exit_time import check_scale, sample_exit_sum, sample_sigma, tabulate
 from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, solve_explicit,
                      solve_implicit)
 
@@ -45,11 +49,12 @@ _BLOCK = 4096
 # stay in cache; on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800
 # took 0.10 s at 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
 _PASS = 2**15
-# ladder steps a row pass inverts and sums past t/h, in units of
-# sqrt(2(t/h)/3 + 1), about the standard deviation of the step j that
-# brackets t; a pass in which a ladder has not passed t there is embedded
-# again at full width (about Phi(-6) of rows each at 6), so this sets the
-# run time, never a bit
+# the window couple_block steps, in units of sqrt(2(t/h)/3 + 1), about the
+# standard deviation of the step j that brackets t: it skips to _SKIP units
+# before t/h (a row whose skip lands past t, about Phi(-8) of rows, is drawn
+# again whole) and stops _REACH units past it (a row whose ladder has not
+# passed t there, about Phi(-6) of rows, steps on with fresh draws)
+_SKIP = 8.0
 _REACH = 6.0
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
@@ -128,6 +133,8 @@ class RegressionResult:
     slope: float
     intercept: float
     r2: float
+    slope_se: float   # the Monte Carlo standard error of the slope
+    chi2: float       # lack of fit, on (#n - 2) degrees of freedom
 
 
 def _mean_and_se(d2: np.ndarray) -> tuple:
@@ -200,35 +207,125 @@ def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
 
+def _step_on(rng: np.random.Generator, cdf, tau0: np.ndarray, walk0: np.ndarray, width: int,
+             t: float, columns: np.ndarray) -> tuple:
+    """Step each row width steps on from its (tau0, walk0): (walks, taus,
+    tau_ends, walk_ends), walks and taus at the window columns 0..width named
+    by columns, and the ends that ladder_ends finds in the window.
+
+    Draws the (rows, width) sign bits, then the (rows, width) uniforms in
+    passes of _PASS // width rows, each drawn whole and read before the next,
+    so that its work stays in cache; consecutive row draws give the doubles
+    of one (rows, width) draw. tau0 is added to each row's first exit time
+    and walk0 to the gathered walks; at tau0 = walk0 = 0 neither moves a bit.
+    """
+    rows = tau0.size
+    signs = rng.integers(0, 2, (rows, width), dtype=np.int8)
+    signs *= 2
+    signs -= 1
+    walks = np.empty((rows, columns.size), np.int32)
+    taus = np.empty((rows, columns.size))
+    tau_ends = np.empty((rows, 2))
+    walk_ends = np.empty((rows, 2), np.int32)
+    step = max(1, min(_PASS // max(width, 1), rows))
+    uniform_buf = np.empty((step, width))
+    ladder_buf = np.empty((step, width + 1))
+    walk_buf = np.zeros((step, width + 1), np.int32)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        m = stop - start
+        uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
+        rng.random(out=uniforms)
+        # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
+        # alone into the open interval
+        sigma = sample_sigma(cdf, np.maximum(uniforms, 2.0**-53))
+        sigma[:, :1] += tau0[start:stop, None]
+        ladder[:, 0] = tau0[start:stop]
+        np.cumsum(sigma, axis=1, out=ladder[:, 1:])
+        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walk[:, 1:])
+        tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
+        taus[start:stop] = ladder[:, columns]
+        walks[start:stop] = walk[:, columns]
+    walks += walk0[:, None]
+    walk_ends += walk0[:, None]
+    return walks, taus, tau_ends, walk_ends
+
+
+def _window(problem: BsdeProblem, t: float, columns: np.ndarray) -> tuple:
+    """The columns (m0, w) that couple_block skips to and steps to."""
+    steps = t / problem.h
+    spread = math.sqrt(2.0 * steps / 3.0 + 1.0)
+    w = min(problem.n, max(int(columns.max(initial=0)), math.ceil(steps + _REACH * spread) + 1))
+    return max(0, min(int(columns.min(initial=w)), math.floor(steps - _SKIP * spread))), w
+
+
+def _couple_window(rng: np.random.Generator, rows: int, problem: BsdeProblem, t: float,
+                   columns: np.ndarray, m0: int, w: int) -> tuple:
+    """couple_block's draws for the window m0..w: (walks, taus, tau_ends,
+    walk_ends, normals), with both fallbacks applied."""
+    n = problem.n
+    cdf = tabulate(problem.h)
+    tau0, walk0 = np.zeros(rows), np.zeros(rows, np.int32)
+    if m0:
+        walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
+        tau0 = sample_exit_sum(rng, problem.h, m0, rows)
+    walks, taus, tau_ends, walk_ends = _step_on(rng, cdf, tau0, walk0, w - m0, t, columns - m0)
+    normals = rng.standard_normal(rows)
+    # a ladder that has not passed t by column w < n steps on from there
+    short = np.flatnonzero((tau_ends[:, 1] <= t) & (w < n))
+    if short.size:
+        tau_ends[short], walk_ends[short] = _step_on(
+            rng, cdf, tau_ends[short, 1], walk_ends[short, 1], n - w, t, np.empty(0, np.intp))[2:]
+    # a row whose skip lands past t is drawn again whole
+    early = np.flatnonzero(tau0 > t)
+    if early.size:
+        redrawn = _couple_window(rng, early.size, problem, t, columns, 0, n)
+        for kept, whole in zip((walks, taus, tau_ends, walk_ends, normals), redrawn):
+            kept[early] = whole
+    return walks, taus, tau_ends, walk_ends, normals
+
+
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
                  t: float, columns: Sequence[int]) -> tuple:
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
 
-    Draws from rng, in the stream contract's order, the (rows, n) sign bits,
-    the (rows, n) exit-time uniforms and the (rows,) bridge normals. Only the
-    int8 signs are held for the whole block. The uniforms come in passes of
-    _PASS // n rows, each drawn whole and read before the next, so each
-    pass's work stays in cache; consecutive row draws give the doubles of
-    one (rows, n) draw. A pass inverts and sums only the first
-    width = min(n, max(max(columns), ceil(t/h + _REACH * sqrt(2(t/h)/3 + 1)) + 1))
-    uniforms and signs of each row, into ladders and walks of columns
-    0..width, and keeps, per row, the two ladder ends around t and the named
-    columns. A pass in which some ladder has not passed t by column width
-    (when width < n) is embedded again whole at full width from the same
-    uniforms and signs. The inversion is elementwise and the cumsums add in
-    sequence, so truncated and full-width passes hold the same bits, and
-    _REACH moves the run time but never a bit.
+    Each row needs only the path from the first column it names to the
+    ladder step around t, so it skips ahead to
+    m0 = max(0, min(min(columns), floor(t/h - _SKIP * sqrt(2(t/h)/3 + 1))))
+    and steps only the window m0..w, where
+    w = min(n, max(max(columns), ceil(t/h + _REACH * sqrt(2(t/h)/3 + 1)) + 1)).
+    It draws from rng, in this order:
+
+    * when m0 > 0, S_m0 = 2 * Binomial(m0, 1/2) - m0 and tau_m0 from
+      exit_time.sample_exit_sum, for all rows;
+    * the (rows, w - m0) sign bits and then the (rows, w - m0) exit-time
+      uniforms of the window, the uniforms in row passes (_step_on);
+    * the (rows,) bridge normals;
+    * fresh signs and uniforms for the n - w steps past w of each row whose
+      ladder has not passed t by column w < n (about Phi(-6) of rows); these
+      steps are independent of the window's, so going on from (tau_w, S_w)
+      is exact in law;
+    * for each row with tau_m0 > t (probability about Phi(-8) = 6e-16), a
+      whole row at m0 = 0 and w = n: signs, uniforms and normal.
+
+    So the rows are the whole path's in law, but for two departures: the
+    tail of sample_exit_sum's series matches two cumulants (the third is
+    off by 5.5e-9 relative), and a row redrawn for tau_m0 > t comes from the
+    unconditioned law, not from the law given tau_m0 > t. With m0 = 0 and
+    w = n (as for columns=range(n + 1)) the draws are those of the whole
+    path, stepped from column 0.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
     ladders tau_m there (tau_0 = 0 < tau_1 < ... < tau_n at time scale
     problem.h); and b_t, the Brownian value at time t bridged between the
     two skeleton points (tau_j, sqrt(h) * S_j) that bracket t. With
-    columns=range(n + 1) walks and taus are the whole paths. A block of
-    4096 rows thus holds ~5 MiB at n = 800 and ~41 MiB at n = 10^4, nearly
-    all of it sign bits. A column outside 0..n raises IndexError, a column
-    that is not a whole number TypeError, and a t that is negative,
-    infinite or NaN ValueError, before anything is drawn.
+    columns=range(n + 1) walks and taus are the whole paths. A block holds
+    the int8 signs of its window, one row pass of its work and per-row
+    answers: a 3.2 MiB peak at n = 800 and 4096 rows, 0.9 MiB of it signs.
+    A column outside 0..n raises IndexError, a column that is not a whole
+    number TypeError, and a t that is negative, infinite or NaN ValueError,
+    before anything is drawn.
     """
     n = problem.n
     columns = np.asarray(columns)
@@ -238,41 +335,8 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     if columns.ndim != 1 or np.any((columns < 0) | (columns > n)):
         raise IndexError(f"columns {columns} are not a sequence of levels in 0..{n}")
     _check_t(t)
-    steps = t / problem.h
-    width = min(n, max(columns.max(initial=0),
-                       math.ceil(steps + _REACH * math.sqrt(2.0 * steps / 3.0 + 1.0)) + 1))
-    signs = rng.integers(0, 2, (rows, n), dtype=np.int8)
-    signs *= 2
-    signs -= 1
-    walks = np.empty((rows, columns.size), np.int32)
-    taus = np.empty((rows, columns.size))
-    tau_ends = np.empty((rows, 2))
-    walk_ends = np.empty((rows, 2), np.int32)
-    cdf = tabulate(problem.h)
-    step = max(1, min(_PASS // n, rows))
-    uniform_buf = np.empty((step, n))
-    ladder_buf = np.zeros((step, width + 1))
-    walk_buf = np.zeros((step, width + 1), np.int32)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        m = stop - start
-        uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
-        rng.random(out=uniforms)
-        for w in (width, n):
-            # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact
-            # 0 alone into the open interval, into a contiguous copy of a column
-            # slice, which sample_sigma reads faster than the slice itself
-            np.cumsum(sample_sigma(cdf, np.maximum(uniforms[:, :w], 2.0**-53)), axis=1,
-                      out=ladder[:, 1:])
-            np.cumsum(signs[start:stop, :w], axis=1, dtype=np.int32, out=walk[:, 1:])
-            if w == n or np.all(ladder[:, w] > t):
-                break
-            # a ladder has not passed t by column width: the whole pass again at full width
-            ladder, walk = np.zeros((m, n + 1)), np.zeros((m, n + 1), np.int32)
-        tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
-        taus[start:stop] = ladder[:, columns]
-        walks[start:stop] = walk[:, columns]
-    normals = rng.standard_normal(rows)
+    walks, taus, tau_ends, walk_ends, normals = _couple_window(
+        rng, rows, problem, t, columns, *_window(problem, t, columns))
     b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
     return walks, taus, b_t
 
@@ -334,23 +398,38 @@ def run_mc(config: ExperimentConfig) -> ErrorSeries:
 
 
 def regress_loglog(series: ErrorSeries, field_name: str = "e_y") -> RegressionResult:
-    """OLS fit of log(error) against log(n)."""
-    pairs = [(row.n, getattr(row, field_name)) for row in series.rows]
-    distinct = len({n for n, _ in pairs})
+    """OLS fit of log(error) against log(n), with how sure it is.
+
+    The rows at different n come from independent streams, so the standard
+    error se_n / e_n of each log e_n (from the row's se field) propagates
+    through the OLS weights w_n of log n: slope_se^2 = sum w_n^2 (se_n/e_n)^2.
+    chi2 = sum (resid_n / (se_n/e_n))^2 says whether a line fits at all; a
+    row that states no Monte Carlo error (se_n = 0) makes it inf.
+    """
+    se_name = "se_" + field_name.removeprefix("e_")
+    pairs = [(row.n, getattr(row, field_name), getattr(row, se_name)) for row in series.rows]
+    distinct = len({n for n, _, _ in pairs})
     if distinct < 3:
         raise ValueError(f"need at least 3 distinct n for a regression, got {distinct}")
-    if any(e is None or not math.isfinite(e) or e <= 0.0 for _, e in pairs):
+    if any(e is None or not math.isfinite(e) or e <= 0.0 for _, e, _ in pairs):
         raise ValueError(
             f"nonpositive, non-finite or missing {field_name} values cannot be log-fitted"
         )
-    x = np.log([n for n, _ in pairs])
-    y = np.log([e for _, e in pairs])
+    if any(se is None or not 0.0 <= se < math.inf for _, _, se in pairs):
+        raise ValueError(f"negative, non-finite or missing {se_name} values cannot weigh a fit")
+    x = np.log([n for n, _, _ in pairs])
+    y = np.log([e for _, e, _ in pairs])
+    rel_se = np.array([se / e for _, e, se in pairs])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return RegressionResult(slope=float(slope), intercept=float(intercept), r2=r2)
+    weights = (x - x.mean()) / np.sum((x - x.mean()) ** 2)
+    slope_se = math.sqrt(float(np.sum((weights * rel_se) ** 2)))
+    chi2 = math.inf if np.any(rel_se == 0.0) else float(np.sum((resid / rel_se) ** 2))
+    return RegressionResult(slope=float(slope), intercept=float(intercept), r2=r2,
+                            slope_se=slope_se, chi2=chi2)
 
 
 def fit_slopes(series: ErrorSeries) -> dict:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from helpers import skeleton, traced_peak, walk_sums, zero_driver_problem
+from scipy.stats import ks_2samp
 
+from rwbsde import experiment
 from rwbsde.benchmarks import make_case
 from rwbsde.experiment import bridge_sample_batch, couple_block, ladder_ends
 
@@ -167,19 +169,25 @@ def test_row_passes_draw_the_block_stream():
 @pytest.mark.parametrize("reach", [6.0, -3.0])
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.97])
 def test_narrow_calls_bracket_t_as_whole_paths_do(monkeypatch, t, reach):
-    # a narrow call sums each row only some columns past t and embeds a pass
-    # again at full width when a ladder has not passed t there: at reach -3
-    # nearly every pass of either call; at t = 0.97 some rows end their whole
-    # ladder before t
+    # a narrow call whose window is the whole path draws its bits; any other
+    # draws its law: at t = 0.97 the call at column k skips to column 9,
+    # at reach -3 nearly every row steps on past its window, and at t = 0.97
+    # some rows end their whole ladder before t
     monkeypatch.setattr("rwbsde.experiment._REACH", reach)
-    n = 64
+    n, rows = 64, 4000
     problem = make_case("square", 1.0).problem(n)
     k = int(t / problem.h)
-    walks, taus, b_t = couple_block(np.random.default_rng(11), 200, problem, t, range(n + 1))
+    walks, taus, b_t = couple_block(np.random.default_rng(11), rows, problem, t, range(n + 1))
     for columns in ((k,), (0,)):
-        s, tau, b = couple_block(np.random.default_rng(11), 200, problem, t, columns)
-        assert np.array_equal(b, b_t)
-        assert np.array_equal(s, walks[:, columns]) and np.array_equal(tau, taus[:, columns])
+        if experiment._window(problem, t, np.array(columns)) == (0, n):
+            s, tau, b = couple_block(np.random.default_rng(11), rows, problem, t, columns)
+            assert np.array_equal(b, b_t)
+            assert np.array_equal(s, walks[:, columns]) and np.array_equal(tau, taus[:, columns])
+        else:
+            s, tau, b = couple_block(np.random.default_rng(12), rows, problem, t, columns)
+            for narrow, whole in ((s[:, 0], walks[:, columns[0]]), (tau[:, 0], taus[:, columns[0]]),
+                                  (b, b_t)):
+                assert ks_2samp(narrow, whole).pvalue > 1e-3
 
 
 def _block_peak(n, rows):
@@ -191,18 +199,20 @@ def _block_peak(n, rows):
 
 
 def test_couple_block_memory_is_bounded():
-    # a block holds its int8 signs (3.1 MiB at 4096 rows and n = 800), one
-    # row pass of uniforms, exit times, walks and ladders, and per-row
-    # answers: ~5 MiB, against ~42 MiB with whole-block walks and ladders
+    # a block holds the int8 signs of its window (0.9 MiB at 4096 rows and
+    # n = 800, columns 269..500), one row pass of uniforms, exit times, walks
+    # and ladders, and per-row answers: ~3.2 MiB, against ~5 MiB with all n
+    # signs and ~42 MiB with whole-block walks and ladders
     peak = _block_peak(800, 4096)
-    assert peak <= 8, f"peak {peak:.1f} MiB"
+    assert peak <= 5, f"peak {peak:.1f} MiB"
 
 
 def test_couple_block_memory_at_large_n():
-    # the signs alone are 9.8 MiB at 1024 rows and n = 10^4; whole-block
-    # walks and ladders would add ~117 MiB
+    # the window is columns 4538..5348 at n = 10^4: ~2.9 MiB at 1024 rows,
+    # where all n signs alone were 9.8 MiB and whole-block walks and ladders
+    # would add ~117 MiB
     peak = _block_peak(10_000, 1024)
-    assert peak <= 12, f"peak {peak:.1f} MiB"
+    assert peak <= 5, f"peak {peak:.1f} MiB"
 
 
 def test_couple_block_refuses_columns_off_the_path():

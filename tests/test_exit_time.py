@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from helpers import open_uniforms, zero_driver_problem
 from scipy.optimize import brentq
+from scipy.special import zeta
+from scipy.stats import ks_2samp
 
 import rwbsde
+from rwbsde import exit_time
 from rwbsde.exit_time import (
     LaplaceInversionError,
     _logit_grid,
@@ -18,6 +21,7 @@ from rwbsde.exit_time import (
     cdf_laplace_inversion,
     cdf_series,
     laplace_transform,
+    sample_exit_sum,
     sample_sigma,
     tabulate,
     tabulated_moment,
@@ -366,3 +370,46 @@ def test_sample_determinism():
     a = _ladders(cdf, 20, 4, np.random.default_rng(77))
     b = _ladders(cdf, 20, 4, np.random.default_rng(77))
     assert np.array_equal(a, b)
+
+
+def test_exit_sum_series_constants():
+    # the weights sum to 1 and their squares to 2/3, so the tail gamma carries
+    # the rest of the mean and variance; Hurwitz zeta sums the tail directly
+    a, c = exit_time._SERIES_WEIGHTS, 2.0 / math.pi**2
+    assert abs(math.fsum(a) + exit_time._TAIL_MEAN - 1.0) <= 1e-15
+    assert abs(math.fsum(a * a) + exit_time._TAIL_VAR - 2.0 / 3.0) <= 1e-15
+    tail = [c**p * zeta(2 * p, a.size + 0.5) for p in (1, 2, 3)]
+    assert exit_time._TAIL_MEAN == pytest.approx(tail[0], rel=1e-13)
+    assert exit_time._TAIL_VAR == pytest.approx(tail[1], rel=1e-10)
+    # third cumulants per unit m: 2 sum a_i^3 exactly, the tail gamma's
+    # 2 * var^2 / mean in place of the tail's own 2 * sum_{i>12} a_i^3
+    exact = 16.0 / 15.0
+    series = exact - 2.0 * tail[2] + 2.0 * exit_time._TAIL_VAR**2 / exit_time._TAIL_MEAN
+    assert abs(series - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("m", [1, 50])
+def test_exit_sum_matches_summed_ladders(m):
+    # two-sample KS against m summed sample_sigma draws, 200k rows a side, at
+    # level 1e-3 (p = 0.013 at m = 1 and 0.45 at m = 50 with these seeds)
+    h, rows = 0.01, 200_000
+    series = sample_exit_sum(np.random.default_rng(31), h, m, rows)
+    ladders = sample_sigma(tabulate(h), open_uniforms(np.random.default_rng(32), (rows, m)))
+    assert ks_2samp(series, ladders.sum(axis=1)).pvalue > 1e-3
+
+
+def test_exit_sum_of_one_follows_the_series_cdf():
+    # sup |F_N - F| against the series CDF, within the DKW bound at level 1e-3
+    h, rows = 0.3, 200_000
+    draws = np.sort(sample_exit_sum(np.random.default_rng(33), h, 1, rows))
+    cdf = cdf_series(draws, h)
+    ranks = np.arange(1, rows + 1) / rows
+    gap = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / rows)))
+    assert gap <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * rows))
+
+
+def test_exit_sum_refuses_bad_input():
+    rng = np.random.default_rng(0)
+    for h, m in ((0.0, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5)):
+        with pytest.raises((ValueError, TypeError)):
+            sample_exit_sum(rng, h, m, 4)

@@ -6,6 +6,7 @@ import pytest
 
 from rwbsde import experiment, solver
 from rwbsde.benchmarks import make_case
+from rwbsde.checks import SEED
 from rwbsde.experiment import (
     ErrorRow,
     ErrorSeries,
@@ -123,6 +124,19 @@ def test_errors_decrease_with_n():
     assert sum(drops) >= len(drops) - 1  # monotone trend, one inversion allowed
 
 
+def test_skip_moves_no_error_beyond_noise(monkeypatch):
+    # the default run skips each row to its window; at skip margin 10^9 every
+    # row is stepped from column 0, from other draws of the same streams
+    cfg = ExperimentConfig(case="square", n_list=(400, 800), seed=SEED)
+    skipped = run_mc(cfg).rows
+    monkeypatch.setattr(experiment, "_SKIP", 1e9)
+    whole = run_mc(cfg).rows
+    for a, b in zip(skipped, whole):
+        for e, se in (("e_y", "se_y"), ("e_z", "se_z")):
+            gap = abs(getattr(a, e) - getattr(b, e))
+            assert gap <= 3.0 * math.hypot(getattr(a, se), getattr(b, se))
+
+
 def test_sqrt_case_has_no_z_errors():
     cfg = ExperimentConfig(case="sqrt", n_list=(8, 16), M=10, seed=2)
     for row in run_mc(cfg).rows:
@@ -171,6 +185,29 @@ def test_regression_recovers_exact_power_law():
     assert reg.r2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_regression_propagates_the_monte_carlo_error():
+    # an exact power law: no residual, and the slope's SE is the OLS weights
+    # of log n applied to the stated relative errors se_n / e_n
+    ns, rel = (50, 100, 200, 400, 800), (0.02, 0.03, 0.01, 0.04, 0.05)
+    errs = [7.0 * n**-0.5 for n in ns]
+    rows = tuple(ErrorRow(n=n, e_y=e, se_y=r * e) for n, e, r in zip(ns, errs, rel))
+    reg = regress_loglog(ErrorSeries(rows=rows, meta={"alpha": 1.0}))
+    x = [math.log(n) for n in ns]
+    mean = sum(x) / len(x)
+    sxx = sum((v - mean) ** 2 for v in x)
+    assert reg.slope_se == pytest.approx(
+        math.sqrt(sum(((v - mean) / sxx * r) ** 2 for v, r in zip(x, rel))), rel=1e-12)
+    assert reg.chi2 == pytest.approx(0.0, abs=1e-20)
+    # one row off the line by 2 of its SEs, the others on it: chi2 is the
+    # squared residuals in units of those SEs
+    off = ErrorRow(n=200, e_y=errs[2] * math.exp(2 * rel[2]), se_y=rel[2] * errs[2])
+    bent = rows[:2] + (off,) + rows[3:]
+    reg = regress_loglog(ErrorSeries(rows=bent, meta={"alpha": 1.0}))
+    resid = [math.log(r.e_y) - (reg.slope * v + reg.intercept) for r, v in zip(bent, x)]
+    expected = sum((d / (r.se_y / r.e_y)) ** 2 for d, r in zip(resid, bent))
+    assert reg.chi2 == pytest.approx(expected, rel=1e-9) and reg.chi2 > 1.0
+
+
 def test_regression_flat_series_has_zero_slope():
     reg = regress_loglog(_series_from((10, 20, 40, 80), [3.2] * 4))
     assert reg.slope == pytest.approx(0.0, abs=1e-14)
@@ -192,6 +229,10 @@ def test_regression_input_validation():
         regress_loglog(_series_from((10, 20, 40), [1.0, math.nan, 0.5]))
     with pytest.raises(ValueError):
         regress_loglog(_series_from((10, 20, 40), [1.0, math.inf, 0.5]))
+    # a Z error without its standard error cannot weigh the fit
+    rows = tuple(ErrorRow(n=n, e_y=1.0, se_y=0.1, e_z=1.0 / n, se_z=None) for n in (10, 20, 40))
+    with pytest.raises(ValueError, match="se_z"):
+        regress_loglog(ErrorSeries(rows=rows, meta={"alpha": 1.0}), "e_z")
 
 
 def test_slope_flag():

@@ -36,11 +36,11 @@ SQUARE_EXPLICIT_BLOCK_128 = [
     (16, "0x1.e0e5761da38dcp+0", "0x1.a103cf0aa5661p-2", "0x1.a0988ca01131ap+0", "0x1.49b0fa7ff2a86p-3"),
     (32, "0x1.bb3117084d13dp-1", "0x1.b75c81803d0b2p-3", "0x1.07802fccbac6fp+0", "0x1.f4e9ec1d3241ep-4"),
 ]
-# n = 64, 128 and 256 at t = T/2: row passes of width 62, 105 and 185
+# n = 64, 128 and 256 at t = T/2: windows of columns 0..62, 11..105 and 53..185
 SQUARE_EXPLICIT_TRUNCATED = [
-    (64, "0x1.2c2419e081c65p-1", "0x1.71fda6d3da653p-4", "0x1.49d9f30fece24p-1", "0x1.b635c5ad7b253p-5"),
-    (128, "0x1.1ac77a24fe4e7p-2", "0x1.3f85eb45bbc4cp-5", "0x1.fe9b00efa9df7p-2", "0x1.a46f487b56cdep-5"),
-    (256, "0x1.7721be37c3c53p-3", "0x1.bfceb41160e0bp-6", "0x1.386dcf34a0364p-2", "0x1.1a0574a5e51cbp-5"),
+    (64, "0x1.ced3766b91fbap-2", "0x1.f40efa881d96bp-5", "0x1.43ee3102972b6p-1", "0x1.02e0b27b0e637p-4"),
+    (128, "0x1.6f83524be811dp-2", "0x1.eec8bd4925d53p-5", "0x1.c104432718ac4p-2", "0x1.56b6a34ed4a84p-5"),
+    (256, "0x1.0e0a6da0bc31ap-2", "0x1.f7cf23449f0d6p-5", "0x1.3a99c0789cf85p-2", "0x1.0d8bb853ac6f4p-5"),
 ]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
@@ -68,12 +68,35 @@ COUPLE_BLOCK_N = {
          "e87f72fb40056e5b4c785ea9044268467bc4d63d15e8d37872c218763a02f819"),
 }
 
+# the same digests of a narrow call's (S_k, tau_k, b_t) at k = n // 2, where its
+# window stops short of n: columns 0..62 at n = 64
+COUPLE_BLOCK_NARROW = {
+    64: ("8bbbde4497d1d79f7f57d8f0561fc9a1d20a3fa5e6acb69a4cb8ee30deb5e753",
+         "96ebdd4ce56685b7288ce22c1bbdfe663dfeff05d4205f3c34a3922ebe7e4148",
+         "edcb5ecc01932f4c9a6727e00283dfebd27e5fccbc706e1af5202ad5c48e215a"),
+}
+# and at skip margin 0 and reach -3, where it skips to column k and stops
+# there: each row that skip lands past t is drawn again whole, and every other
+# row steps on from k with fresh draws (at n = 1 there is no skip, only the
+# step on)
+COUPLE_BLOCK_REDONE = {
+    1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
+        "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
+        "a9a78cbfb6a8df496a011182fc8ef8506e5084cae4eecc71a81f9bbb733aa6e7"),
+    37: ("f53bec49f0f7d33496f4167d9261207242fe587e999089f989bb4d267604b82d",
+         "6d596bd0600f54c1ec8af9598e2fc0b663d0119889a54e399096db1e58ccbf35",
+         "b678db0a86f8d7d123f4816ea0e90bd4983a6e4d25efea7408723b06f59b5efb"),
+    64: ("6695ee9a0869c18a1dfb3f7c224dcad84dfd52dcd9c26c33cf3caf46528c83eb",
+         "8611af651659c83dbc4a2d8061e8d3f21ad7021c719ca92dd29afaefc1b8f34d",
+         "738703770ed47a7f18e59655d1877c6ae08f1ab212f977485f6daa5d370bef41"),
+}
+
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
-# for a hand-made series whose Y slope is flagged
+# for a hand-made series whose Y slope is flagged (its se_y = 0 makes chi2_Y inf)
 REPORT_SHA256 = {
-    "square": "4bd59674b2b125af94e26c07f5185f7a1680b7395cdef745b7ea47d725b62c9c",
-    "sqrt": "4d1765a0d04efadf5529045e5921a66203cf6b157131044fcc0663dee24aa257",
-    "flagged": "88ce23b3fa22bf93d2cd8cfc6f454cb184700401dd9322cca94db34cbb093590",
+    "square": "34284bc72ffbc04641aef6977db99eafb02b0f305563788745ba6f223e1a5029",
+    "sqrt": "4719284762179477140b685862bdbfe0e792e4f602cf152f6280c00932222258",
+    "flagged": "9d0751f3f419a93b3bccd6df79bb8bfa3e59ff5cbdd1369bbeed7ffaa61afcf4",
 }
 # rwbsde convergence's stdout for the square config of _run, its --out masked
 CONVERGENCE_STDOUT = (
@@ -161,11 +184,10 @@ def test_convergence_command_output_is_golden(capsys, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256["square"]
 
 
-@pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
-@pytest.mark.parametrize("pass_size", [2**15, 1000])
-def test_couple_block_is_golden(monkeypatch, n, pass_size):
-    # passes of 1000 uniforms are 27 and 15 rows at n = 37 and 64, so the
-    # narrow call keeps its column and brackets t across ragged passes
+def _narrow_digests(n, pass_size, monkeypatch, narrow_golden):
+    """Check couple_block's whole paths and its call at column n // 2 against
+    the goldens: the narrow call draws the whole path's bits where its window
+    spans every column, and its own pinned ones where narrow_golden names n."""
     monkeypatch.setattr("rwbsde.experiment._PASS", pass_size)
     problem = make_case("square", 1.0).problem(n)
     walks, taus, b_t = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
@@ -175,8 +197,20 @@ def test_couple_block_is_golden(monkeypatch, n, pass_size):
     s_k, tau_k, b_t_narrow = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
                                                      (k,))
     assert s_k.shape == tau_k.shape == (100, 1)
-    assert np.array_equal(s_k[:, 0], walks[:, k]) and np.array_equal(tau_k[:, 0], taus[:, k])
-    assert _digest(b_t_narrow) == COUPLE_BLOCK_N[n][2]
+    if n in narrow_golden:
+        assert (_digest(s_k), _digest(tau_k), _digest(b_t_narrow)) == narrow_golden[n]
+    else:
+        assert experiment._window(problem, 0.5, np.array([k])) == (0, n)
+        assert np.array_equal(s_k[:, 0], walks[:, k]) and np.array_equal(tau_k[:, 0], taus[:, k])
+        assert _digest(b_t_narrow) == COUPLE_BLOCK_N[n][2]
+
+
+@pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
+@pytest.mark.parametrize("pass_size", [2**15, 1000])
+def test_couple_block_is_golden(monkeypatch, n, pass_size):
+    # passes of 1000 uniforms are 15 to 27 rows at n = 37 and 64, so each
+    # call keeps its columns and brackets t across ragged passes
+    _narrow_digests(n, pass_size, monkeypatch, COUPLE_BLOCK_NARROW)
 
 
 @pytest.mark.parametrize("scheme,solve", [("explicit", solve_explicit), ("implicit", solve_implicit)])
@@ -196,6 +230,25 @@ def test_deep_square_roots_are_golden(scheme, solve, n):
 @pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
 @pytest.mark.parametrize("pass_size", [2**15, 1000])
 def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
-    # at reach -3 the narrow call embeds nearly every pass again at full width
+    monkeypatch.setattr("rwbsde.experiment._SKIP", 0.0)
     monkeypatch.setattr("rwbsde.experiment._REACH", -3.0)
-    test_couple_block_is_golden(monkeypatch, n, pass_size)
+    # every stretch of steps couple_block draws, as (rows, steps)
+    stretches = []
+    step_on = experiment._step_on
+
+    def recorded(rng, cdf, tau0, walk0, width, t, columns):
+        stretches.append((tau0.size, width))
+        return step_on(rng, cdf, tau0, walk0, width, t, columns)
+
+    monkeypatch.setattr("rwbsde.experiment._step_on", recorded)
+    _narrow_digests(n, pass_size, monkeypatch, COUPLE_BLOCK_REDONE)
+    k = n // 2
+    # the whole paths, then the narrow call's empty window at column k
+    assert stretches[:2] == [(100, n), (100, 0)]
+    if n == 1:
+        assert stretches[2:] == [(100, 1)]   # every row steps on from column 0
+    else:
+        # rows whose tau_k <= t step on to n; the others are drawn again whole
+        (on, on_steps), (again, again_steps) = stretches[2:]
+        assert (on_steps, again_steps) == (n - k, n) and on + again == 100
+        assert min(on, again) > 0
