@@ -21,12 +21,12 @@ block of _BLOCK rows. Row r at n-index j therefore comes from stream
 couple_block lists, in its order: the walk and exit-time sums S_m0 and
 tau_m0 of the skipped steps (none when m0 = 0), the (rows, w - m0) sign
 bits and exit-time uniforms of the window m0..w, the (rows,) bridge
-normals, and then the draws of the rows that fall back (stepping on past w,
-or drawn again whole). The window depends only on n, t_k and the level k,
-and the uniforms' row passes draw the same doubles as one (rows, w - m0)
-draw, so the pass size moves no bit. The error sums are exactly rounded,
-so they do not depend on the order of the rows, and a given config gives
-the same bits on every run.
+normals, and then the draws of the rows whose skip lands past t, drawn
+again from column 0. The window depends only on n, t and the columns the
+caller reads, and the uniforms' row passes draw the same doubles as one
+(rows, w - m0) draw, so the pass size moves no bit. The error sums are
+exactly rounded, so they do not depend on the order of the rows, and a
+given config gives the same bits on every run.
 """
 from __future__ import annotations
 
@@ -49,13 +49,10 @@ _BLOCK = 4096
 # stay in cache; on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800
 # took 0.10 s at 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
 _PASS = 2**15
-# the window couple_block steps, in units of sqrt(2(t/h)/3 + 1), about the
-# standard deviation of the step j that brackets t: it skips to _SKIP units
-# before t/h (a row whose skip lands past t, about Phi(-8) of rows, is drawn
-# again whole) and stops _REACH units past it (a row whose ladder has not
-# passed t there, about Phi(-6) of rows, steps on with fresh draws)
+# how far before t/h couple_block skips to, in units of sqrt(2(t/h)/3 + 1),
+# about the standard deviation of the step j that brackets t (a row whose
+# skip lands past t, about Phi(-8) of rows, is drawn again from column 0)
 _SKIP = 8.0
-_REACH = 6.0
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
 SLOPE_SLACK = 0.15
@@ -140,10 +137,11 @@ class RegressionResult:
 def _mean_and_se(d2: np.ndarray) -> tuple:
     """Mean of the squared errors and its standard error, from exact sums."""
     m = d2.size
-    mean = math.fsum(d2) / m
+    # fsum reads a list of floats faster than it walks an array
+    mean = math.fsum(d2.tolist()) / m
     if m < 2:
         return mean, 0.0
-    var = max(math.fsum(d2 * d2) - m * mean * mean, 0.0) / (m - 1)
+    var = max(math.fsum((d2 * d2).tolist()) - m * mean * mean, 0.0) / (m - 1)
     return mean, math.sqrt(var / m)
 
 
@@ -162,12 +160,14 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
     Rows where t falls exactly on tau_j get variance zero and return the
     skeleton value there; strictly before tau_{j+1} the draw has the bridge
     mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j); rows
-    with t >= their right end time (the ladder's end tau_n, where ladder_ends
-    gives both ends) get the free sqrt(t - tau_n) increment from there.
+    with t >= their right end time (tau_w at the last column w drawn, where
+    ladder_ends gives both ends) get the free sqrt(t - tau_w) increment from
+    there.
 
     The bridge is NOT conditioned on the +-sqrt(h) corridor the embedded
-    path keeps to between two exit times; past tau_n the free increment is
-    used because the embedding carries no information there.
+    path keeps to between two exit times. Past the last column drawn the
+    free increment is exact: tau_w is a stopping time, so B_t - B_tau_w is
+    independent of the path drawn up to it.
     """
     _check_t(t)
     n_rows = taus.shape[0]
@@ -255,45 +255,17 @@ def _window(problem: BsdeProblem, t: float, columns: np.ndarray) -> tuple:
     """The columns (m0, w) that couple_block skips to and steps to."""
     steps = t / problem.h
     spread = math.sqrt(2.0 * steps / 3.0 + 1.0)
-    w = min(problem.n, max(int(columns.max(initial=0)), math.ceil(steps + _REACH * spread) + 1))
+    w = int(columns.max(initial=0))
     return max(0, min(int(columns.min(initial=w)), math.floor(steps - _SKIP * spread))), w
-
-
-def _couple_window(rng: np.random.Generator, rows: int, problem: BsdeProblem, t: float,
-                   columns: np.ndarray, m0: int, w: int) -> tuple:
-    """couple_block's draws for the window m0..w: (walks, taus, tau_ends,
-    walk_ends, normals), with both fallbacks applied."""
-    n = problem.n
-    cdf = tabulate(problem.h)
-    tau0, walk0 = np.zeros(rows), np.zeros(rows, np.int32)
-    if m0:
-        walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
-        tau0 = sample_exit_sum(rng, problem.h, m0, rows)
-    walks, taus, tau_ends, walk_ends = _step_on(rng, cdf, tau0, walk0, w - m0, t, columns - m0)
-    normals = rng.standard_normal(rows)
-    # a ladder that has not passed t by column w < n steps on from there
-    short = np.flatnonzero((tau_ends[:, 1] <= t) & (w < n))
-    if short.size:
-        tau_ends[short], walk_ends[short] = _step_on(
-            rng, cdf, tau_ends[short, 1], walk_ends[short, 1], n - w, t, np.empty(0, np.intp))[2:]
-    # a row whose skip lands past t is drawn again whole
-    early = np.flatnonzero(tau0 > t)
-    if early.size:
-        redrawn = _couple_window(rng, early.size, problem, t, columns, 0, n)
-        for kept, whole in zip((walks, taus, tau_ends, walk_ends, normals), redrawn):
-            kept[early] = whole
-    return walks, taus, tau_ends, walk_ends, normals
 
 
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
                  t: float, columns: Sequence[int]) -> tuple:
     """One block of coupled paths: (walks, taus, b_t) for rows replications.
 
-    Each row needs only the path from the first column it names to the
-    ladder step around t, so it skips ahead to
-    m0 = max(0, min(min(columns), floor(t/h - _SKIP * sqrt(2(t/h)/3 + 1))))
-    and steps only the window m0..w, where
-    w = min(n, max(max(columns), ceil(t/h + _REACH * sqrt(2(t/h)/3 + 1)) + 1)).
+    Each row is embedded only over the columns m0..w, where w = max(columns)
+    and it skips ahead to
+    m0 = max(0, min(min(columns), floor(t/h - _SKIP * sqrt(2(t/h)/3 + 1)))).
     It draws from rng, in this order:
 
     * when m0 > 0, S_m0 = 2 * Binomial(m0, 1/2) - m0 and tau_m0 from
@@ -301,31 +273,28 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     * the (rows, w - m0) sign bits and then the (rows, w - m0) exit-time
       uniforms of the window, the uniforms in row passes (_step_on);
     * the (rows,) bridge normals;
-    * fresh signs and uniforms for the n - w steps past w of each row whose
-      ladder has not passed t by column w < n (about Phi(-6) of rows); these
-      steps are independent of the window's, so going on from (tau_w, S_w)
-      is exact in law;
-    * for each row with tau_m0 > t (probability about Phi(-8) = 6e-16), a
-      whole row at m0 = 0 and w = n: signs, uniforms and normal.
+    * for each row with tau_m0 > t (probability about Phi(-8) = 6e-16), the
+      row again from column 0 to w: signs, uniforms and normal.
 
-    So the rows are the whole path's in law, but for two departures: the
-    tail of sample_exit_sum's series matches two cumulants (the third is
-    off by 5.5e-9 relative), and a row redrawn for tau_m0 > t comes from the
-    unconditioned law, not from the law given tau_m0 > t. With m0 = 0 and
-    w = n (as for columns=range(n + 1)) the draws are those of the whole
-    path, stepped from column 0.
+    So walks and taus are the whole path's in law, but for two departures:
+    the tail of sample_exit_sum's series matches two cumulants (the third
+    is off by 5.5e-9 relative), and a row redrawn for tau_m0 > t comes from
+    the unconditioned law, not from the law given tau_m0 > t. With m0 = 0
+    and w = n (as for columns=range(n + 1)) the draws are those of the
+    whole path, stepped from column 0.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
     ladders tau_m there (tau_0 = 0 < tau_1 < ... < tau_n at time scale
-    problem.h); and b_t, the Brownian value at time t bridged between the
-    two skeleton points (tau_j, sqrt(h) * S_j) that bracket t. With
-    columns=range(n + 1) walks and taus are the whole paths. A block holds
-    the int8 signs of its window, one row pass of its work and per-row
-    answers: a 3.2 MiB peak at n = 800 and 4096 rows, 0.9 MiB of it signs.
-    A column outside 0..n raises IndexError, a column that is not a whole
-    number TypeError, and a t that is negative, infinite or NaN ValueError,
-    before anything is drawn.
+    problem.h); and b_t, the Brownian value at time t: bridged between the
+    two skeleton points (tau_j, sqrt(h) * S_j) that bracket t where the
+    window holds them, and the free increment from (tau_w, sqrt(h) * S_w)
+    where t >= tau_w (bridge_sample_batch). With columns=range(n + 1) walks
+    and taus are the whole paths. A block holds the int8 signs of its
+    window, one row pass of its work and per-row answers: a 2.8 MiB peak at
+    n = 800 and 4096 rows, 0.5 MiB of it signs. A column outside 0..n raises
+    IndexError, a column that is not a whole number TypeError, and a t that
+    is negative, infinite or NaN ValueError, before anything is drawn.
     """
     n = problem.n
     columns = np.asarray(columns)
@@ -335,8 +304,22 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     if columns.ndim != 1 or np.any((columns < 0) | (columns > n)):
         raise IndexError(f"columns {columns} are not a sequence of levels in 0..{n}")
     _check_t(t)
-    walks, taus, tau_ends, walk_ends, normals = _couple_window(
-        rng, rows, problem, t, columns, *_window(problem, t, columns))
+    m0, w = _window(problem, t, columns)
+    cdf = tabulate(problem.h)
+    tau0, walk0 = np.zeros(rows), np.zeros(rows, np.int32)
+    if m0:
+        walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
+        tau0 = sample_exit_sum(rng, problem.h, m0, rows)
+    walks, taus, tau_ends, walk_ends = _step_on(rng, cdf, tau0, walk0, w - m0, t, columns - m0)
+    normals = rng.standard_normal(rows)
+    # a row whose skip lands past t is drawn again from column 0
+    early = np.flatnonzero(tau0 > t)
+    if early.size:
+        redrawn = _step_on(rng, cdf, np.zeros(early.size), np.zeros(early.size, np.int32), w, t,
+                           columns)
+        for kept, again in zip((walks, taus, tau_ends, walk_ends, normals),
+                               (*redrawn, rng.standard_normal(early.size))):
+            kept[early] = again
     b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
     return walks, taus, b_t
 
@@ -492,6 +475,10 @@ def emit_csv(series: ErrorSeries, regressions: dict, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the footer's fit keys, <field>_<label>
+_FIT_FIELDS = {f.name for f in fields(RegressionResult)}
+
+
 def _parse_scalar(text: str):
     for cast in (int, float):
         try:
@@ -505,7 +492,8 @@ def parse_csv(path) -> tuple:
     """Read back emit_csv output: (ErrorSeries, footer dict).
 
     Floats round-trip exactly (17 significant digits); comment keys seen
-    before the data header populate meta, those after populate the footer.
+    before the data header populate meta, those after populate the footer,
+    where each fit value and theory_slope reads as a float.
     An empty data field reads as None where ErrorRow's default is None; a
     non-finite value raises ValueError, as emit_csv refuses to write one.
     """
@@ -518,8 +506,11 @@ def parse_csv(path) -> tuple:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
-                target = footer if seen_header else meta
-                target[key.strip()] = _parse_scalar(value.strip())
+                key, value = key.strip(), value.strip()
+                if seen_header and (key == "theory_slope" or key.rpartition("_")[0] in _FIT_FIELDS):
+                    footer[key] = float(value)   # written as "0" or "1" when exact
+                else:
+                    (footer if seen_header else meta)[key] = _parse_scalar(value)
                 continue
             if line.startswith("n,"):
                 seen_header = True

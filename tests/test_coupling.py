@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import skeleton, traced_peak, walk_sums, zero_driver_problem
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from rwbsde import experiment
 from rwbsde.benchmarks import make_case
@@ -166,28 +166,54 @@ def test_row_passes_draw_the_block_stream():
     assert np.array_equal(np.concatenate(passes), block)
 
 
-@pytest.mark.parametrize("reach", [6.0, -3.0])
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.97])
-def test_narrow_calls_bracket_t_as_whole_paths_do(monkeypatch, t, reach):
+def test_narrow_calls_bracket_t_as_whole_paths_do(t):
     # a narrow call whose window is the whole path draws its bits; any other
-    # draws its law: at t = 0.97 the call at column k skips to column 9,
-    # at reach -3 nearly every row steps on past its window, and at t = 0.97
-    # some rows end their whole ladder before t
-    monkeypatch.setattr("rwbsde.experiment._REACH", reach)
+    # draws the law of its walks and ladders: at t = 0.97 the call at column
+    # k skips to column 9, and some rows end their whole ladder before t
     n, rows = 64, 4000
     problem = make_case("square", 1.0).problem(n)
     k = int(t / problem.h)
     walks, taus, b_t = couple_block(np.random.default_rng(11), rows, problem, t, range(n + 1))
-    for columns in ((k,), (0,)):
+    for columns in ((k,), (0,), (0, n)):
         if experiment._window(problem, t, np.array(columns)) == (0, n):
             s, tau, b = couple_block(np.random.default_rng(11), rows, problem, t, columns)
             assert np.array_equal(b, b_t)
             assert np.array_equal(s, walks[:, columns]) and np.array_equal(tau, taus[:, columns])
         else:
-            s, tau, b = couple_block(np.random.default_rng(12), rows, problem, t, columns)
-            for narrow, whole in ((s[:, 0], walks[:, columns[0]]), (tau[:, 0], taus[:, columns[0]]),
-                                  (b, b_t)):
+            s, tau, _ = couple_block(np.random.default_rng(12), rows, problem, t, columns)
+            for narrow, whole in ((s[:, 0], walks[:, columns[0]]), (tau[:, 0], taus[:, columns[0]])):
                 assert ks_2samp(narrow, whole).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n,t,k", [(64, 0.5, 32), (64, 0.97, 40), (800, 0.5, 400)])
+def test_b_t_is_brownian_given_the_drawn_ladder(n, t, k):
+    # a row whose ladder passes t inside the window is bridged across the step
+    # that brackets t; a row with tau_w <= t at w = max(columns), the last
+    # column drawn, runs free from there: B_t - B_tau_w ~ N(0, t - tau_w)
+    problem = make_case("square", 1.0).problem(n)
+    m0, w = experiment._window(problem, t, np.array([k]))
+    columns = range(m0, w + 1)   # the same window, every column of it returned
+    assert experiment._window(problem, t, np.array(columns)) == (m0, w)
+    walks, taus, b_t = couple_block(np.random.default_rng(13), 4000, problem, t, columns)
+    skels = problem.sqrt_h * walks
+    assert np.all(taus[:, 0] <= t)
+    free = taus[:, -1] <= t
+    z_free = (b_t[free] - skels[free, -1]) / np.sqrt(t - taus[free, -1])
+    assert kstest(z_free, "norm").pvalue > 1e-3
+    bridged = np.flatnonzero(~free)
+    if bridged.size:
+        j = (taus[bridged] <= t).sum(axis=1) - 1
+        t0, t1 = taus[bridged, j], taus[bridged, j + 1]
+        b0, b1 = skels[bridged, j], skels[bridged, j + 1]
+        mean = b0 + (t - t0) / (t1 - t0) * (b1 - b0)
+        z_bridged = (b_t[bridged] - mean) / np.sqrt((t - t0) * (t1 - t) / (t1 - t0))
+        assert kstest(z_bridged, "norm").pvalue > 1e-3
+    # at t = t_k about half the rows run free; at t = 0.97, far past t_40, nearly all do
+    if t == k * problem.h:
+        assert 0.4 <= free.mean() <= 0.6
+    else:
+        assert free.mean() > 0.99
 
 
 def _block_peak(n, rows):
@@ -199,16 +225,16 @@ def _block_peak(n, rows):
 
 
 def test_couple_block_memory_is_bounded():
-    # a block holds the int8 signs of its window (0.9 MiB at 4096 rows and
-    # n = 800, columns 269..500), one row pass of uniforms, exit times, walks
-    # and ladders, and per-row answers: ~3.2 MiB, against ~5 MiB with all n
+    # a block holds the int8 signs of its window (0.5 MiB at 4096 rows and
+    # n = 800, columns 269..400), one row pass of uniforms, exit times, walks
+    # and ladders, and per-row answers: ~2.8 MiB, against ~5 MiB with all n
     # signs and ~42 MiB with whole-block walks and ladders
     peak = _block_peak(800, 4096)
     assert peak <= 5, f"peak {peak:.1f} MiB"
 
 
 def test_couple_block_memory_at_large_n():
-    # the window is columns 4538..5348 at n = 10^4: ~2.9 MiB at 1024 rows,
+    # the window is columns 4538..5000 at n = 10^4: ~2.6 MiB at 1024 rows,
     # where all n signs alone were 9.8 MiB and whole-block walks and ladders
     # would add ~117 MiB
     peak = _block_peak(10_000, 1024)

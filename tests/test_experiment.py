@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +261,19 @@ def test_csv_round_trip(tmp_path):
     out.write_text(out.read_text().replace("\n", "\n\n"))
     reread, reread_footer = parse_csv(out)
     assert (reread.rows, reread.meta, reread_footer) == (series.rows, series.meta, footer)
+
+
+def test_csv_footer_fits_read_back_as_floats(tmp_path):
+    # an exact power law with se = 0 writes r2_Y as "1" and slope_se_Y as "0"
+    series = _series_from((10, 20, 40), [2.0 * n**-1.0 for n in (10, 20, 40)])
+    reg = regress_loglog(series)
+    out = tmp_path / "exact.csv"
+    emit_csv(series, {"Y": reg}, out)
+    assert "# r2_Y=1\n" in out.read_text() and "# slope_se_Y=0\n" in out.read_text()
+    _, footer = parse_csv(out)
+    fits = {f"{f.name}_Y": getattr(reg, f.name) for f in fields(reg)}
+    assert {key: footer[key] for key in fits} == fits
+    assert all(type(footer[key]) is float for key in (*fits, "theory_slope"))
 
 
 def test_csv_absent_z_fields_are_empty(tmp_path):

@@ -16,31 +16,31 @@ from rwbsde.cli import main
 from rwbsde.solver import solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
-    (8, "0x1.668c7ec26bd02p+0", "0x1.1eeedfbea527ep-2", "0x1.2a1322c4b5089p+1", "0x1.c44f0df528a2fp-3"),
-    (16, "0x1.01fb4c9d80c7fp+0", "0x1.8ca1c10d04512p-3", "0x1.5a7ecc48f87f1p+0", "0x1.f37b57f68c46fp-4"),
-    (32, "0x1.4ecf6800fe163p-1", "0x1.8f7d8a9f6e1aep-4", "0x1.0bdb9ebf42245p+0", "0x1.8bd210aa7a344p-4"),
+    (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6dp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f2fp-3"),
+    (16, "0x1.c31fbe2a97c72p-1", "0x1.1019e95597843p-3", "0x1.628aea37643ddp+0", "0x1.19cc3d58ad156p-3"),
+    (32, "0x1.f7b6b553ab42cp-2", "0x1.70f6ed7c9b3e9p-4", "0x1.84d5bbf573393p-1", "0x1.1a60dd9efec6ap-4"),
 ]
 SQRT_EXPLICIT = [
-    (8, "0x1.cd82c5aa76fe0p-4", "0x1.386f0327a3776p-7", None, None),
-    (16, "0x1.b873b10d5fed2p-5", "0x1.42492a4d899b7p-8", None, None),
-    (32, "0x1.08b277eb39808p-5", "0x1.c113a4811df75p-9", None, None),
+    (8, "0x1.6c4637004c74ep-4", "0x1.93a7a000a1a6cp-8", None, None),
+    (16, "0x1.bd0473c8ec59ap-5", "0x1.674f3010f7d3ep-8", None, None),
+    (32, "0x1.8c4467b6776bfp-6", "0x1.49cf9ff38f84dp-9", None, None),
 ]
 SQUARE_IMPLICIT = [
-    (8, "0x1.50bdf1f768296p+0", "0x1.07a092621d028p-2", "0x1.0e812a9becdb9p+1", "0x1.a520aa04602d6p-3"),
-    (16, "0x1.0202145a2d094p+0", "0x1.73aa8f3810305p-3", "0x1.487a17c60e739p+0", "0x1.da388c320a2f2p-4"),
-    (32, "0x1.45b0dcecb3589p-1", "0x1.78f0fef04c933p-4", "0x1.04812134b6b2fp+0", "0x1.830d20522624dp-4"),
+    (8, "0x1.9fafe7f56a754p-1", "0x1.c0652fb2e26bep-4", "0x1.92d0f2e1553fcp+0", "0x1.0a31ff83d280ep-3"),
+    (16, "0x1.d495d3a7d4b7dp-1", "0x1.2596429002ad7p-3", "0x1.578b4f433d1c0p+0", "0x1.14c57f09774bfp-3"),
+    (32, "0x1.fc1ef832ec55ep-2", "0x1.7cb38cc29f8e6p-4", "0x1.7c13db143054ap-1", "0x1.1aa2b70077f59p-4"),
 ]
 # blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
 SQUARE_EXPLICIT_BLOCK_128 = [
-    (8, "0x1.3b7eb979d60ddp+0", "0x1.672681ae1d40bp-3", "0x1.1c7432bec5396p+1", "0x1.67466468ae8f2p-3"),
-    (16, "0x1.e0e5761da38dcp+0", "0x1.a103cf0aa5661p-2", "0x1.a0988ca01131ap+0", "0x1.49b0fa7ff2a86p-3"),
-    (32, "0x1.bb3117084d13dp-1", "0x1.b75c81803d0b2p-3", "0x1.07802fccbac6fp+0", "0x1.f4e9ec1d3241ep-4"),
+    (8, "0x1.7e3dfa1745730p+0", "0x1.aa0fd3bd6bd3dp-3", "0x1.217d24cc17654p+1", "0x1.6f32f14a8a435p-3"),
+    (16, "0x1.06127f335e181p+0", "0x1.6cdded2141b2ap-3", "0x1.6c79385cd138fp+0", "0x1.25227a850496ep-3"),
+    (32, "0x1.adb6624e7a881p-1", "0x1.c9511033ce95fp-3", "0x1.95653d0bb5c1ap-1", "0x1.3a4f210440976p-4"),
 ]
-# n = 64, 128 and 256 at t = T/2: windows of columns 0..62, 11..105 and 53..185
+# n = 64, 128 and 256 at t = T/2: windows of columns 0..32, 11..64 and 53..128
 SQUARE_EXPLICIT_TRUNCATED = [
-    (64, "0x1.ced3766b91fbap-2", "0x1.f40efa881d96bp-5", "0x1.43ee3102972b6p-1", "0x1.02e0b27b0e637p-4"),
-    (128, "0x1.6f83524be811dp-2", "0x1.eec8bd4925d53p-5", "0x1.c104432718ac4p-2", "0x1.56b6a34ed4a84p-5"),
-    (256, "0x1.0e0a6da0bc31ap-2", "0x1.f7cf23449f0d6p-5", "0x1.3a99c0789cf85p-2", "0x1.0d8bb853ac6f4p-5"),
+    (64, "0x1.2fcc8ef04cbc9p-1", "0x1.4a2a81719a83ep-3", "0x1.3482d45d18e17p-1", "0x1.f9c151407bfbcp-5"),
+    (128, "0x1.a546b40876c28p-2", "0x1.a44e1d1a200efp-4", "0x1.f0deba76f03e3p-2", "0x1.adabe52813024p-5"),
+    (256, "0x1.9297db2488053p-3", "0x1.fceb961dcacd6p-6", "0x1.4541fbfcd5c3bp-2", "0x1.41de04dfc7904p-5"),
 ]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
@@ -68,40 +68,45 @@ COUPLE_BLOCK_N = {
          "e87f72fb40056e5b4c785ea9044268467bc4d63d15e8d37872c218763a02f819"),
 }
 
-# the same digests of a narrow call's (S_k, tau_k, b_t) at k = n // 2, where its
-# window stops short of n: columns 0..62 at n = 64
+# the same digests of a narrow call's (S_k, tau_k, b_t) at k = n // 2, whose
+# window is columns 0..k
 COUPLE_BLOCK_NARROW = {
-    64: ("8bbbde4497d1d79f7f57d8f0561fc9a1d20a3fa5e6acb69a4cb8ee30deb5e753",
-         "96ebdd4ce56685b7288ce22c1bbdfe663dfeff05d4205f3c34a3922ebe7e4148",
-         "edcb5ecc01932f4c9a6727e00283dfebd27e5fccbc706e1af5202ad5c48e215a"),
+    1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
+        "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
+        "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
+    37: ("6b16da2881149e8ea6d758e20342d4ad547b053046306070fd7f6833c2e60914",
+         "781281c9bc92708f723cc4dfe07c6c823009f91178b1036ed603b853d3eba211",
+         "e1efd3ae4f8d4fb801933fce332997a0efde4485d5b7d9d74df3b29308de6348"),
+    64: ("0be84b60fd880d3709dbdc90e96bc61a8966ff8a7efc286ecd56aef8d1a3df4e",
+         "242d406b71c97f5c21fcf23e1c4f6abe93c1b403fe3b23aaaddf1b44805be666",
+         "2b1eed5d25a1837e183b63427bb385503195606986077b6b4bed83e022d188bd"),
 }
-# and at skip margin 0 and reach -3, where it skips to column k and stops
-# there: each row that skip lands past t is drawn again whole, and every other
-# row steps on from k with fresh draws (at n = 1 there is no skip, only the
-# step on)
+# and at skip margin 0, where it skips to column k: each row that skip lands
+# past t is drawn again from column 0 (at n = 1 there is no skip, and the
+# window is column 0 alone)
 COUPLE_BLOCK_REDONE = {
     1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
-        "a9a78cbfb6a8df496a011182fc8ef8506e5084cae4eecc71a81f9bbb733aa6e7"),
-    37: ("f53bec49f0f7d33496f4167d9261207242fe587e999089f989bb4d267604b82d",
-         "6d596bd0600f54c1ec8af9598e2fc0b663d0119889a54e399096db1e58ccbf35",
-         "b678db0a86f8d7d123f4816ea0e90bd4983a6e4d25efea7408723b06f59b5efb"),
-    64: ("6695ee9a0869c18a1dfb3f7c224dcad84dfd52dcd9c26c33cf3caf46528c83eb",
-         "8611af651659c83dbc4a2d8061e8d3f21ad7021c719ca92dd29afaefc1b8f34d",
-         "738703770ed47a7f18e59655d1877c6ae08f1ab212f977485f6daa5d370bef41"),
+        "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
+    37: ("a2b039df5fc21ba4032037bd599097d26591a9b47f76bb0873b250457f2e23d0",
+         "eb1605604ab427612428f00481bd312777fd24e47a12a6d55bd4e119a826d4f2",
+         "e9f21e751be036f1be0db86aa6b2476d80c344b0217a4c25b2b20882991a2c0e"),
+    64: ("a98351d17b6b31c7871f20a0b1da912c578f6e5dc5e8e83772cab27c34161016",
+         "096f66ca4986ccfb5110279d4e1c0bbf0cecd79fe7033eee42c9b51fb98d31eb",
+         "f1f3304bb0c9e99569c8848637135cbf5be1fe19cb3faed0d6479b77a801bb04"),
 }
 
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
 # for a hand-made series whose Y slope is flagged (its se_y = 0 makes chi2_Y inf)
 REPORT_SHA256 = {
-    "square": "34284bc72ffbc04641aef6977db99eafb02b0f305563788745ba6f223e1a5029",
-    "sqrt": "4719284762179477140b685862bdbfe0e792e4f602cf152f6280c00932222258",
+    "square": "c168995d3585701602170a8368dd831931b9b84b01a02669d97aa96a2210bb1d",
+    "sqrt": "b9d548157d25733254c04c121171eea7b063289207d40a09b4744070d37117dd",
     "flagged": "9d0751f3f419a93b3bccd6df79bb8bfa3e59ff5cbdd1369bbeed7ffaa61afcf4",
 }
 # rwbsde convergence's stdout for the square config of _run, its --out masked
 CONVERGENCE_STDOUT = (
-    "slope_Y = -0.5494  (r2 = 0.9939)\n"
-    "slope_Z = -0.5771  (r2 = 0.9594)\n"
+    "slope_Y = -0.3303  (r2 = 0.5566)  [flag: above -alpha/2 + 0.15]\n"
+    "slope_Z = -0.6163  (r2 = 0.9478)\n"
     "theory slope = -0.5000   wrote <out>\n"
 )
 
@@ -142,7 +147,7 @@ def test_run_mc_rows_are_golden(case, scheme, expected):
 
 
 def test_run_mc_rows_are_golden_with_truncated_passes():
-    # at n = 8, 16 and 32 a pass spans every column; here it stops short of n
+    # at n = 8, 16 and 32 every row is stepped from column 0; here most skip ahead
     assert _run("square", n_list=(64, 128, 256)) == SQUARE_EXPLICIT_TRUNCATED
 
 
@@ -186,8 +191,7 @@ def test_convergence_command_output_is_golden(capsys, tmp_path):
 
 def _narrow_digests(n, pass_size, monkeypatch, narrow_golden):
     """Check couple_block's whole paths and its call at column n // 2 against
-    the goldens: the narrow call draws the whole path's bits where its window
-    spans every column, and its own pinned ones where narrow_golden names n."""
+    the goldens: COUPLE_BLOCK_N and narrow_golden[n]."""
     monkeypatch.setattr("rwbsde.experiment._PASS", pass_size)
     problem = make_case("square", 1.0).problem(n)
     walks, taus, b_t = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
@@ -197,12 +201,7 @@ def _narrow_digests(n, pass_size, monkeypatch, narrow_golden):
     s_k, tau_k, b_t_narrow = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
                                                      (k,))
     assert s_k.shape == tau_k.shape == (100, 1)
-    if n in narrow_golden:
-        assert (_digest(s_k), _digest(tau_k), _digest(b_t_narrow)) == narrow_golden[n]
-    else:
-        assert experiment._window(problem, 0.5, np.array([k])) == (0, n)
-        assert np.array_equal(s_k[:, 0], walks[:, k]) and np.array_equal(tau_k[:, 0], taus[:, k])
-        assert _digest(b_t_narrow) == COUPLE_BLOCK_N[n][2]
+    assert (_digest(s_k), _digest(tau_k), _digest(b_t_narrow)) == narrow_golden[n]
 
 
 @pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
@@ -231,7 +230,6 @@ def test_deep_square_roots_are_golden(scheme, solve, n):
 @pytest.mark.parametrize("pass_size", [2**15, 1000])
 def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
     monkeypatch.setattr("rwbsde.experiment._SKIP", 0.0)
-    monkeypatch.setattr("rwbsde.experiment._REACH", -3.0)
     # every stretch of steps couple_block draws, as (rows, steps)
     stretches = []
     step_on = experiment._step_on
@@ -246,9 +244,9 @@ def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
     # the whole paths, then the narrow call's empty window at column k
     assert stretches[:2] == [(100, n), (100, 0)]
     if n == 1:
-        assert stretches[2:] == [(100, 1)]   # every row steps on from column 0
+        assert stretches[2:] == []   # column 0 is never past t
     else:
-        # rows whose tau_k <= t step on to n; the others are drawn again whole
-        (on, on_steps), (again, again_steps) = stretches[2:]
-        assert (on_steps, again_steps) == (n - k, n) and on + again == 100
-        assert min(on, again) > 0
+        # rows whose tau_k > t are drawn again from column 0 to k; the others
+        # run free from column k, with no draws past it
+        [(again, again_steps)] = stretches[2:]
+        assert again_steps == k and 0 < again < 100
