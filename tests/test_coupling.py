@@ -166,24 +166,37 @@ def test_row_passes_draw_the_block_stream():
     assert np.array_equal(np.concatenate(passes), block)
 
 
+@pytest.mark.parametrize("reach", [6.0, -3.0])
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.97])
-def test_narrow_calls_bracket_t_as_whole_paths_do(t):
+def test_narrow_calls_bracket_t_as_whole_paths_do(t, reach):
     # a narrow call whose window is the whole path draws its bits; any other
     # draws the law of its walks and ladders: at t = 0.97 the call at column
-    # k skips to column 9, and some rows end their whole ladder before t
+    # k skips to column 9, and some rows end their whole ladder before t.
+    # A window ends at its caller's last column, here reach spreads of
+    # tau_m / h past t (capped at n): at reach 6 nearly every row's ladder
+    # passes t inside the window and is bridged, at reach -3 nearly every
+    # row runs free past its window
     n, rows = 64, 4000
     problem = make_case("square", 1.0).problem(n)
-    k = int(t / problem.h)
+    steps = t / problem.h
+    k = int(steps)
+    last = min(n, max(0, math.floor(steps + reach * math.sqrt(2.0 * steps / 3.0 + 1.0))))
     walks, taus, b_t = couple_block(np.random.default_rng(11), rows, problem, t, range(n + 1))
-    for columns in ((k,), (0,), (0, n)):
+    for columns in ((k,), (last,), (0, last), (0, n)):
         if experiment._window(problem, t, np.array(columns)) == (0, n):
             s, tau, b = couple_block(np.random.default_rng(11), rows, problem, t, columns)
             assert np.array_equal(b, b_t)
             assert np.array_equal(s, walks[:, columns]) and np.array_equal(tau, taus[:, columns])
         else:
             s, tau, _ = couple_block(np.random.default_rng(12), rows, problem, t, columns)
-            for narrow, whole in ((s[:, 0], walks[:, columns[0]]), (tau[:, 0], taus[:, columns[0]])):
-                assert ks_2samp(narrow, whole).pvalue > 1e-3
+            for j, c in enumerate(columns):
+                assert ks_2samp(s[:, j], walks[:, c]).pvalue > 1e-3
+                assert ks_2samp(tau[:, j], taus[:, c]).pvalue > 1e-3
+    free = couple_block(np.random.default_rng(12), rows, problem, t, (last,))[1][:, 0] <= t
+    if reach < 0:
+        assert free.mean() > 0.99
+    elif last < n:
+        assert free.mean() < 0.01
 
 
 @pytest.mark.parametrize("n,t,k", [(64, 0.5, 32), (64, 0.97, 40), (800, 0.5, 400)])
