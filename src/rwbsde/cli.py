@@ -31,7 +31,9 @@ def _config_help(name: str, text: str) -> str:
 
 
 def _check_out(path: str) -> None:
-    """Refuse, before any work, an --out that names a directory or sits in none."""
+    """Refuse, before any work, an empty --out or one that names a directory or sits in none."""
+    if not path:
+        raise ValueError("--out is empty")
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ValueError(f"--out {path} is a directory")

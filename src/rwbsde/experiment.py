@@ -17,16 +17,9 @@ fit_slopes regresses the per-n L2 errors log-log against n, for
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
 block of _BLOCK rows. Row r at n-index j therefore comes from stream
-(seed, j, r // _BLOCK). For its whole block, that stream draws what
-couple_block lists, in its order: the walk and exit-time sums S_m0 and
-tau_m0 of the skipped steps (none when m0 = 0), the (rows, w - m0) sign
-bits and exit-time uniforms of the window m0..w, the (rows,) bridge
-normals, and then the draws of the rows whose skip lands past t, drawn
-again from column 0. The window depends only on n, t and the columns the
-caller reads, and the uniforms' row passes draw the same doubles as one
-(rows, w - m0) draw, so the pass size moves no bit. The error sums are
-exactly rounded, so they do not depend on the order of the rows, and a
-given config gives the same bits on every run.
+(seed, j, r // _BLOCK), which draws its whole block in couple_block's
+order. The error sums are exactly rounded, so they do not depend on the
+order of the rows, and a given config gives the same bits on every run.
 """
 from __future__ import annotations
 
@@ -51,7 +44,8 @@ _BLOCK = 4096
 _PASS = 2**15
 # how far before t/h couple_block skips to, in units of sqrt(2(t/h)/3 + 1),
 # about the standard deviation of the step j that brackets t (a row whose
-# skip lands past t, about Phi(-8) of rows, is drawn again from column 0)
+# skip lands past t, by a Chernoff bound at most 1.1e-14 of rows at
+# t_eval = T/2 for n <= 10^5, draws that skip again)
 _SKIP = 8.0
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
@@ -191,10 +185,11 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
 def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     """The ends of the ladder step around t in each row: (tau_ends, walk_ends).
 
-    taus (R, n+1) are non-decreasing ladders from tau_0 = 0 <= t and walks
-    (R, n+1) the walk sums beside them. With j = #{m >= 1 : tau_m <= t},
-    the column before the first one past t (n when none is), both results
-    are (R, 2) and hold columns j and min(j + 1, n).
+    taus (R, n+1) are non-decreasing ladders whose first column is at or
+    before t, walks (R, n+1) the walk sums beside them. With
+    j = #{m >= 1 : tau_m <= t}, the column before the first one past t (n
+    when none is), both results are (R, 2) and hold columns j and
+    min(j + 1, n).
     """
     n_rows, n = taus.shape[0], taus.shape[1] - 1
     rows = np.arange(n_rows)
@@ -270,18 +265,21 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
 
     * when m0 > 0, S_m0 = 2 * Binomial(m0, 1/2) - m0 and tau_m0 from
       exit_time.sample_exit_sum, for all rows;
+    * tau_m0 again for the rows whose skip lands past t, until none does
+      (S_m0, independent of tau_m0, stays);
     * the (rows, w - m0) sign bits and then the (rows, w - m0) exit-time
       uniforms of the window, the uniforms in row passes (_step_on);
-    * the (rows,) bridge normals;
-    * for each row with tau_m0 > t (probability about Phi(-8) = 6e-16), the
-      row again from column 0 to w: signs, uniforms and normal.
+    * the (rows,) bridge normals.
 
+    Each row is stepped once, over m0..w, and no pass size moves a bit.
     So walks and taus are the whole path's in law, but for two departures:
     the tail of sample_exit_sum's series matches two cumulants (the third
-    is off by 5.5e-9 relative), and a row redrawn for tau_m0 > t comes from
-    the unconditioned law, not from the law given tau_m0 > t. With m0 = 0
-    and w = n (as for columns=range(n + 1)) the draws are those of the
-    whole path, stepped from column 0.
+    is off by 5.5e-9 relative), and tau_m0 comes from its law given
+    tau_m0 <= t, which moves a row's law by at most P(tau_m0 > t): by a
+    Chernoff bound through E exp(theta sigma) = sec(sqrt(2 theta h)), at
+    most 1e-15 in run_mc's windows at t_eval = T/2 for n <= 800 and 1.1e-14
+    up to n = 10^5. With m0 = 0 and w = n (as for columns=range(n + 1)) the
+    draws are those of the whole path, stepped from column 0.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
@@ -310,17 +308,12 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     if m0:
         walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
         tau0 = sample_exit_sum(rng, problem.h, m0, rows)
+        early = np.flatnonzero(tau0 > t)
+        while early.size:
+            tau0[early] = sample_exit_sum(rng, problem.h, m0, early.size)
+            early = early[tau0[early] > t]
     walks, taus, tau_ends, walk_ends = _step_on(rng, cdf, tau0, walk0, w - m0, t, columns - m0)
-    normals = rng.standard_normal(rows)
-    # a row whose skip lands past t is drawn again from column 0
-    early = np.flatnonzero(tau0 > t)
-    if early.size:
-        redrawn = _step_on(rng, cdf, np.zeros(early.size), np.zeros(early.size, np.int32), w, t,
-                           columns)
-        for kept, again in zip((walks, taus, tau_ends, walk_ends, normals),
-                               (*redrawn, rng.standard_normal(early.size))):
-            kept[early] = again
-    b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, normals)
+    b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, rng.standard_normal(rows))
     return walks, taus, b_t
 
 

@@ -293,11 +293,13 @@ def evaluate_walks(solution: SolutionLattice, sums: np.ndarray, k: int) -> tuple
     experiment.couple_block returns them for columns=(k,); row r sits at
     node (k + sums[r])/2 after k steps. A sum outside [-k, k] or of the
     wrong parity names no node and raises ValueError, and so does a level
-    the sweep did not keep.
+    the sweep did not keep; sums that are not whole numbers raise TypeError.
     """
     n = solution.n
     if np.ndim(sums) != 1:
         raise ValueError(f"need (R,) level-k walk sums, got shape {np.shape(sums)}")
+    if np.asarray(sums).dtype.kind not in "iu":
+        raise TypeError(f"level-k walk sums {sums} are not whole numbers")
     if not 0 <= k <= n - 1:
         raise IndexError(f"level k={k} outside 0..{n - 1}")
     if np.any((np.abs(sums) > k) | ((sums + k) % 2 != 0)):

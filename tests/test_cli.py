@@ -89,7 +89,9 @@ def test_tabulate_exit_writes_csv(tmp_path, capsys):
     # h = 2e-307 at n = 50 would scale the table's first time below the normal doubles
     ["convergence", "--case", "square", "--T", "1e-305", "--n", "50,100,200", "--M", "10",
      "--out", "unused.csv"],
-    # an --out in a missing directory, or a directory itself
+    # an --out that is empty, in a missing directory, or a directory itself
+    ["convergence", "--case", "square", "--n", "8,16,32", "--M", "10", "--out", ""],
+    ["tabulate-exit", "--h", "0.1", "--out", ""],
     ["convergence", "--case", "square", "--n", "8,16,32", "--M", "10", "--out", "missing/x.csv"],
     ["convergence", "--case", "square", "--n", "8,16,32", "--M", "10", "--out", "."],
     ["tabulate-exit", "--h", "0.1", "--out", "missing/y.csv"],

@@ -138,6 +138,24 @@ def test_skip_moves_no_error_beyond_noise(monkeypatch):
             assert gap <= 3.0 * math.hypot(getattr(a, se), getattr(b, se))
 
 
+def test_skip_lands_past_t_with_negligible_probability():
+    # for each theta < pi^2/8, E exp(theta sigma/h) = sec(sqrt(2 theta)), so
+    # P(tau_m0 > t) <= sec(sqrt(2 theta))^m0 exp(-theta t/h) (Chernoff); the
+    # least of these on a grid bounds the share of rows whose tau_m0 run_mc's
+    # window draws again, and so how far that redraw moves the law, to the
+    # figures couple_block's docstring quotes
+    theta = np.linspace(0.0, np.pi**2 / 8, 10**4)[1:-1]
+    log_sec = -np.log(np.cos(np.sqrt(2.0 * theta)))
+    case = make_case("square", 1.0)
+    for n in [*range(100, 801), 12800, 10**5]:
+        problem = case.problem(n)
+        k = int(math.floor(0.5 / problem.h + 1e-9))   # as _run_single_n at t_eval = 0.5
+        t = k * problem.h
+        m0, _ = experiment._window(problem, t, np.array([k]))
+        bound = math.exp(np.min(m0 * log_sec - theta * (t / problem.h)))
+        assert bound <= (1e-15 if n <= 800 else 1.1e-14), n
+
+
 def test_sqrt_case_has_no_z_errors():
     cfg = ExperimentConfig(case="sqrt", n_list=(8, 16), M=10, seed=2)
     for row in run_mc(cfg).rows:

@@ -81,19 +81,19 @@ COUPLE_BLOCK_NARROW = {
          "242d406b71c97f5c21fcf23e1c4f6abe93c1b403fe3b23aaaddf1b44805be666",
          "2b1eed5d25a1837e183b63427bb385503195606986077b6b4bed83e022d188bd"),
 }
-# and at skip margin 0, where it skips to column k: each row that skip lands
-# past t is drawn again from column 0 (at n = 1 there is no skip, and the
-# window is column 0 alone)
+# and at skip margin 0, where it skips to column k: tau_k is drawn again in
+# each row whose skip lands past t, until none does (at n = 1 there is no
+# skip, and the window is column 0 alone)
 COUPLE_BLOCK_REDONE = {
     1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
-    37: ("a2b039df5fc21ba4032037bd599097d26591a9b47f76bb0873b250457f2e23d0",
-         "eb1605604ab427612428f00481bd312777fd24e47a12a6d55bd4e119a826d4f2",
-         "e9f21e751be036f1be0db86aa6b2476d80c344b0217a4c25b2b20882991a2c0e"),
-    64: ("a98351d17b6b31c7871f20a0b1da912c578f6e5dc5e8e83772cab27c34161016",
-         "096f66ca4986ccfb5110279d4e1c0bbf0cecd79fe7033eee42c9b51fb98d31eb",
-         "f1f3304bb0c9e99569c8848637135cbf5be1fe19cb3faed0d6479b77a801bb04"),
+    37: ("2f78241740f62b0e0e5a7814f9f8184c5c6d0e7837cf2f17849bfd0f00e936ca",
+         "5f39ab7d99869c25d164aea4c7f8265228c13ced4323959dcce8156e66443e33",
+         "6aad97ff6397fb50e9297dd86d638a8633356ede38d06de2c9b5eeebd6de742d"),
+    64: ("5f6631aba2416ffbd9411b694011714e554a65473d71929b369f4bba751ba6bf",
+         "d11a944cb16e55fb6c986ee888e4608ec89b8796726ba1d689bd55cad19d81aa",
+         "c8dd5f39efeb7831fbda828937990b8fe4612cfb2287c85f0fdf24d800f07783"),
 }
 
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
@@ -191,7 +191,7 @@ def test_convergence_command_output_is_golden(capsys, tmp_path):
 
 def _narrow_digests(n, pass_size, monkeypatch, narrow_golden):
     """Check couple_block's whole paths and its call at column n // 2 against
-    the goldens: COUPLE_BLOCK_N and narrow_golden[n]."""
+    the goldens, COUPLE_BLOCK_N and narrow_golden[n]; return that call's tau_k."""
     monkeypatch.setattr("rwbsde.experiment._PASS", pass_size)
     problem = make_case("square", 1.0).problem(n)
     walks, taus, b_t = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
@@ -202,6 +202,7 @@ def _narrow_digests(n, pass_size, monkeypatch, narrow_golden):
                                                      (k,))
     assert s_k.shape == tau_k.shape == (100, 1)
     assert (_digest(s_k), _digest(tau_k), _digest(b_t_narrow)) == narrow_golden[n]
+    return tau_k
 
 
 @pytest.mark.parametrize("n", sorted(COUPLE_BLOCK_N))
@@ -239,14 +240,8 @@ def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
         return step_on(rng, cdf, tau0, walk0, width, t, columns)
 
     monkeypatch.setattr("rwbsde.experiment._step_on", recorded)
-    _narrow_digests(n, pass_size, monkeypatch, COUPLE_BLOCK_REDONE)
-    k = n // 2
-    # the whole paths, then the narrow call's empty window at column k
-    assert stretches[:2] == [(100, n), (100, 0)]
-    if n == 1:
-        assert stretches[2:] == []   # column 0 is never past t
-    else:
-        # rows whose tau_k > t are drawn again from column 0 to k; the others
-        # run free from column k, with no draws past it
-        [(again, again_steps)] = stretches[2:]
-        assert again_steps == k and 0 < again < 100
+    tau_k = _narrow_digests(n, pass_size, monkeypatch, COUPLE_BLOCK_REDONE)
+    # the whole paths, then the narrow call's empty window at column k, once:
+    # no row is stepped again from column 0
+    assert stretches == [(100, n), (100, 0)]
+    assert np.all(tau_k <= 0.5)

@@ -340,6 +340,9 @@ def test_evaluate_refuses_a_sum_that_names_no_node():
         evaluate_walks(sol, np.array([3, -5], np.int32), 3)
     with pytest.raises(ValueError, match="level-2 walk sums"):
         evaluate_walks(sol, np.array([1, 2], np.int32), 2)
+    # float sums of the right range and parity still name no node
+    with pytest.raises(TypeError, match="whole numbers"):
+        evaluate_walks(sol, np.array([2.0, 0.0]), 2)
 
 
 def test_representation_single_step_identity():
