@@ -54,14 +54,16 @@ def _cmd_solve(args, usage) -> int:
     solve = solver.solve_implicit if args.scheme == "implicit" else solver.solve_explicit
     with usage:  # solve_implicit refuses a broken contraction with a ValueError
         case = benchmarks.make_case(args.case, args.T)
-        y0, z0 = solve(case.problem(args.n)).root()
-    exact = {"Y": case.exact.y_fn(0.0, 0.0)}
-    if case.exact.z_fn is not None:
-        exact["Z"] = case.exact.z_fn(0.0, 0.0)
-    # the truth can overflow where the lattice does not (exp case, T > 202.8)
-    if not all(math.isfinite(v) for v in exact.values()):
-        raise FloatingPointError(f"non-finite exact root at T={args.T}: "
-                                 + ", ".join(f"{k}(0,0)={v}" for k, v in exact.items()))
+        problem = case.problem(args.n)
+        exact = {"Y": case.exact.y_fn(0.0, 0.0)}
+        if case.exact.z_fn is not None:
+            exact["Z"] = case.exact.z_fn(0.0, 0.0)
+        # the truth can overflow where the lattice does not (exp case,
+        # T > 202.8): refused before the sweep
+        if not all(math.isfinite(v) for v in exact.values()):
+            raise FloatingPointError(f"non-finite exact root at T={args.T}: "
+                                     + ", ".join(f"{k}(0,0)={v}" for k, v in exact.items()))
+        y0, z0 = solve(problem).root()
     print(f"case={args.case} n={args.n} T={args.T} scheme={args.scheme}")
     print(f"Y0 = {y0:.12g}")
     print(f"Z0 = {z0:.12g}")

@@ -6,6 +6,12 @@ the default used by the Monte Carlo harness; the implicit rule solves a
 per-node fixed point by Picard iteration and exists to measure the O(h) gap
 between the two. Both evaluate the generator at time t_{k+1} with the state
 at t_k.
+
+The sweep visits level k only over its mass window, the nodes with walk sum
+|S| <= W_k (see _levels): a walk from the root passes it with weight below
+e^-50, so the nodes beyond cannot move a double-precision root. A guard on
+the terminal level (_window_drift) falls back to the whole lattice,
+W_k = k, whenever g's far tail could outweigh that.
 """
 from __future__ import annotations
 
@@ -23,6 +29,8 @@ LevelRule = Callable[..., np.ndarray]
 
 PICARD_TOL = 1e-12      # sup-norm update that ends the implicit fixed point
 PICARD_MAX_ITER = 100   # iterations per level, more only under a known lip_f
+WINDOW_SDS = 10         # the mass window's half-width in walk sds, sqrt(k) per level
+WINDOW_TAIL = 2.0**-60  # the terminal tail beyond the window that the guard allows
 SCHEMES = ("explicit", "implicit")   # the sweep's two update rules
 
 # 2**20 ~ 1e6 paths; enumeration is oracle support, never a hot path
@@ -53,7 +61,11 @@ class BsdeProblem:
         x is the read-only coordinate array of the level.
     alpha : Hoelder order of g in (0, 1]; checked and kept, but never read.
     lip_f : optional Lipschitz constant of f; when given, the implicit
-        sweep checks the contraction condition h*lip_f < 1 up front.
+        sweep checks the contraction condition h*lip_f < 1 up front, and
+        lip_f*sqrt_h*k, the largest drift f can give the walk by level k,
+        widens the sweep's mass window. The window's guard reads g only:
+        f(t, x, 0, 0) is assumed to grow at most polynomially in x, as in
+        the paper's setting. Without lip_f the sweep takes the whole lattice.
     """
 
     T: float
@@ -110,15 +122,19 @@ class SolutionLattice:
     """Level arrays of Y (levels 0..n) and Z (levels 0..n-1) of the problem
     they solve, and the scheme that swept them.
 
-    y[k] and z[k] are level k for every level the sweep was asked to keep;
-    every other level holds one shared, read-only, empty array. A kept
-    level is never empty, since level k has k + 1 nodes.
+    y[k] and z[k] are level k, over the window of nodes the sweep visited,
+    for every level the sweep was asked to keep; every other level holds one
+    shared, read-only, empty array. first[k] is the node that y[k][0] and
+    z[k][0] sit at (0 for a level swept whole or not kept), so y[k][j] is
+    node first[k] + j. A kept level is never empty, since every window holds
+    the middle of its level.
     """
 
     problem: BsdeProblem
     y: tuple
     z: tuple
     scheme: str
+    first: tuple
 
     @property
     def n(self) -> int:
@@ -152,21 +168,85 @@ def _kept(arrays: tuple, k: int) -> np.ndarray:
     return arrays[k]
 
 
+def _at(solution: SolutionLattice, arrays: tuple, k: int, nodes: np.ndarray) -> np.ndarray:
+    """solution.y or .z (arrays) at the given nodes of level k; a level the
+    sweep dropped, or a node outside the window it swept, is refused."""
+    level = _kept(arrays, k)
+    first = solution.first[k]
+    index = nodes - first
+    if np.any((index < 0) | (index >= level.size)):
+        raise ValueError(f"level {k} was swept only over its nodes {first}..{first + level.size - 1}")
+    return level[index]
+
+
+def _window_drift(problem: BsdeProblem, y_n: np.ndarray) -> Optional[float]:
+    """lip_f*sqrt_h, the walk's largest drift per level, when the sweep may
+    keep to its mass window; None, for the whole lattice, when it may not.
+
+    The guard passes when lip_f is known, g is finite on every terminal
+    node, and the largest |g(x_S)| exp(-(|S| - lip_f sqrt_h n)_+^2 / (2n))
+    beyond W_n, a bound on what that node carries to the root, is at most
+    WINDOW_TAIL of the largest within W_n. It reads g's values y_n only,
+    and compares without dividing, so a g that is 0 somewhere raises no
+    floating-point warning.
+    """
+    if problem.lip_f is None or not np.all(np.isfinite(y_n)):
+        return None
+    n, drift = problem.n, problem.lip_f * problem.sqrt_h
+    first = _window_first(n, drift)
+    if first == 0:   # W_n = n: no terminal node lies beyond the window
+        return drift
+    walk = np.abs(np.arange(-n, n + 1, 2, dtype=float))
+    with np.errstate(under="ignore"):
+        weight = np.abs(y_n) * np.exp(-np.maximum(walk - drift * n, 0.0) ** 2 / (2.0 * n))
+    inside = weight[first:n + 1 - first].max()
+    outside = max(weight[:first].max(), weight[n + 1 - first:].max())
+    return drift if outside <= WINDOW_TAIL * inside else None
+
+
+def _window_first(k: int, drift: Optional[float]) -> int:
+    """The first node of level k's mass window |S| <= W_k, where
+    W_k = min(k, ceil(WINDOW_SDS sqrt(k) + drift k) + 2), taken up to the
+    parity of k; the window is the nodes first..k - first. With no drift
+    (None) the window is the whole level."""
+    if drift is None:
+        return 0
+    return (k - min(k, math.ceil(WINDOW_SDS * math.sqrt(k) + drift * k) + 2)) // 2
+
+
 def _levels(problem: BsdeProblem, rule: LevelRule) -> Iterator[tuple]:
-    """(k, y_k, z_k) from k = n down to 0, with two levels alive at a time.
+    """(k, first, y_k, z_k) from k = n down to 0, with two levels alive at a
+    time; y_k and z_k hold the nodes first..k - first of level k.
 
     Per node z_k[i] = (Y+ - Y-)/(2 sqrt(h)), and y_k = rule(k, t_{k+1}, x,
     Y+, Y-, z_k, (Y+ + Y-)/2), where Y+- are the next-level values above
     and below the node. Level n is the terminal level and has no z (None).
+
+    Level k is swept over its mass window |S| <= W_k (_window_first) when
+    _window_drift's guard passes, and whole otherwise; W_k = k is the whole
+    lattice, through the same code. Since W_k <= W_{k+1} + 1, level k reads
+    at most one node past either end of the window of level k + 1. When it
+    does, that window is first copied between two pad slots that repeat its
+    edge values, so such a node reads the edge value.
     """
-    h, sh = problem.h, problem.sqrt_h
-    y_k = _terminal_level(problem)
-    yield problem.n, y_k, None
-    for k in range(problem.n - 1, -1, -1):
-        up, dn = y_k[1:], y_k[:-1]
+    n, h, sh = problem.n, problem.h, problem.sqrt_h
+    y_n = _terminal_level(problem)
+    drift = _window_drift(problem, y_n)
+    first = _window_first(n, drift)
+    y_k = y_n[first:n + 1 - first]
+    yield n, first, y_k, None
+    for k in range(n - 1, -1, -1):
+        first_above, first = first, _window_first(k, drift)
+        # node i of level k reads nodes i and i + 1 of level k + 1, starting
+        # at above[start]; the pad slots repeat the edge values
+        above, start = ((y_k, first - first_above) if first >= first_above
+                        else (np.concatenate((y_k[:1], y_k, y_k[-1:])), 0))
+        width = k + 1 - 2 * first
+        dn, up = above[start:start + width], above[start + 1:start + width + 1]
         z_k = (up - dn) / (2.0 * sh)
-        y_k = rule(k, (k + 1) * h, problem.level_coordinates(k), up, dn, z_k, 0.5 * (up + dn))
-        yield k, y_k, z_k
+        x = problem.level_coordinates(k)[first:k + 1 - first]
+        y_k = rule(k, (k + 1) * h, x, up, dn, z_k, 0.5 * (up + dn))
+        yield k, first, y_k, z_k
 
 
 def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str,
@@ -174,11 +254,12 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str,
     """Backward sweep from the terminal level; rule gives Y at each level.
 
     Runs _levels once, so memory is O(n) plus the levels kept: y[k] and
-    z[k] (z has no level n) are stored for each k in levels, and every
-    other level is left empty. The root is checked whether kept or not;
-    when it is not finite the levels are built once more and counted as
-    they come, still in O(n) memory, and the error names the highest level
-    with non-finite nodes.
+    z[k] (z has no level n) are stored over the window swept, with its
+    first node, for each k in levels, and every other level is left empty.
+    The root is checked whether kept or not; when it is not finite the
+    levels are built once more and counted as they come, still in O(n)
+    memory, and the error names the highest level with non-finite nodes
+    and counts them out of the nodes swept there.
     """
     n = problem.n
     keep = {operator.index(k) for k in levels}
@@ -187,30 +268,34 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str,
         raise IndexError(f"levels {outside} outside 0..{n}")
     y = [_DROPPED] * (n + 1)
     z = [_DROPPED] * (n + 1)   # z[n] is the terminal level's None, cut below
-    for k, y_k, z_k in _levels(problem, rule):
+    firsts = [0] * (n + 1)
+    for k, first, y_k, z_k in _levels(problem, rule):
         if k in keep:
-            y[k], z[k] = y_k, z_k
+            y[k], z[k], firsts[k] = y_k, z_k, first
     if not (np.isfinite(y_k[0]) and np.isfinite(z_k[0])):
         # failure path only, so a run that succeeds scans nothing
-        for k, y_k, z_k in _levels(problem, rule):
+        for k, _, y_k, z_k in _levels(problem, rule):
             bad = np.count_nonzero(~np.isfinite(y_k) | ~np.isfinite(0.0 if z_k is None else z_k))
             if bad:
                 raise FloatingPointError(
                     f"non-finite root at n={n}: level {k} is the highest with "
-                    f"non-finite nodes ({bad} of {k + 1})"
+                    f"non-finite nodes ({bad} of {y_k.size})"
                 )
-    return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z[:n]), scheme=scheme)
+    return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z[:n]), scheme=scheme,
+                           first=tuple(firsts))
 
 
 def solve_explicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep with Y at t_{k+1} inside the generator.
 
     Per node y[k][i] = (Y+ + Y-)/2 + h*(f(t_{k+1}, x, Y+, z) + f(t_{k+1}, x, Y-, z))/2,
-    the two-point conditional expectation over the next sign. Keeps the
-    levels named in levels (the root by default; range(n + 1) keeps all)
-    and holds two levels at a time besides, so memory is O(n) plus the kept
-    levels. A root that is not finite raises FloatingPointError naming the
-    highest level with non-finite nodes.
+    the two-point conditional expectation over the next sign, over each
+    level's mass window (whole levels when lip_f is unknown or the guard on
+    g fails; see _levels). Keeps the levels named in levels (the root by
+    default; range(n + 1) keeps all) and holds two levels at a time
+    besides, so memory is O(n) plus the kept levels. A root that is not
+    finite raises FloatingPointError naming the highest level with
+    non-finite nodes.
     """
     f, h = problem.f, problem.h
 
@@ -245,7 +330,9 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
     PicardConvergenceError, as does an update that turns non-finite from
     finite input. A level whose input already holds a non-finite node takes
     its first update as it is, so an overflow is reported as solve_explicit
-    reports it. Keeps the levels named in levels, as solve_explicit does.
+    reports it. Sweeps each level's mass window and keeps the levels named
+    in levels, as solve_explicit does; the sup-norm is taken over the
+    window.
     """
     check_contraction(problem)
     f, h = problem.f, problem.h
@@ -292,8 +379,10 @@ def evaluate_walks(solution: SolutionLattice, sums: np.ndarray, k: int) -> tuple
     sums is (R,) of the integer walk sums S_k at level k, as
     experiment.couple_block returns them for columns=(k,); row r sits at
     node (k + sums[r])/2 after k steps. A sum outside [-k, k] or of the
-    wrong parity names no node and raises ValueError, and so does a level
-    the sweep did not keep; sums that are not whole numbers raise TypeError.
+    wrong parity names no node and raises ValueError, and so do a level
+    the sweep did not keep and a node outside the window it swept there
+    (|S_k| > W_k, which a walk from the root reaches with weight below
+    e^-50); sums that are not whole numbers raise TypeError.
     """
     n = solution.n
     if np.ndim(sums) != 1:
@@ -305,7 +394,7 @@ def evaluate_walks(solution: SolutionLattice, sums: np.ndarray, k: int) -> tuple
     if np.any((np.abs(sums) > k) | ((sums + k) % 2 != 0)):
         raise ValueError(f"level-{k} walk sums must lie in [-{k}, {k}] with the parity of {k}")
     node = (k + sums) // 2
-    return _kept(solution.y, k)[node], _kept(solution.z, k)[node]
+    return _at(solution, solution.y, k, node), _at(solution, solution.z, k, node)
 
 
 def sign_matrix(m: int) -> np.ndarray:
@@ -333,7 +422,8 @@ def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:
     produced the lattice (level m+1 node for the explicit sweep, level m
     node for the implicit one); with that convention the result equals the
     swept z[k][i] up to rounding. It reads the lattice levels above k, so
-    the sweep must have kept them; a dropped level raises ValueError.
+    the sweep must have kept them, over every node the tails reach; a
+    dropped level or a node outside a swept window raises ValueError.
     """
     problem = solution.problem
     n, h, sh = problem.n, problem.h, problem.sqrt_h
@@ -358,12 +448,12 @@ def z_by_representation(solution: SolutionLattice, k: int, i: int) -> float:
         coord_m = c0 + s_m
         node_m = (coord_m + m) // 2
         x_m = sh * coord_m.astype(float)
-        z_m = _kept(solution.z, m)[node_m]
+        z_m = _at(solution, solution.z, m, node_m)
         if explicit:
             coord_next = coord_m + tails[:, j + 1]
-            y_arg = _kept(solution.y, m + 1)[(coord_next + m + 1) // 2]
+            y_arg = _at(solution, solution.y, m + 1, (coord_next + m + 1) // 2)
         else:
-            y_arg = _kept(solution.y, m)[node_m]
+            y_arg = _at(solution, solution.y, m, node_m)
         weights = sh * s_m.astype(float) / ((m - k) * h)
         f_vals = problem.f((m + 1) * h, x_m, y_arg, z_m)
         total += h * float(np.mean(f_vals * weights))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rwbsde import checks, experiment
+from rwbsde import checks, experiment, solver
 from rwbsde.cli import main
 from rwbsde.exit_time import cdf_series
 
@@ -125,6 +125,17 @@ def test_solve_stops_at_a_non_finite_exact_value(capsys):
         with pytest.raises(FloatingPointError, match=r"Y\(0,0\)=inf$"):
             main(["solve", "--case", "sqrt", "--T", "710", "--n", "2"])
     assert capsys.readouterr().out == ""
+
+
+def test_solve_refuses_a_non_finite_exact_value_before_the_sweep(monkeypatch):
+    # a sweep of n = 20000 levels would come first and count for nothing
+    def never(*args, **kwargs):
+        raise AssertionError("the lattice was swept")
+
+    monkeypatch.setattr(solver, "solve_explicit", never)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite exact root at T=205"):
+            main(["solve", "--case", "exp", "--T", "205", "--n", "20000"])
 
 
 def test_convergence_writes_series(tmp_path, capsys):

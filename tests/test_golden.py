@@ -51,7 +51,7 @@ SQUARE_ROOTS_DEEP = {
     (999, "explicit"): ("0x1.5b3eaa6f60e74p+2", "0x1.5ab9366db949bp+2"),
     (999, "implicit"): ("0x1.5bf0ad751124bp+2", "0x1.5b6af506a0c44p+2"),
     (1000, "explicit"): ("0x1.5b3ed7eabd726p+2", "0x1.5ab9860024c3bp+2"),
-    (1000, "implicit"): ("0x1.5bf0ad72a09bbp+2", "0x1.5b6b173e3b72bp+2"),
+    (1000, "implicit"): ("0x1.5bf0ad72a09b9p+2", "0x1.5b6b173e3b72bp+2"),
 }
 
 # sha256 of float.hex of couple_block's whole (walks, taus, b_t), 100 rows of

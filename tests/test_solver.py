@@ -112,6 +112,68 @@ def test_changing_g_outside_cone_changes_nothing():
         assert np.array_equal(base.y[k], bumped.y[k])
 
 
+def _hex(pair):
+    return [v.hex() for v in pair]
+
+
+@pytest.mark.parametrize("case_name", ["square", "sqrt"])
+@pytest.mark.parametrize("n", [2000, 4000])
+def test_window_roots_equal_the_whole_lattice(case_name, n):
+    # lip_f=None sweeps every node; the window holds 32% (n = 2000) and 23%
+    # (n = 4000) of them, and the Picard stop rule's sup-norm no longer sees
+    # the far tail, which moves the implicit root by 3.6e-14 at most
+    problem = make_case(case_name, 1.0).problem(n)
+    whole = dataclasses.replace(problem, lip_f=None)
+    windowed = solve_explicit(problem, levels=(0, n))
+    assert windowed.y[n].size < n + 1
+    assert _hex(windowed.root()) == _hex(solve_explicit(whole).root())
+    assert solve_implicit(problem).root() == pytest.approx(solve_implicit(whole).root(),
+                                                           rel=0, abs=1e-13)
+
+
+def test_changing_g_outside_the_window_changes_nothing():
+    n = 2000
+    problem = make_case("square", 1.0).problem(n)
+    base = solve_explicit(problem, levels=(0, n))
+    window = n - 2 * base.first[n]
+    assert window < n
+
+    def g_bumped(x):
+        return x * x + 100.0 * (np.abs(x) > (window + 1) * problem.sqrt_h)
+
+    bumped = solve_explicit(dataclasses.replace(problem, g=g_bumped), levels=(0, n))
+    assert bumped.first[n] == base.first[n]
+    assert _hex(bumped.root()) == _hex(base.root())
+
+
+@pytest.mark.parametrize("T", [20.0, 100.0])
+def test_guard_keeps_the_whole_lattice_for_a_heavy_tail(T):
+    # g = e^{T+x} carries weight beyond W_n: 1.9e-7 of the largest inside at
+    # T = 20, about 1 at T = 100, where the guard allows 2**-60
+    n = 2000
+    problem = make_case("exp", T).problem(n)
+    sol = solve_explicit(problem, levels=(0, n))
+    assert sol.y[n].size == n + 1
+    assert _hex(sol.root()) == _hex(solve_explicit(dataclasses.replace(problem, lip_f=None)).root())
+    assert _hex(solve_implicit(problem).root()) == _hex(
+        solve_implicit(dataclasses.replace(problem, lip_f=None)).root())
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_guard_keeps_the_whole_lattice_for_a_non_finite_g(bad):
+    # one bad node at the top of level n, far outside W_n: the whole lattice
+    # is swept, so the root reads it and the sweep counts 1 of 2001
+    n = 2000
+    problem = make_case("square", 1.0).problem(n)
+    top = n * problem.sqrt_h
+
+    def g(x):
+        return np.where(x == top, bad, x * x)
+
+    with pytest.raises(FloatingPointError, match=r"n=2000: level 2000 .*\(1 of 2001\)"):
+        solve_explicit(dataclasses.replace(problem, g=g))
+
+
 def test_implicit_equals_explicit_for_zero_driver():
     problem = zero_driver_problem(1.0, 20, lambda x: x**2 - x)
     exp_sol = solve_explicit(problem, levels=range(21))
@@ -345,6 +407,19 @@ def test_evaluate_refuses_a_sum_that_names_no_node():
         evaluate_walks(sol, np.array([2.0, 0.0]), 2)
 
 
+def test_evaluate_refuses_a_sum_outside_the_window():
+    n, k = 2000, 1000
+    sol = solve_explicit(make_case("square", 1.0).problem(n), levels=(k,))
+    window = k - 2 * sol.first[k]
+    assert window < k and sol.y[k].size == window + 1
+    y, z = evaluate_walks(sol, np.array([-window, 0, window], np.int32), k)
+    assert np.array_equal(y, sol.y[k][[0, window // 2, window]])
+    assert np.array_equal(z, sol.z[k][[0, window // 2, window]])
+    for outside in (-window - 2, window + 2):
+        with pytest.raises(ValueError, match=f"level {k} was swept only over its nodes"):
+            evaluate_walks(sol, np.array([0, outside], np.int32), k)
+
+
 def test_representation_single_step_identity():
     problem = zero_driver_problem(1.0, 1, lambda x: x)
     sol = solve_explicit(problem)
@@ -384,6 +459,18 @@ def test_representation_refuses_a_dropped_level():
     sol = solve_explicit(problem, levels=(0, 2, 3, 4, 6))
     with pytest.raises(ValueError, match="level 5 was not kept"):
         z_by_representation(sol, 1, 0)
+
+
+def test_representation_refuses_a_node_outside_the_window():
+    # at n = 300 level 285 is swept over its nodes 48..237 only
+    n, k = 300, 285
+    sol = solve_explicit(make_case("square", 1.0).problem(n), levels=range(k, n + 1))
+    assert sol.first[k] == 48
+    middle = k // 2
+    assert z_by_representation(sol, k, middle) == pytest.approx(
+        sol.z[k][middle - sol.first[k]], abs=1e-10)
+    with pytest.raises(ValueError, match="level 286 was swept only over its nodes"):
+        z_by_representation(sol, k, 0)
 
 
 def test_representation_refuses_a_node_off_the_lattice():
