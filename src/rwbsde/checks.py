@@ -90,14 +90,14 @@ def skorohod_coupling() -> Check:
     every sample comes from run_mc's coupling draw, couple_block."""
     rng = np.random.default_rng(SEED)
     problem = BsdeProblem(T=T, n=64, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
-    walks, taus, _ = couple_block(rng, 1000, problem, 0.5 * T, range(problem.n + 1))
+    walks, taus, *_ = couple_block(rng, 1000, problem, 0.5 * T, range(problem.n + 1))
     ok = bool(np.all(np.abs(np.diff(walks, axis=1)) == 1)
               and np.all(taus[:, 0] == 0.0) and np.all(np.diff(taus, axis=1) > 0.0))
 
     paths, details = 10_000, []
     for n, k, m in ((64, 16, 48), (100, 25, 75)):
         problem = BsdeProblem(T=T, n=n, g=np.abs, f=lambda t, x, y, z: 0.0 * y)
-        walks, _, _ = couple_block(rng, paths, problem, 0.5 * T, (k, m))
+        walks, *_ = couple_block(rng, paths, problem, 0.5 * T, (k, m))
         seg = (walks[:, 1] - walks[:, 0]).astype(float) * problem.sqrt_h
         sq = seg * seg
         gap = abs(float(sq.mean()) - (m - k) * problem.h)

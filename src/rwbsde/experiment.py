@@ -3,11 +3,12 @@
 For each step count n the lattice is solved once; then the M replications
 run in blocks of _BLOCK rows through four stages:
 
-* draw and embed: couple_block, the one coupling draw, which acceptance
-  criterion 4 and the coupling tests run too, gives each row's walk sum at
-  the evaluation level k and the Brownian value bridged at t_k;
+* embed to the bracket: couple_block, the one coupling draw, which
+  acceptance criterion 4 and the coupling tests run too, gives each row's
+  walk sum at the evaluation level k and the ladder step that brackets t_k;
+* Brownian value: bridge_sample_batch across that step;
 * evaluate: (Y^n, Z^n) at each row's level-k node (evaluate_walks) and
-  the exact solution at the bridged value;
+  the exact solution at the Brownian value;
 * accumulate: each row's squared errors, stored in place and summed once
   by math.fsum.
 
@@ -17,8 +18,8 @@ fit_slopes regresses the per-n L2 errors log-log against n, for
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
 block of _BLOCK rows. Row r at n-index j therefore comes from stream
-(seed, j, r // _BLOCK), which draws its whole block in couple_block's
-order. The error sums are exactly rounded, so they do not depend on the
+(seed, j, r // _BLOCK), which draws couple_block's block, then its bridge
+normals. The error sums are exactly rounded, so they do not depend on the
 order of the rows, and a given config gives the same bits on every run.
 """
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, so
 _BLOCK = 4096
 # uniforms per row pass of couple_block (256 KiB of doubles), so that a
 # pass's uniforms, exit times, ladders, walks and sample_sigma's temporaries
-# stay in cache; on a 2-vCPU Xeon (4 MiB L2) a 4096-row block at n = 800
-# took 0.10 s at 2^15 against 0.12-0.13 s at 2^14 and at 2^16 to 2^18
+# stay in cache; a 4096-row block at n = 800 (131 columns) took a median 22 ms
+# at 2^15 and 2^16, 23 ms at 2^14 and 2^17 and 31 ms in one pass (2-vCPU Xeon, 4 MiB L2)
 _PASS = 2**15
 # how far before t/h couple_block skips to, in units of sqrt(2(t/h)/3 + 1),
 # about the standard deviation of the step j that brackets t (a row whose
@@ -150,13 +151,13 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
 
     taus is (R, 2) of the embedding times (tau_j, tau_{j+1}) that bracket t
     in each row, skeletons is (R, 2) of the Brownian values there, z is (R,)
-    standard normal draws; ladder_ends gathers both from a coupled path.
+    standard normal draws; couple_block returns both as its bracket.
     Rows where t falls exactly on tau_j get variance zero and return the
     skeleton value there; strictly before tau_{j+1} the draw has the bridge
     mean and variance (t - tau_j)(tau_{j+1} - t)/(tau_{j+1} - tau_j); rows
     with t >= their right end time (tau_w at the last column w drawn, where
-    ladder_ends gives both ends) get the free sqrt(t - tau_w) increment from
-    there.
+    the bracket's two ends are equal) get the free sqrt(t - tau_w) increment
+    from there.
 
     The bridge is NOT conditioned on the +-sqrt(h) corridor the embedded
     path keeps to between two exit times. Past the last column drawn the
@@ -202,50 +203,6 @@ def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
 
-def _step_on(rng: np.random.Generator, cdf, tau0: np.ndarray, walk0: np.ndarray, width: int,
-             t: float, columns: np.ndarray) -> tuple:
-    """Step each row width steps on from its (tau0, walk0): (walks, taus,
-    tau_ends, walk_ends), walks and taus at the window columns 0..width named
-    by columns, and the ends that ladder_ends finds in the window.
-
-    Draws the (rows, width) sign bits, then the (rows, width) uniforms in
-    passes of _PASS // width rows, each drawn whole and read before the next,
-    so that its work stays in cache; consecutive row draws give the doubles
-    of one (rows, width) draw. tau0 is added to each row's first exit time
-    and walk0 to the gathered walks; at tau0 = walk0 = 0 neither moves a bit.
-    """
-    rows = tau0.size
-    signs = rng.integers(0, 2, (rows, width), dtype=np.int8)
-    signs *= 2
-    signs -= 1
-    walks = np.empty((rows, columns.size), np.int32)
-    taus = np.empty((rows, columns.size))
-    tau_ends = np.empty((rows, 2))
-    walk_ends = np.empty((rows, 2), np.int32)
-    step = max(1, min(_PASS // max(width, 1), rows))
-    uniform_buf = np.empty((step, width))
-    ladder_buf = np.empty((step, width + 1))
-    walk_buf = np.zeros((step, width + 1), np.int32)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        m = stop - start
-        uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
-        rng.random(out=uniforms)
-        # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
-        # alone into the open interval
-        sigma = sample_sigma(cdf, np.maximum(uniforms, 2.0**-53))
-        sigma[:, :1] += tau0[start:stop, None]
-        ladder[:, 0] = tau0[start:stop]
-        np.cumsum(sigma, axis=1, out=ladder[:, 1:])
-        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walk[:, 1:])
-        tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
-        taus[start:stop] = ladder[:, columns]
-        walks[start:stop] = walk[:, columns]
-    walks += walk0[:, None]
-    walk_ends += walk0[:, None]
-    return walks, taus, tau_ends, walk_ends
-
-
 def _window(problem: BsdeProblem, t: float, columns: np.ndarray) -> tuple:
     """The columns (m0, w) that couple_block skips to and steps to."""
     steps = t / problem.h
@@ -256,7 +213,7 @@ def _window(problem: BsdeProblem, t: float, columns: np.ndarray) -> tuple:
 
 def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
                  t: float, columns: Sequence[int]) -> tuple:
-    """One block of coupled paths: (walks, taus, b_t) for rows replications.
+    """Coupled paths of rows replications up to t's bracket: (walks, taus, tau_ends, walk_ends).
 
     Each row is embedded only over the columns m0..w, where w = max(columns)
     and it skips ahead to
@@ -268,8 +225,8 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     * tau_m0 again for the rows whose skip lands past t, until none does
       (S_m0, independent of tau_m0, stays);
     * the (rows, w - m0) sign bits and then the (rows, w - m0) exit-time
-      uniforms of the window, the uniforms in row passes (_step_on);
-    * the (rows,) bridge normals.
+      uniforms of the window, in row passes of about _PASS uniforms, which give
+      the doubles of one (rows, w - m0) draw.
 
     Each row is stepped once, over m0..w, and no pass size moves a bit.
     So walks and taus are the whole path's in law, but for two departures:
@@ -284,15 +241,16 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
     ladders tau_m there (tau_0 = 0 < tau_1 < ... < tau_n at time scale
-    problem.h); and b_t, the Brownian value at time t: bridged between the
-    two skeleton points (tau_j, sqrt(h) * S_j) that bracket t where the
-    window holds them, and the free increment from (tau_w, sqrt(h) * S_w)
-    where t >= tau_w (bridge_sample_batch). With columns=range(n + 1) walks
-    and taus are the whole paths. A block holds the int8 signs of its
-    window, one row pass of its work and per-row answers: a 2.8 MiB peak at
-    n = 800 and 4096 rows, 0.5 MiB of it signs. A column outside 0..n raises
-    IndexError, a column that is not a whole number TypeError, and a t that
-    is negative, infinite or NaN ValueError, before anything is drawn.
+    problem.h); and the bracket of t, the (rows, 2) ladder times tau_ends
+    and int32 walk sums walk_ends at the columns j and min(j + 1, w) that
+    ladder_ends finds in the window (j = w where t >= tau_w), which
+    bridge_sample_batch takes with sqrt(h) * walk_ends. With
+    columns=range(n + 1) walks and taus are the whole paths. A block holds
+    the int8 signs of its window, one row pass of its work and per-row
+    answers: a 2.8 MiB peak at n = 800 and 4096 rows, 0.5 MiB of it signs.
+    A column outside 0..n raises IndexError, a column that is not a whole
+    number TypeError, and a t that is negative, infinite or NaN ValueError,
+    before anything is drawn.
     """
     n = problem.n
     columns = np.asarray(columns)
@@ -312,9 +270,37 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
         while early.size:
             tau0[early] = sample_exit_sum(rng, problem.h, m0, early.size)
             early = early[tau0[early] > t]
-    walks, taus, tau_ends, walk_ends = _step_on(rng, cdf, tau0, walk0, w - m0, t, columns - m0)
-    b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, rng.standard_normal(rows))
-    return walks, taus, b_t
+    width, columns = w - m0, columns - m0
+    signs = rng.integers(0, 2, (rows, width), dtype=np.int8)
+    signs *= 2
+    signs -= 1
+    walks = np.empty((rows, columns.size), np.int32)
+    taus = np.empty((rows, columns.size))
+    tau_ends = np.empty((rows, 2))
+    walk_ends = np.empty((rows, 2), np.int32)
+    step = max(1, min(_PASS // max(width, 1), rows))
+    uniform_buf = np.empty((step, width))
+    ladder_buf = np.empty((step, width + 1))
+    walk_buf = np.zeros((step, width + 1), np.int32)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        m = stop - start
+        uniforms, ladder, walk = uniform_buf[:m], ladder_buf[:m], walk_buf[:m]
+        rng.random(out=uniforms)
+        # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
+        # alone into the open interval
+        sigma = sample_sigma(cdf, np.maximum(uniforms, 2.0**-53))
+        # at m0 = 0, tau0 = walk0 = 0 and neither offset moves a bit
+        sigma[:, :1] += tau0[start:stop, None]
+        ladder[:, 0] = tau0[start:stop]
+        np.cumsum(sigma, axis=1, out=ladder[:, 1:])
+        np.cumsum(signs[start:stop], axis=1, dtype=np.int32, out=walk[:, 1:])
+        tau_ends[start:stop], walk_ends[start:stop] = ladder_ends(ladder, walk, t)
+        taus[start:stop] = ladder[:, columns]
+        walks[start:stop] = walk[:, columns]
+    walks += walk0[:, None]
+    walk_ends += walk0[:, None]
+    return walks, taus, tau_ends, walk_ends
 
 
 def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
@@ -338,8 +324,10 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
     d2_z = np.empty(M) if has_z else None
     for start, stream in zip(range(0, M, _BLOCK), streams):
         stop = min(start + _BLOCK, M)
-        s_k, _, b_tk = couple_block(np.random.default_rng(stream), stop - start, problem, t_k,
-                                    (k,))
+        rng = np.random.default_rng(stream)
+        s_k, _, tau_ends, walk_ends = couple_block(rng, stop - start, problem, t_k, (k,))
+        b_tk = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t_k,
+                                   rng.standard_normal(stop - start))
         # evaluate the lattice at each row's level-k node and store the squared errors
         y_n, z_n = evaluate_walks(solution, s_k[:, 0], k)
         np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])

@@ -85,8 +85,8 @@ class BsdeProblem:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"need alpha in (0, 1], got {self.alpha}")
-        if self.lip_f is not None and not self.lip_f >= 0.0:  # also refuses NaN
-            raise ValueError(f"need lip_f >= 0, got {self.lip_f}")
+        if self.lip_f is not None and not 0.0 <= self.lip_f < math.inf:  # also refuses NaN
+            raise ValueError(f"need 0 <= lip_f < inf, got {self.lip_f}")
         h = self.T / self.n
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "sqrt_h", math.sqrt(h))
@@ -208,10 +208,12 @@ def _window_first(k: int, drift: Optional[float]) -> int:
     """The first node of level k's mass window |S| <= W_k, where
     W_k = min(k, ceil(WINDOW_SDS sqrt(k) + drift k) + 2), taken up to the
     parity of k; the window is the nodes first..k - first. With no drift
-    (None) the window is the whole level."""
-    if drift is None:
+    (None) the window is the whole level. W_k = k is decided in floats, before
+    the ceiling, so a drift * k that overflows (to inf, or NaN at k = 0) takes
+    the whole level too."""
+    if drift is None or not (width := WINDOW_SDS * math.sqrt(k) + drift * k) <= k - 3:
         return 0
-    return (k - min(k, math.ceil(WINDOW_SDS * math.sqrt(k) + drift * k) + 2)) // 2
+    return (k - math.ceil(width) - 2) // 2
 
 
 def _levels(problem: BsdeProblem, rule: LevelRule) -> Iterator[tuple]:

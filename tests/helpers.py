@@ -1,10 +1,12 @@
 """What several test modules build the same way: walks of hand-made sign
-rows, a zero-driver problem, open-interval uniforms and a tracemalloc peak."""
+rows, a zero-driver problem, open-interval uniforms, a tracemalloc peak and
+a coupled block with its Brownian value."""
 import math
 import tracemalloc
 
 import numpy as np
 
+from rwbsde import experiment
 from rwbsde.solver import BsdeProblem
 
 
@@ -41,3 +43,13 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def bridged_block(rng, rows, problem, t, columns) -> tuple:
+    """(walks, taus, b_t) of one experiment.couple_block call, with b_t drawn
+    as run_mc draws it: bridged across the returned bracket, with normals
+    that rng draws after the block."""
+    walks, taus, tau_ends, walk_ends = experiment.couple_block(rng, rows, problem, t, columns)
+    b_t = experiment.bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t,
+                                         rng.standard_normal(rows))
+    return walks, taus, b_t

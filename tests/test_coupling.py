@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import skeleton, traced_peak, walk_sums, zero_driver_problem
+from helpers import bridged_block, skeleton, traced_peak, walk_sums, zero_driver_problem
 from scipy.stats import ks_2samp, kstest
 
 from rwbsde import experiment
@@ -12,7 +12,7 @@ from rwbsde.experiment import bridge_sample_batch, couple_block, ladder_ends
 
 def _coupled(rng, problem, rows):
     """Whole walks, ladders and skeletons of rows paths from run_mc's coupling draw."""
-    walks, taus, _ = couple_block(rng, rows, problem, 0.5 * problem.T, range(problem.n + 1))
+    walks, taus, *_ = couple_block(rng, rows, problem, 0.5 * problem.T, range(problem.n + 1))
     return walks, taus, problem.sqrt_h * walks
 
 
@@ -181,14 +181,14 @@ def test_narrow_calls_bracket_t_as_whole_paths_do(t, reach):
     steps = t / problem.h
     k = int(steps)
     last = min(n, max(0, math.floor(steps + reach * math.sqrt(2.0 * steps / 3.0 + 1.0))))
-    walks, taus, b_t = couple_block(np.random.default_rng(11), rows, problem, t, range(n + 1))
+    walks, taus, *bracket = couple_block(np.random.default_rng(11), rows, problem, t, range(n + 1))
     for columns in ((k,), (last,), (0, last), (0, n)):
         if experiment._window(problem, t, np.array(columns)) == (0, n):
-            s, tau, b = couple_block(np.random.default_rng(11), rows, problem, t, columns)
-            assert np.array_equal(b, b_t)
+            s, tau, *ends = couple_block(np.random.default_rng(11), rows, problem, t, columns)
+            assert all(np.array_equal(a, b) for a, b in zip(ends, bracket))
             assert np.array_equal(s, walks[:, columns]) and np.array_equal(tau, taus[:, columns])
         else:
-            s, tau, _ = couple_block(np.random.default_rng(12), rows, problem, t, columns)
+            s, tau, *_ = couple_block(np.random.default_rng(12), rows, problem, t, columns)
             for j, c in enumerate(columns):
                 assert ks_2samp(s[:, j], walks[:, c]).pvalue > 1e-3
                 assert ks_2samp(tau[:, j], taus[:, c]).pvalue > 1e-3
@@ -208,7 +208,7 @@ def test_b_t_is_brownian_given_the_drawn_ladder(n, t, k):
     m0, w = experiment._window(problem, t, np.array([k]))
     columns = range(m0, w + 1)   # the same window, every column of it returned
     assert experiment._window(problem, t, np.array(columns)) == (m0, w)
-    walks, taus, b_t = couple_block(np.random.default_rng(13), 4000, problem, t, columns)
+    walks, taus, b_t = bridged_block(np.random.default_rng(13), 4000, problem, t, columns)
     skels = problem.sqrt_h * walks
     assert np.all(taus[:, 0] <= t)
     free = taus[:, -1] <= t
@@ -227,6 +227,36 @@ def test_b_t_is_brownian_given_the_drawn_ladder(n, t, k):
         assert 0.4 <= free.mean() <= 0.6
     else:
         assert free.mean() > 0.99
+
+
+@pytest.mark.parametrize("n,t,k,first", [
+    (1, 0.5, 1, 0), (64, 0.5, 32, 0), (64, 0.5, 64, 0), (64, 0.97, 62, 1),
+    (800, 0.5, 400, 0), (800, 0.5, 400, 1), (800, 0.5, 450, 1),
+])
+def test_bracket_holds_t(n, t, k, first):
+    # every row's bracket is the ladder step of its window around t: a bridged
+    # row takes one walk step across t, a free row ends both at its window's
+    # last column; first = 0 starts the window at column 0, first = 1 lets
+    # the call at column k skip ahead
+    problem = make_case("square", 1.0).problem(n)
+    m0, w = experiment._window(problem, t, np.array(sorted({k * first, k})))
+    assert (m0 > 0) == bool(first)
+    columns = range(m0, w + 1)   # the same window, every column of it returned
+    walks, taus, tau_ends, walk_ends = couple_block(np.random.default_rng(n), 2000, problem, t,
+                                                    columns)
+    assert np.all(tau_ends[:, 0] <= t)
+    bridged = t < tau_ends[:, 1]
+    assert np.all(tau_ends[bridged, 1] > tau_ends[bridged, 0])
+    assert np.all(np.abs(np.diff(walk_ends[bridged], axis=1)) == 1)
+    free = ~bridged
+    assert np.array_equal(tau_ends[free], np.repeat(taus[free, -1:], 2, axis=1))
+    assert np.array_equal(walk_ends[free], np.repeat(walks[free, -1:], 2, axis=1))
+    # and it sits on the returned columns j and min(j + 1, w)
+    j = (taus <= t).sum(axis=1) - 1
+    ends = np.stack((j, np.minimum(j + 1, w - m0)), axis=1)
+    rows = np.arange(j.size)[:, None]
+    assert np.array_equal(tau_ends, taus[rows, ends])
+    assert np.array_equal(walk_ends, walks[rows, ends])
 
 
 def _block_peak(n, rows):
@@ -303,6 +333,6 @@ def test_coupling_discrepancy_trend():
     n, h, paths = problem.n, problem.h, 10_000
     for k in (n // 4, n // 2, n):
         t_k = k * h
-        s_k, _, b_tk = couple_block(rng, paths, problem, t_k, (k,))
+        s_k, _, b_tk = bridged_block(rng, paths, problem, t_k, (k,))
         ratio = np.mean((problem.sqrt_h * s_k[:, 0] - b_tk) ** 2) / math.sqrt(t_k * h)
         assert ratio <= 5.0

@@ -59,7 +59,8 @@ def test_config_defaults_and_validation():
 def test_run_mc_rows_come_from_couple_block(monkeypatch):
     # one n's row rebuilt by hand from run_mc's stream layout: child j of the
     # master seed spawns one stream per block, and each block runs
-    # couple_block, evaluate_walks and the exact (Y, Z)
+    # couple_block, bridge_sample_batch on its bracket, evaluate_walks and
+    # the exact (Y, Z)
     monkeypatch.setattr(experiment, "_BLOCK", 128)
     cfg = ExperimentConfig(case="square", n_list=(8, 16, 32), M=300, seed=13)
     j, n = 1, 16
@@ -71,8 +72,10 @@ def test_run_mc_rows_come_from_couple_block(monkeypatch):
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.n_list))[j].spawn(3)
     d2_y, d2_z = [], []
     for rows, stream in zip((128, 128, 44), streams):
-        s_k, _, b_tk = experiment.couple_block(np.random.default_rng(stream), rows, problem, t_k,
-                                               (k,))
+        rng = np.random.default_rng(stream)
+        s_k, _, tau_ends, walk_ends = experiment.couple_block(rng, rows, problem, t_k, (k,))
+        b_tk = experiment.bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t_k,
+                                              rng.standard_normal(rows))
         y_n, z_n = solver.evaluate_walks(solution, s_k[:, 0], k)
         d2_y.append(np.square(y_n - case.exact.y_fn(t_k, b_tk)))
         d2_z.append(np.square(z_n - case.exact.z_fn(t_k, b_tk)))

@@ -6,9 +6,11 @@ bit for bit; a change to the random-stream contract or to the arithmetic
 of a layer re-records them on purpose.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from helpers import bridged_block
 
 from rwbsde import experiment
 from rwbsde.benchmarks import make_case
@@ -54,8 +56,9 @@ SQUARE_ROOTS_DEEP = {
     (1000, "implicit"): ("0x1.5bf0ad72a09b9p+2", "0x1.5b6b173e3b72bp+2"),
 }
 
-# sha256 of float.hex of couple_block's whole (walks, taus, b_t), 100 rows of
-# the square case at t = 0.5 from default_rng(n)
+# sha256 of float.hex of couple_block's whole (walks, taus) and of b_t bridged
+# across its bracket as run_mc bridges it, 100 rows of the square case at
+# t = 0.5 from default_rng(n)
 COUPLE_BLOCK_N = {
     1: ("2740c958029024797fa517b256fb3f4ee7bf3573eba07ef477abaf14a68616f8",
         "48815fb0c0ca823d96a99a37ca27d68d4325aeb488a377e4d392903553609ebd",
@@ -194,12 +197,10 @@ def _narrow_digests(n, pass_size, monkeypatch, narrow_golden):
     the goldens, COUPLE_BLOCK_N and narrow_golden[n]; return that call's tau_k."""
     monkeypatch.setattr("rwbsde.experiment._PASS", pass_size)
     problem = make_case("square", 1.0).problem(n)
-    walks, taus, b_t = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
-                                               range(n + 1))
+    walks, taus, b_t = bridged_block(np.random.default_rng(n), 100, problem, 0.5, range(n + 1))
     assert (_digest(walks), _digest(taus), _digest(b_t)) == COUPLE_BLOCK_N[n]
     k = n // 2
-    s_k, tau_k, b_t_narrow = experiment.couple_block(np.random.default_rng(n), 100, problem, 0.5,
-                                                     (k,))
+    s_k, tau_k, b_t_narrow = bridged_block(np.random.default_rng(n), 100, problem, 0.5, (k,))
     assert s_k.shape == tau_k.shape == (100, 1)
     assert (_digest(s_k), _digest(tau_k), _digest(b_t_narrow)) == narrow_golden[n]
     return tau_k
@@ -231,17 +232,18 @@ def test_deep_square_roots_are_golden(scheme, solve, n):
 @pytest.mark.parametrize("pass_size", [2**15, 1000])
 def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
     monkeypatch.setattr("rwbsde.experiment._SKIP", 0.0)
-    # every stretch of steps couple_block draws, as (rows, steps)
-    stretches = []
-    step_on = experiment._step_on
+    # the uniforms of every sample_sigma call, as (rows, steps)
+    shapes = []
+    sample_sigma = experiment.sample_sigma
 
-    def recorded(rng, cdf, tau0, walk0, width, t, columns):
-        stretches.append((tau0.size, width))
-        return step_on(rng, cdf, tau0, walk0, width, t, columns)
+    def recorded(cdf, u):
+        shapes.append(u.shape)
+        return sample_sigma(cdf, u)
 
-    monkeypatch.setattr("rwbsde.experiment._step_on", recorded)
+    monkeypatch.setattr("rwbsde.experiment.sample_sigma", recorded)
     tau_k = _narrow_digests(n, pass_size, monkeypatch, COUPLE_BLOCK_REDONE)
-    # the whole paths, then the narrow call's empty window at column k, once:
-    # no row is stepped again from column 0
-    assert stretches == [(100, n), (100, 0)]
+    # the whole paths' row passes, then the narrow call's empty window at
+    # column k in one pass: each row is stepped once, none again from column 0
+    assert [steps for _, steps in shapes] == [n] * (len(shapes) - 1) + [0]
+    assert [sum(r * steps for r, steps in shapes[:-1]), math.prod(shapes[-1])] == [100 * n, 0]
     assert np.all(tau_k <= 0.5)

@@ -131,6 +131,19 @@ def test_window_roots_equal_the_whole_lattice(case_name, n):
                                                            rel=0, abs=1e-13)
 
 
+@pytest.mark.parametrize("T,n", [(1.0, 300), (8.0, 2)])
+def test_a_drift_past_the_level_sweeps_the_whole_lattice(T, n):
+    # lip_f * sqrt_h * k overflows at lip_f = 1e308 (at T/n = 4 the drift
+    # lip_f * sqrt_h is itself inf, and inf * 0 at the root is NaN): every
+    # level is whole, bit for bit the lattice that lip_f=None sweeps
+    problem = make_case("square", T).problem(n)
+    huge = solve_explicit(dataclasses.replace(problem, lip_f=1e308), levels=(0, n // 2, n))
+    whole = solve_explicit(dataclasses.replace(problem, lip_f=None), levels=(0, n // 2, n))
+    assert huge.first == whole.first
+    for k in (0, n // 2, n):
+        assert _hex(huge.y[k]) == _hex(whole.y[k])
+
+
 def test_changing_g_outside_the_window_changes_nothing():
     n = 2000
     problem = make_case("square", 1.0).problem(n)
@@ -330,7 +343,7 @@ def test_problem_validation():
         zero_driver_problem(1.0, 4, alpha=0.0)
     with pytest.raises(ValueError):
         zero_driver_problem(1.0, 4, alpha=1.2)
-    for lip_f in (-1.0, math.nan):
+    for lip_f in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="lip_f"):
             zero_driver_problem(1.0, 4, lip_f=lip_f)
 
