@@ -19,7 +19,11 @@ The law of sigma = inf{t : |B_t| = sqrt(h)} is a function of s = t/h alone
   associated with hyperbolic functions", Canad. J. Math. 55): sigma/h is
   their C_1, so a sum of m independent exit times is
   h * (2/pi^2) * sum_{i>=1} G_i / (i - 1/2)^2 with the G_i i.i.d. Gamma(m).
-  sample_exit_sum draws it, for couple_block's skip past the first steps.
+  Each G_i is a gamma process in m, so the series is one too.
+  couple_block's skip past the first steps draws its gammas
+  (sample_exit_gammas) and adds them (exit_sum; sample_exit_sum does both),
+  and bracket_exit_sum bisects it by gamma bridges (bridge_exit_gammas) to
+  the step whose exit time passes t.
 
 sample_sigma inverts F through one quantile table in scaled time, built on
 first use and shared by every h. It sits on a uniform grid in
@@ -57,6 +61,11 @@ _TERMS = tuple(zip((1.0, -1.0) * 3, 2.0 * np.arange(6) + 1.0))
 _SERIES_WEIGHTS = (2.0 / math.pi**2) / (np.arange(1, 13) - 0.5) ** 2
 _TAIL_MEAN = 1.0 - math.fsum(_SERIES_WEIGHTS)
 _TAIL_VAR = 2.0 / 3.0 - math.fsum(_SERIES_WEIGHTS**2)
+# the tail is drawn as one gamma of shape m * _TAIL_SHAPE, scaled by
+# _TAIL_VAR / _TAIL_MEAN; each of the 13 gammas is a gamma process in m with
+# shape _SHAPES per unit m
+_TAIL_SHAPE = _TAIL_MEAN**2 / _TAIL_VAR
+_SHAPES = np.append(np.ones(_SERIES_WEIGHTS.size), _TAIL_SHAPE)
 
 _Q_INTERVALS = 2**15  # quantile table cells on the logit grid
 _Q_LOGIT_MAX = 37.0   # grid is [-37, 37]; |logit u| < 36.8 on [2^-53, 1 - 2^-53]
@@ -280,25 +289,93 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     return pos[()]
 
 
-def sample_exit_sum(rng: np.random.Generator, h: float, m: int, rows: int) -> np.ndarray:
-    """(rows,) sums of m independent exit times at time scale h, by the
-    Pitman-Yor series tau_m / h = sum_i a_i G_i, G_i i.i.d. Gamma(m).
+def sample_exit_gammas(rng: np.random.Generator, m: int, rows: int) -> np.ndarray:
+    """(rows, 13) values at m of the gamma processes of the Pitman-Yor series
+    tau_m / h = sum_i a_i G_i(m), G_i(m) ~ Gamma(m) with independent
+    increments in m: the 12 head terms, then the tail gamma Gamma(m * kappa),
+    kappa = _TAIL_MEAN^2 / _TAIL_VAR, whose mean m * _TAIL_MEAN and variance
+    m * _TAIL_VAR (in the scale exit_sum gives it) are the tail's own.
 
-    Draws from rng, in this order, the (rows, 12) gammas of the first 12
-    terms and then (rows,) gammas for the tail sum_{i>12} a_i G_i: one gamma
-    whose mean m * _TAIL_MEAN and variance m * _TAIL_VAR are the tail's own.
-    So the mean m*h and variance (2/3)*m*h^2 are exact, and the third
-    cumulant is off by 5.5e-9 of its exact (16/15)*m*h^3. The terms are
-    added one by one, smallest first, so no BLAS kernel moves a bit.
+    Draws from rng, in this order, the (rows, 12) head gammas and the (rows,)
+    tail gammas.
     """
-    _check_h(h)
     m = operator.index(m)
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    head = rng.standard_gamma(m, (rows, _SERIES_WEIGHTS.size))
-    total = rng.standard_gamma(m * _TAIL_MEAN**2 / _TAIL_VAR, rows)
-    total *= _TAIL_VAR / _TAIL_MEAN
+    gammas = np.empty((rows, _SERIES_WEIGHTS.size + 1))
+    gammas[:, :-1] = rng.standard_gamma(m, (rows, _SERIES_WEIGHTS.size))
+    gammas[:, -1] = rng.standard_gamma(m * _TAIL_SHAPE, rows)
+    return gammas
+
+
+def exit_sum(gammas: np.ndarray, h: float) -> np.ndarray:
+    """The (rows,) sums tau_m = h * sum_i a_i G_i(m) of sample_exit_gammas'
+    (rows, 13) gammas. The terms are added one by one, smallest first, so no
+    BLAS kernel moves a bit, and gammas that are larger term by term never
+    give a smaller sum."""
+    _check_h(h)
+    total = gammas[:, -1] * (_TAIL_VAR / _TAIL_MEAN)
     for i in reversed(range(_SERIES_WEIGHTS.size)):
-        total += _SERIES_WEIGHTS[i] * head[:, i]
+        total += _SERIES_WEIGHTS[i] * gammas[:, i]
     total *= h
     return total
+
+
+def sample_exit_sum(rng: np.random.Generator, h: float, m: int, rows: int) -> np.ndarray:
+    """(rows,) sums of m independent exit times at time scale h, by the
+    Pitman-Yor series: exit_sum(sample_exit_gammas(rng, m, rows), h).
+
+    The series is a gamma process in m, tau_m / h = sum_i a_i G_i(m), with
+    G_i(m) ~ Gamma(m), so its increments over m are sums of exit times too.
+    The mean m*h and variance (2/3)*m*h^2 are exact, and the third cumulant
+    is off by 5.5e-9 of its exact (16/15)*m*h^3.
+    """
+    _check_h(h)
+    return exit_sum(sample_exit_gammas(rng, m, rows), h)
+
+
+def bridge_exit_gammas(rng: np.random.Generator, lo_gammas: np.ndarray, hi_gammas: np.ndarray,
+                       lo: np.ndarray, mid: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The gammas at mid of each row, given those at lo < mid < hi.
+
+    A gamma process of shape s per unit m has the exact bridge
+    G(mid) = G(lo) + (G(hi) - G(lo)) * Beta(s(mid - lo), s(hi - mid)), with
+    s = 1 for the 12 head terms and kappa for the tail; this draws the
+    (rows, 13) betas from rng. The result lies between lo_gammas and
+    hi_gammas term by term, so exit_sum keeps tau_lo <= tau_mid <= tau_hi.
+    """
+    left, right = (mid - lo)[:, None] * _SHAPES, (hi - mid)[:, None] * _SHAPES
+    mid_gammas = hi_gammas - lo_gammas
+    mid_gammas *= rng.beta(left, right)
+    mid_gammas += lo_gammas
+    # the rounded sum may land one ulp past the right end
+    return np.minimum(mid_gammas, hi_gammas, out=mid_gammas)
+
+
+def bracket_exit_sum(rng: np.random.Generator, gammas: np.ndarray, m: int, h: float,
+                     t: float) -> tuple:
+    """The exit-time step that brackets t in rows whose tau_m is past it:
+    (j, tau_ends) with tau_j <= t < tau_{j+1} <= tau_m, j in 0..m-1.
+
+    gammas are the rows' (rows, 13) gammas at m (sample_exit_gammas), with
+    exit_sum(gammas, h) > t >= 0 in every row. Each row bisects [0, m] by
+    bridge_exit_gammas, keeping the half that holds t, until its ends are one
+    step apart: ceil(log2 m) rounds at most, each drawing the betas of the
+    rows not yet done. tau_ends is (rows, 2); at j + 1 = m its right end is
+    exit_sum(gammas, h) bit for bit.
+    """
+    rows = gammas.shape[0]
+    lo, hi = np.zeros(rows, np.intp), np.full(rows, operator.index(m), np.intp)
+    lo_gammas, hi_gammas = np.zeros_like(gammas), gammas.copy()
+    open_rows = np.flatnonzero(hi - lo > 1)
+    while open_rows.size:
+        a, b = lo[open_rows], hi[open_rows]
+        mid = (a + b) // 2
+        mid_gammas = bridge_exit_gammas(rng, lo_gammas[open_rows], hi_gammas[open_rows],
+                                        a, mid, b)
+        left = exit_sum(mid_gammas, h) <= t
+        lo[open_rows[left]], lo_gammas[open_rows[left]] = mid[left], mid_gammas[left]
+        hi[open_rows[~left]], hi_gammas[open_rows[~left]] = mid[~left], mid_gammas[~left]
+        open_rows = open_rows[hi[open_rows] - lo[open_rows] > 1]
+    tau_ends = np.stack((exit_sum(lo_gammas, h), exit_sum(hi_gammas, h)), axis=1)
+    return lo, tau_ends

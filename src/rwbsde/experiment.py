@@ -32,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkCase, make_case
-from .exit_time import check_scale, sample_exit_sum, sample_sigma, tabulate
+from .exit_time import (bracket_exit_sum, check_scale, exit_sum, sample_exit_gammas, sample_sigma,
+                        tabulate)
 from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, solve_explicit,
                      solve_implicit)
 
@@ -40,14 +41,16 @@ from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, so
 _BLOCK = 4096
 # uniforms per row pass of couple_block (256 KiB of doubles), so that a
 # pass's uniforms, exit times, ladders, walks and sample_sigma's temporaries
-# stay in cache; a 4096-row block at n = 800 (131 columns) took a median 22 ms
-# at 2^15 and 2^16, 23 ms at 2^14 and 2^17 and 31 ms in one pass (2-vCPU Xeon, 4 MiB L2)
+# stay in cache; a 4096-row block at n = 800 (33 columns) took a median
+# 11.7 ms at 2^15, 11.8 ms at 2^14, 11.9 ms at 2^13, 12.5 ms at 2^16 and
+# 14.4 ms at 2^17 and in one pass (2-vCPU Xeon, 4 MiB L2)
 _PASS = 2**15
 # how far before t/h couple_block skips to, in units of sqrt(2(t/h)/3 + 1),
-# about the standard deviation of the step j that brackets t (a row whose
-# skip lands past t, by a Chernoff bound at most 1.1e-14 of rows at
-# t_eval = T/2 for n <= 10^5, draws that skip again)
-_SKIP = 8.0
+# about the standard deviation of the step j that brackets t; a row whose
+# skip lands past t (1-2% of them at t_eval = T/2) is bracketed by gamma
+# bridges. The mc_square run_mc took a median 204, 200, 201, 223 and 299 ms
+# at 1.5, 2, 2.5, 3 and 8 (same host)
+_SKIP = 2.0
 
 # a fitted slope above -alpha/2 by more than this slack gets flagged
 SLOPE_SLACK = 0.15
@@ -130,14 +133,24 @@ class RegressionResult:
 
 
 def _mean_and_se(d2: np.ndarray) -> tuple:
-    """Mean of the squared errors and its standard error, from exact sums."""
+    """Mean of the squared errors and its standard error, from exact sums.
+
+    The sums run on d2 * 2^-e, with 2^e the power of two at or below the
+    largest finite d2, so that neither they nor the squares overflow on
+    finite errors; the scaling is exact and commutes with rounding, so a d2
+    that would not have overflowed gives the bits of the unscaled sums.
+    """
     m = d2.size
+    top = float(d2[np.isfinite(d2)].max(initial=0.0))
+    # within the normal doubles, so that 2^e and 2^-e are both finite
+    e = min(max(math.frexp(top)[1] - 1, -1022), 1023)
+    scaled = d2 * 2.0**-e
     # fsum reads a list of floats faster than it walks an array
-    mean = math.fsum(d2.tolist()) / m
+    mean = math.fsum(scaled.tolist()) / m
     if m < 2:
-        return mean, 0.0
-    var = max(math.fsum((d2 * d2).tolist()) - m * mean * mean, 0.0) / (m - 1)
-    return mean, math.sqrt(var / m)
+        return mean * 2.0**e, 0.0
+    var = max(math.fsum((scaled * scaled).tolist()) - m * mean * mean, 0.0) / (m - 1)
+    return mean * 2.0**e, math.sqrt(var / m) * 2.0**e
 
 
 def _check_t(t: float) -> None:
@@ -186,19 +199,24 @@ def bridge_sample_batch(taus: np.ndarray, skeletons: np.ndarray, t: float,
 def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     """The ends of the ladder step around t in each row: (tau_ends, walk_ends).
 
-    taus (R, n+1) are non-decreasing ladders whose first column is at or
-    before t, walks (R, n+1) the walk sums beside them. With
+    taus (R, n+1) are non-decreasing ladders, walks (R, n+1) the walk sums
+    beside them. In a row whose first column is at or before t, with
     j = #{m >= 1 : tau_m <= t}, the column before the first one past t (n
     when none is), both results are (R, 2) and hold columns j and
-    min(j + 1, n).
+    min(j + 1, n). A row whose first column is already past t has no step
+    around t: it gets columns 0 and min(1, n), whose left end past t
+    bridge_sample_batch refuses; couple_block puts the bracket it draws for
+    such a row in their place.
     """
     n_rows, n = taus.shape[0], taus.shape[1] - 1
     rows = np.arange(n_rows)
-    # column 0 is never past t, so argmax gives 0 only in rows with no column
-    # past t; on a row pass's ladders one scan beats bisection's Python loop
-    # over the bits of n (21 against 59 us at 40 x 801)
+    # argmax gives 0 in rows with no column past t and in rows whose column 0
+    # is past t, which the last column tells apart; on a row pass's ladders
+    # one scan beats bisection's Python loop over the bits of n (21 against
+    # 59 us at 40 x 801)
     j = (taus > t).argmax(axis=1) - 1
-    j[j < 0] = n
+    j[taus[:, -1] <= t] = n
+    np.maximum(j, 0, out=j)
     ends = np.stack((j, np.minimum(j + 1, n)), axis=1)
     return taus[rows[:, None], ends], walks[rows[:, None], ends]
 
@@ -220,34 +238,41 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     m0 = max(0, min(min(columns), floor(t/h - _SKIP * sqrt(2(t/h)/3 + 1)))).
     It draws from rng, in this order:
 
-    * when m0 > 0, S_m0 = 2 * Binomial(m0, 1/2) - m0 and tau_m0 from
-      exit_time.sample_exit_sum, for all rows;
-    * tau_m0 again for the rows whose skip lands past t, until none does
-      (S_m0, independent of tau_m0, stays);
+    * when m0 > 0, S_m0 = 2 * Binomial(m0, 1/2) - m0 and the gammas of
+      tau_m0 (exit_time.sample_exit_gammas), for all rows;
+    * when m0 > 0, for the late rows, whose skip lands past t
+      (tau_m0 > t): the gamma bridges by which exit_time.bracket_exit_sum
+      finds the step j + 1 <= m0 whose exit time first passes t, then the
+      up-steps among the first j of the m0 as
+      Hypergeometric(U, m0 - U, j), with U = (S_m0 + m0) / 2 the up-steps
+      of all m0, and step j + 1 as one more draw from the m0 - j left;
     * the (rows, w - m0) sign bits and then the (rows, w - m0) exit-time
       uniforms of the window, in row passes of about _PASS uniforms, which give
       the doubles of one (rows, w - m0) draw.
 
-    Each row is stepped once, over m0..w, and no pass size moves a bit.
-    So walks and taus are the whole path's in law, but for two departures:
-    the tail of sample_exit_sum's series matches two cumulants (the third
-    is off by 5.5e-9 relative), and tau_m0 comes from its law given
-    tau_m0 <= t, which moves a row's law by at most P(tau_m0 > t): by a
-    Chernoff bound through E exp(theta sigma) = sec(sqrt(2 theta h)), at
-    most 1e-15 in run_mc's windows at t_eval = T/2 for n <= 800 and 1.1e-14
-    up to n = 10^5. With m0 = 0 and w = n (as for columns=range(n + 1)) the
-    draws are those of the whole path, stepped from column 0.
+    Each row is stepped once, over m0..w, and no pass size moves a bit; a
+    late row steps on from tau_m0 like any other. Each draw is exact given
+    the law it samples: the signs are independent of the exit times and,
+    given S_m0, in a uniformly random order, and a gamma bridge is the law
+    of the series between two of its values. So walks, taus and the bracket
+    have the whole path's law, but for the series itself: its tail matches
+    two cumulants (the third is off by 5.5e-9 relative), and one step of it
+    lies within 1.3e-7 of the exit-time CDF, as sample_sigma lies within
+    1e-7. With m0 = 0 and w = n (as for columns=range(n + 1)) the draws are
+    those of the whole path, stepped from column 0.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
     ladders tau_m there (tau_0 = 0 < tau_1 < ... < tau_n at time scale
     problem.h); and the bracket of t, the (rows, 2) ladder times tau_ends
     and int32 walk sums walk_ends at the columns j and min(j + 1, w) that
-    ladder_ends finds in the window (j = w where t >= tau_w), which
-    bridge_sample_batch takes with sqrt(h) * walk_ends. With
+    ladder_ends finds in the window (j = w where t >= tau_w), or at the
+    steps j and j + 1 <= m0 of a late row, which bridge_sample_batch takes
+    with sqrt(h) * walk_ends. With
     columns=range(n + 1) walks and taus are the whole paths. A block holds
-    the int8 signs of its window, one row pass of its work and per-row
-    answers: a 2.8 MiB peak at n = 800 and 4096 rows, 0.5 MiB of it signs.
+    the int8 signs of its window, the gammas of tau_m0, one row pass of its
+    work and per-row answers: a 2.9 MiB peak at n = 800 and 4096 rows,
+    0.13 MiB of it signs and 0.4 MiB gammas.
     A column outside 0..n raises IndexError, a column that is not a whole
     number TypeError, and a t that is negative, infinite or NaN ValueError,
     before anything is drawn.
@@ -265,11 +290,17 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     tau0, walk0 = np.zeros(rows), np.zeros(rows, np.int32)
     if m0:
         walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
-        tau0 = sample_exit_sum(rng, problem.h, m0, rows)
-        early = np.flatnonzero(tau0 > t)
-        while early.size:
-            tau0[early] = sample_exit_sum(rng, problem.h, m0, early.size)
-            early = early[tau0[early] > t]
+        gammas = sample_exit_gammas(rng, m0, rows)
+        tau0 = exit_sum(gammas, problem.h)
+        late = np.flatnonzero(tau0 > t)
+        j, late_taus = bracket_exit_sum(rng, gammas[late], m0, problem.h, t)
+        # given S_m0, the m0 signs are ups = (S_m0 + m0)/2 up-steps in a uniformly
+        # random order: the ups among the first j are hypergeometric, and step
+        # j + 1 is one more draw without replacement from the m0 - j left
+        ups = (walk0[late] + m0) // 2
+        ups_j = rng.hypergeometric(ups, m0 - ups, j)
+        up = rng.hypergeometric(ups - ups_j, m0 - ups - j + ups_j, 1)
+        late_walks = np.stack((2 * ups_j - j, 2 * (ups_j + up) - j - 1), axis=1)
     width, columns = w - m0, columns - m0
     signs = rng.integers(0, 2, (rows, width), dtype=np.int8)
     signs *= 2
@@ -300,6 +331,8 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
         walks[start:stop] = walk[:, columns]
     walks += walk0[:, None]
     walk_ends += walk0[:, None]
+    if m0:
+        tau_ends[late], walk_ends[late] = late_taus, late_walks
     return walks, taus, tau_ends, walk_ends
 
 

@@ -202,29 +202,37 @@ def test_narrow_calls_bracket_t_as_whole_paths_do(t, reach):
 @pytest.mark.parametrize("n,t,k", [(64, 0.5, 32), (64, 0.97, 40), (800, 0.5, 400)])
 def test_b_t_is_brownian_given_the_drawn_ladder(n, t, k):
     # a row whose ladder passes t inside the window is bridged across the step
-    # that brackets t; a row with tau_w <= t at w = max(columns), the last
-    # column drawn, runs free from there: B_t - B_tau_w ~ N(0, t - tau_w)
+    # that brackets t, and a late row (its skip lands past t) across the step
+    # before its window that couple_block draws for it; a row with tau_w <= t
+    # at w = max(columns), the last column drawn, runs free from there:
+    # B_t - B_tau_w ~ N(0, t - tau_w)
     problem = make_case("square", 1.0).problem(n)
     m0, w = experiment._window(problem, t, np.array([k]))
     columns = range(m0, w + 1)   # the same window, every column of it returned
     assert experiment._window(problem, t, np.array(columns)) == (m0, w)
-    walks, taus, b_t = bridged_block(np.random.default_rng(13), 4000, problem, t, columns)
+    rng = np.random.default_rng(13)
+    walks, taus, tau_ends, walk_ends = couple_block(rng, 4000, problem, t, columns)
+    b_t = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t, rng.standard_normal(4000))
     skels = problem.sqrt_h * walks
-    assert np.all(taus[:, 0] <= t)
     free = taus[:, -1] <= t
     z_free = (b_t[free] - skels[free, -1]) / np.sqrt(t - taus[free, -1])
     assert kstest(z_free, "norm").pvalue > 1e-3
-    bridged = np.flatnonzero(~free)
+    late = taus[:, 0] > t
+    inside = np.flatnonzero(~free & ~late)
+    j = (taus[inside] <= t).sum(axis=1) - 1
+    t0 = np.concatenate((taus[inside, j], tau_ends[late, 0]))
+    t1 = np.concatenate((taus[inside, j + 1], tau_ends[late, 1]))
+    b0 = np.concatenate((skels[inside, j], problem.sqrt_h * walk_ends[late, 0]))
+    b1 = np.concatenate((skels[inside, j + 1], problem.sqrt_h * walk_ends[late, 1]))
+    bridged = np.concatenate((b_t[inside], b_t[late]))
     if bridged.size:
-        j = (taus[bridged] <= t).sum(axis=1) - 1
-        t0, t1 = taus[bridged, j], taus[bridged, j + 1]
-        b0, b1 = skels[bridged, j], skels[bridged, j + 1]
         mean = b0 + (t - t0) / (t1 - t0) * (b1 - b0)
-        z_bridged = (b_t[bridged] - mean) / np.sqrt((t - t0) * (t1 - t) / (t1 - t0))
+        z_bridged = (bridged - mean) / np.sqrt((t - t0) * (t1 - t) / (t1 - t0))
         assert kstest(z_bridged, "norm").pvalue > 1e-3
-    # at t = t_k about half the rows run free; at t = 0.97, far past t_40, nearly all do
+    # at t = t_k about half the rows run free and some are late; at t = 0.97,
+    # far past t_40, nearly all run free
     if t == k * problem.h:
-        assert 0.4 <= free.mean() <= 0.6
+        assert late.any() and 0.4 <= free.mean() <= 0.6
     else:
         assert free.mean() > 0.99
 
@@ -233,11 +241,21 @@ def test_b_t_is_brownian_given_the_drawn_ladder(n, t, k):
     (1, 0.5, 1, 0), (64, 0.5, 32, 0), (64, 0.5, 64, 0), (64, 0.97, 62, 1),
     (800, 0.5, 400, 0), (800, 0.5, 400, 1), (800, 0.5, 450, 1),
 ])
-def test_bracket_holds_t(n, t, k, first):
-    # every row's bracket is the ladder step of its window around t: a bridged
-    # row takes one walk step across t, a free row ends both at its window's
-    # last column; first = 0 starts the window at column 0, first = 1 lets
-    # the call at column k skip ahead
+def test_bracket_holds_t(monkeypatch, n, t, k, first):
+    # every row's bracket is the step around t: a row whose ladder passes t in
+    # its window takes one walk step of its window across t, a free row ends
+    # both at its window's last column, and a late row, whose skip to m0
+    # lands past t, takes the step j -> j + 1 <= m0 that bracket_exit_sum
+    # finds; first = 0 starts the window at column 0, first = 1 lets the call
+    # at column k skip ahead
+    found = []
+    bracket_exit_sum = experiment.bracket_exit_sum
+
+    def recorded(*args):
+        found.append(bracket_exit_sum(*args))
+        return found[-1]
+
+    monkeypatch.setattr(experiment, "bracket_exit_sum", recorded)
     problem = make_case("square", 1.0).problem(n)
     m0, w = experiment._window(problem, t, np.array(sorted({k * first, k})))
     assert (m0 > 0) == bool(first)
@@ -245,18 +263,60 @@ def test_bracket_holds_t(n, t, k, first):
     walks, taus, tau_ends, walk_ends = couple_block(np.random.default_rng(n), 2000, problem, t,
                                                     columns)
     assert np.all(tau_ends[:, 0] <= t)
-    bridged = t < tau_ends[:, 1]
+    late = taus[:, 0] > t
+    assert late.any() == bool(first)
+    bridged = (t < tau_ends[:, 1]) & ~late
     assert np.all(tau_ends[bridged, 1] > tau_ends[bridged, 0])
     assert np.all(np.abs(np.diff(walk_ends[bridged], axis=1)) == 1)
-    free = ~bridged
+    free = ~bridged & ~late
     assert np.array_equal(tau_ends[free], np.repeat(taus[free, -1:], 2, axis=1))
     assert np.array_equal(walk_ends[free], np.repeat(walks[free, -1:], 2, axis=1))
     # and it sits on the returned columns j and min(j + 1, w)
-    j = (taus <= t).sum(axis=1) - 1
+    j = (taus[~late] <= t).sum(axis=1) - 1
     ends = np.stack((j, np.minimum(j + 1, w - m0)), axis=1)
-    rows = np.arange(j.size)[:, None]
-    assert np.array_equal(tau_ends, taus[rows, ends])
-    assert np.array_equal(walk_ends, walks[rows, ends])
+    rows = np.flatnonzero(~late)[:, None]
+    assert np.array_equal(tau_ends[~late], taus[rows, ends])
+    assert np.array_equal(walk_ends[~late], walks[rows, ends])
+    # a late row: tau_j <= t < tau_{j+1} <= tau_m0, equal at j + 1 = m0, one
+    # walk step of the parity of j, and S_m0 within reach of S_{j+1}
+    assert len(found) == int(bool(first))
+    if found:
+        (j, late_ends), = found
+        assert np.array_equal(late_ends, tau_ends[late]) and np.all(j + 1 <= m0)
+        assert np.all(t < tau_ends[late, 1]) and np.all(tau_ends[late, 1] <= taus[late, 0])
+        assert np.array_equal(tau_ends[late, 1] == taus[late, 0], j + 1 == m0)
+        s_j, s_next = walk_ends[late].T
+        assert np.all(np.abs(s_next - s_j) == 1)
+        assert np.all((s_j - j) % 2 == 0) and np.all(np.abs(s_j) <= j)
+        assert np.all(np.abs(walks[late, 0] - s_next) <= m0 - j - 1)
+
+
+@pytest.mark.parametrize("n", [64, 800])
+def test_late_rows_have_the_law_of_whole_paths(n):
+    # a row whose skip to m0 lands past t_k is bracketed by gamma bridges and
+    # a hypergeometric walk; whole paths stepped from column 0 whose tau_m0
+    # passes t_k are the same event. Two-sample KS on all they return, 40,000
+    # rows a side, and the shares of such rows (1% and 2%) within 4 SE
+    problem = make_case("square", 1.0).problem(n)
+    k = n // 2
+    t = k * problem.h
+    m0, _ = experiment._window(problem, t, np.array([k]))
+    rows = 40_000
+    laws = []
+    for seed, columns in ((41, (m0, k)), (42, (0, m0, k))):
+        walks, taus, tau_ends, walk_ends = couple_block(np.random.default_rng(seed), rows,
+                                                        problem, t, columns)
+        s_m0, s_k, tau_m0 = walks[:, -2], walks[:, -1], taus[:, -2]
+        late = tau_m0 > t
+        laws.append((late.mean(), {
+            "tau_j": tau_ends[late, 0], "tau_j+1": tau_ends[late, 1], "tau_m0": tau_m0[late],
+            "S_j": walk_ends[late, 0], "S_j+1 - S_j": np.diff(walk_ends[late], axis=1)[:, 0],
+            "S_m0 - S_j+1": s_m0[late] - walk_ends[late, 1], "S_k": s_k[late],
+        }))
+    (share, skipped), (whole_share, whole) = laws
+    assert abs(share - whole_share) <= 4.0 * math.sqrt(2.0 * whole_share / rows)
+    for name in skipped:
+        assert ks_2samp(skipped[name], whole[name]).pvalue > 1e-3, name
 
 
 def _block_peak(n, rows):
@@ -268,16 +328,17 @@ def _block_peak(n, rows):
 
 
 def test_couple_block_memory_is_bounded():
-    # a block holds the int8 signs of its window (0.5 MiB at 4096 rows and
-    # n = 800, columns 269..400), one row pass of uniforms, exit times, walks
-    # and ladders, and per-row answers: ~2.8 MiB, against ~5 MiB with all n
-    # signs and ~42 MiB with whole-block walks and ladders
+    # a block holds the int8 signs of its window (0.13 MiB at 4096 rows and
+    # n = 800, columns 367..400), the gammas of tau_367 (0.4 MiB), one row
+    # pass of uniforms, exit times, walks and ladders, and per-row answers:
+    # ~2.9 MiB, against ~5 MiB with all n signs and ~42 MiB with whole-block
+    # walks and ladders
     peak = _block_peak(800, 4096)
     assert peak <= 5, f"peak {peak:.1f} MiB"
 
 
 def test_couple_block_memory_at_large_n():
-    # the window is columns 4538..5000 at n = 10^4: ~2.6 MiB at 1024 rows,
+    # the window is columns 4884..5000 at n = 10^4: ~2.4 MiB at 1024 rows,
     # where all n signs alone were 9.8 MiB and whole-block walks and ladders
     # would add ~117 MiB
     peak = _block_peak(10_000, 1024)

@@ -20,7 +20,11 @@ from rwbsde.exit_time import (
     _scaled_law,
     cdf_laplace_inversion,
     cdf_series,
+    bracket_exit_sum,
+    bridge_exit_gammas,
+    exit_sum,
     laplace_transform,
+    sample_exit_gammas,
     sample_exit_sum,
     sample_sigma,
     tabulate,
@@ -410,3 +414,42 @@ def test_exit_sum_refuses_bad_input():
     for h, m in ((0.0, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5)):
         with pytest.raises((ValueError, TypeError)):
             sample_exit_sum(rng, h, m, 4)
+
+
+@pytest.mark.parametrize("lo,mid,hi", [(0, 1, 2), (0, 15, 37), (10, 25, 37)])
+def test_bridged_exit_sum_has_the_law_of_an_exit_sum(lo, mid, hi):
+    # the series at lo and hi of one gamma process, then at mid by its
+    # bridge: tau_mid has the law of sample_exit_sum(mid) and tau_mid - tau_lo
+    # that of mid - lo exit times (KS, 100k rows a side), and its mean given
+    # both ends is tau_lo + (tau_hi - tau_lo)(mid - lo)/(hi - lo) within 4 SE
+    h, rows = 0.01, 100_000
+    rng = np.random.default_rng(51)
+    lo_gammas = sample_exit_gammas(rng, lo, rows) if lo else np.zeros((rows, 13))
+    hi_gammas = lo_gammas + sample_exit_gammas(rng, hi - lo, rows)
+    mid_gammas = bridge_exit_gammas(rng, lo_gammas, hi_gammas,
+                                    *(np.full(rows, c) for c in (lo, mid, hi)))
+    assert np.all((lo_gammas <= mid_gammas) & (mid_gammas <= hi_gammas))
+    tau_lo, tau_mid, tau_hi = (exit_sum(g, h) for g in (lo_gammas, mid_gammas, hi_gammas))
+    assert np.all((tau_lo <= tau_mid) & (tau_mid <= tau_hi))
+    assert ks_2samp(tau_mid, sample_exit_sum(np.random.default_rng(52), h, mid, rows)).pvalue > 1e-3
+    assert ks_2samp(tau_mid - tau_lo,
+                    sample_exit_sum(np.random.default_rng(53), h, mid - lo, rows)).pvalue > 1e-3
+    gap = tau_mid - tau_lo - (tau_hi - tau_lo) * (mid - lo) / (hi - lo)
+    assert abs(gap.mean()) <= 4.0 * gap.std(ddof=1) / math.sqrt(rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 37, 400])
+def test_bracket_exit_sum_finds_the_step_past_t(m):
+    # t below the mean of tau_m puts it past t in most rows: each of those
+    # gets the step j -> j + 1 <= m with tau_j <= t < tau_{j+1}, whose right
+    # end is tau_m itself, bit for bit, at j + 1 = m
+    h, t = 0.01, 0.01 * (m - 0.5)
+    gammas = sample_exit_gammas(np.random.default_rng(54), m, 2000)
+    tau_m = exit_sum(gammas, h)
+    late = tau_m > t
+    j, tau_ends = bracket_exit_sum(np.random.default_rng(55), gammas[late], m, h, t)
+    assert tau_ends.shape == (late.sum(), 2) and np.all((0 <= j) & (j < m))
+    assert np.all(tau_ends[:, 0] <= t) and np.all(t < tau_ends[:, 1])
+    assert np.all(tau_ends[:, 1] <= tau_m[late])
+    assert np.array_equal(tau_ends[:, 1] == tau_m[late], j + 1 == m)
+    assert np.all((tau_ends[:, 0] == 0.0) == (j == 0))

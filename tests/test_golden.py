@@ -19,30 +19,30 @@ from rwbsde.solver import solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
     (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6dp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f2fp-3"),
-    (16, "0x1.c31fbe2a97c72p-1", "0x1.1019e95597843p-3", "0x1.628aea37643ddp+0", "0x1.19cc3d58ad156p-3"),
-    (32, "0x1.f7b6b553ab42cp-2", "0x1.70f6ed7c9b3e9p-4", "0x1.84d5bbf573393p-1", "0x1.1a60dd9efec6ap-4"),
+    (16, "0x1.1a0e7b445734fp+0", "0x1.5ca3412f1fa6dp-3", "0x1.89cd08945cc3bp+0", "0x1.0b9b90a82f853p-3"),
+    (32, "0x1.97d68b3a548dbp-1", "0x1.f231dca786c9ep-3", "0x1.e7bd9f874f4c8p-1", "0x1.04066c5bdd1e7p-3"),
 ]
 SQRT_EXPLICIT = [
     (8, "0x1.6c4637004c74ep-4", "0x1.93a7a000a1a6cp-8", None, None),
-    (16, "0x1.bd0473c8ec59ap-5", "0x1.674f3010f7d3ep-8", None, None),
-    (32, "0x1.8c4467b6776bfp-6", "0x1.49cf9ff38f84dp-9", None, None),
+    (16, "0x1.ad6ecb2abefb6p-5", "0x1.328503133580cp-8", None, None),
+    (32, "0x1.e7f995c50e9d2p-6", "0x1.243a738f3767fp-8", None, None),
 ]
 SQUARE_IMPLICIT = [
     (8, "0x1.9fafe7f56a754p-1", "0x1.c0652fb2e26bep-4", "0x1.92d0f2e1553fcp+0", "0x1.0a31ff83d280ep-3"),
-    (16, "0x1.d495d3a7d4b7dp-1", "0x1.2596429002ad7p-3", "0x1.578b4f433d1c0p+0", "0x1.14c57f09774bfp-3"),
-    (32, "0x1.fc1ef832ec55ep-2", "0x1.7cb38cc29f8e6p-4", "0x1.7c13db143054ap-1", "0x1.1aa2b70077f59p-4"),
+    (16, "0x1.226817a2f4a2cp+0", "0x1.5b343157e97b2p-3", "0x1.772ffe1f0cf6fp+0", "0x1.03da8976ccf24p-3"),
+    (32, "0x1.9320321cfb793p-1", "0x1.e76de62e73b77p-3", "0x1.dbfecb46685b0p-1", "0x1.fcf7612bfe541p-4"),
 ]
 # blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
 SQUARE_EXPLICIT_BLOCK_128 = [
     (8, "0x1.7e3dfa1745730p+0", "0x1.aa0fd3bd6bd3dp-3", "0x1.217d24cc17654p+1", "0x1.6f32f14a8a435p-3"),
-    (16, "0x1.06127f335e181p+0", "0x1.6cdded2141b2ap-3", "0x1.6c79385cd138fp+0", "0x1.25227a850496ep-3"),
-    (32, "0x1.adb6624e7a881p-1", "0x1.c9511033ce95fp-3", "0x1.95653d0bb5c1ap-1", "0x1.3a4f210440976p-4"),
+    (16, "0x1.bf899e14db180p-1", "0x1.92eb0be92ef34p-3", "0x1.3236c8d0f10a0p+0", "0x1.068e400c1a19ap-3"),
+    (32, "0x1.a350d67b7b171p-1", "0x1.37abe2883298ep-2", "0x1.bae228372c17bp-1", "0x1.ca6137f718461p-4"),
 ]
-# n = 64, 128 and 256 at t = T/2: windows of columns 0..32, 11..64 and 53..128
+# n = 64, 128 and 256 at t = T/2: windows of columns 22..32, 50..64 and 109..128
 SQUARE_EXPLICIT_TRUNCATED = [
-    (64, "0x1.2fcc8ef04cbc9p-1", "0x1.4a2a81719a83ep-3", "0x1.3482d45d18e17p-1", "0x1.f9c151407bfbcp-5"),
-    (128, "0x1.a546b40876c28p-2", "0x1.a44e1d1a200efp-4", "0x1.f0deba76f03e3p-2", "0x1.adabe52813024p-5"),
-    (256, "0x1.9297db2488053p-3", "0x1.fceb961dcacd6p-6", "0x1.4541fbfcd5c3bp-2", "0x1.41de04dfc7904p-5"),
+    (64, "0x1.d2d42fc91bca7p-2", "0x1.426655aa6338dp-4", "0x1.53a93b1d4c18bp-1", "0x1.e3f73c1287535p-5"),
+    (128, "0x1.0c47c661e0f6ap-2", "0x1.631180fe5a008p-5", "0x1.718c0a6f66d15p-2", "0x1.1d426498c37c1p-5"),
+    (256, "0x1.5a9f67cf6f10fp-2", "0x1.41eff0c30d1c4p-4", "0x1.5a348f40d59b1p-2", "0x1.449d0c2ccb0c8p-5"),
 ]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
@@ -72,44 +72,44 @@ COUPLE_BLOCK_N = {
 }
 
 # the same digests of a narrow call's (S_k, tau_k, b_t) at k = n // 2, whose
-# window is columns 0..k
+# window is columns 0..0, 11..18 and 22..32 at n = 1, 37 and 64
 COUPLE_BLOCK_NARROW = {
     1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
-    37: ("6b16da2881149e8ea6d758e20342d4ad547b053046306070fd7f6833c2e60914",
-         "781281c9bc92708f723cc4dfe07c6c823009f91178b1036ed603b853d3eba211",
-         "e1efd3ae4f8d4fb801933fce332997a0efde4485d5b7d9d74df3b29308de6348"),
-    64: ("0be84b60fd880d3709dbdc90e96bc61a8966ff8a7efc286ecd56aef8d1a3df4e",
-         "242d406b71c97f5c21fcf23e1c4f6abe93c1b403fe3b23aaaddf1b44805be666",
-         "2b1eed5d25a1837e183b63427bb385503195606986077b6b4bed83e022d188bd"),
+    37: ("c5a8c8f8f4099ac0cf721dc3acab4011c4fd700a63f7a4490cb9051902060db5",
+         "dd6f8dd9be1936910bb94d257189e9a0f1dbf247042b5a55d02e721efc476265",
+         "5184a6d1cbc64520f73638e416d2e4cc9f0d3cf99cbfcbc0f838ec1cea632a73"),
+    64: ("7608d8563ddf05c42bd77d3f786a209af984282c7d4e157d59ec89091d82e560",
+         "7e6036e7cb74bb1c385eaff238b2ff3bdb520f3c767c3901ce890935c71b4fa6",
+         "2919b7d5d562909d579566efbaeca37b85e9b29e66d4cdfd962329531bb55569"),
 }
-# and at skip margin 0, where it skips to column k: tau_k is drawn again in
-# each row whose skip lands past t, until none does (at n = 1 there is no
-# skip, and the window is column 0 alone)
+# and at skip margin 0, where it skips to column k: about half the rows are
+# late, with tau_k past t, and bracketed by gamma bridges before column k (at
+# n = 1 there is no skip, and the window is column 0 alone)
 COUPLE_BLOCK_REDONE = {
     1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
     37: ("2f78241740f62b0e0e5a7814f9f8184c5c6d0e7837cf2f17849bfd0f00e936ca",
-         "5f39ab7d99869c25d164aea4c7f8265228c13ced4323959dcce8156e66443e33",
-         "6aad97ff6397fb50e9297dd86d638a8633356ede38d06de2c9b5eeebd6de742d"),
+         "de2c5d3547ee92739b3e940c7c1ca0284eadce99d9803d981b225ad23dc4ebdd",
+         "b6ac76814cf3094e73bb637cdb93a35d21fde7669ca014c2b11c92437c2c3570"),
     64: ("5f6631aba2416ffbd9411b694011714e554a65473d71929b369f4bba751ba6bf",
-         "d11a944cb16e55fb6c986ee888e4608ec89b8796726ba1d689bd55cad19d81aa",
-         "c8dd5f39efeb7831fbda828937990b8fe4612cfb2287c85f0fdf24d800f07783"),
+         "7a751e56dede9dee62d9bef0e9fc21260cacbd05d440d5269f999b50cf63b07c",
+         "307d043af980e49be0eed25773d02b18965537b074a9f7e50272ad2e24841c25"),
 }
 
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
 # for a hand-made series whose Y slope is flagged (its se_y = 0 makes chi2_Y inf)
 REPORT_SHA256 = {
-    "square": "c168995d3585701602170a8368dd831931b9b84b01a02669d97aa96a2210bb1d",
-    "sqrt": "b9d548157d25733254c04c121171eea7b063289207d40a09b4744070d37117dd",
+    "square": "aad7f9096ffab9360ab09455bb51c3db678077e218cea94bc93d10a303ddde57",
+    "sqrt": "906241948419c0ac588bc5b278341eab5df570147608f3a3e2e003cfef93961e",
     "flagged": "9d0751f3f419a93b3bccd6df79bb8bfa3e59ff5cbdd1369bbeed7ffaa61afcf4",
 }
 # rwbsde convergence's stdout for the square config of _run, its --out masked
 CONVERGENCE_STDOUT = (
-    "slope_Y = -0.3303  (r2 = 0.5566)  [flag: above -alpha/2 + 0.15]\n"
-    "slope_Z = -0.6163  (r2 = 0.9478)\n"
+    "slope_Y = +0.0174  (r2 = 0.0038)  [flag: above -alpha/2 + 0.15]\n"
+    "slope_Z = -0.4528  (r2 = 0.9153)\n"
     "theory slope = -0.5000   wrote <out>\n"
 )
 
@@ -150,7 +150,8 @@ def test_run_mc_rows_are_golden(case, scheme, expected):
 
 
 def test_run_mc_rows_are_golden_with_truncated_passes():
-    # at n = 8, 16 and 32 every row is stepped from column 0; here most skip ahead
+    # at n = 8, 16 and 32 the windows start at columns 0, 2 and 9; here at 22,
+    # 50 and 109, and about 1-2% of the rows are late
     assert _run("square", n_list=(64, 128, 256)) == SQUARE_EXPLICIT_TRUNCATED
 
 
@@ -160,8 +161,9 @@ def test_run_mc_rows_are_golden_across_blocks(monkeypatch):
 
 
 def test_run_mc_rows_are_golden_across_row_passes(monkeypatch):
-    # passes of 1000 uniforms are 125, 62 and 31 rows at n = 8, 16 and 32,
-    # so every block runs several row passes and its last one is ragged
+    # passes of 1000 uniforms are 250, 166 and 142 rows at n = 8, 16 and 32
+    # (windows of 4, 6 and 7 columns), so every 300-row block runs several
+    # row passes and its last one is ragged
     monkeypatch.setattr("rwbsde.experiment._PASS", 1000)
     assert _run("square") == SQUARE_EXPLICIT
     monkeypatch.setattr("rwbsde.experiment._BLOCK", 128)
@@ -246,4 +248,6 @@ def test_couple_block_is_golden_with_rows_redone(monkeypatch, n, pass_size):
     # column k in one pass: each row is stepped once, none again from column 0
     assert [steps for _, steps in shapes] == [n] * (len(shapes) - 1) + [0]
     assert [sum(r * steps for r, steps in shapes[:-1]), math.prod(shapes[-1])] == [100 * n, 0]
-    assert np.all(tau_k <= 0.5)
+    # a late row's bracket lies before column k, which bridge_sample_batch
+    # took: it refuses a left end past t
+    assert np.any(tau_k > 0.5) == (n > 1)
