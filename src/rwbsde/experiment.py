@@ -361,11 +361,13 @@ def _run_single_n(config: ExperimentConfig, case: BenchmarkCase, n: int,
         s_k, _, tau_ends, walk_ends = couple_block(rng, stop - start, problem, t_k, (k,))
         b_tk = bridge_sample_batch(tau_ends, problem.sqrt_h * walk_ends, t_k,
                                    rng.standard_normal(stop - start))
-        # evaluate the lattice at each row's level-k node and store the squared errors
+        # evaluate the lattice at each row's level-k node and store the squared
+        # errors; one that overflows is inf, and the finite check below reports it
         y_n, z_n = evaluate_walks(solution, s_k[:, 0], k)
-        np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])
-        if has_z:
-            np.square(z_n - exact.z_fn(t_k, b_tk), out=d2_z[start:stop])
+        with np.errstate(over="ignore"):
+            np.square(y_n - exact.y_fn(t_k, b_tk), out=d2_y[start:stop])
+            if has_z:
+                np.square(z_n - exact.z_fn(t_k, b_tk), out=d2_z[start:stop])
 
     e_y, se_y = _mean_and_se(d2_y)
     e_z, se_z = _mean_and_se(d2_z) if has_z else (None, None)

@@ -167,12 +167,22 @@ def test_convergence_prints_the_slope_flag(monkeypatch, tmp_path, capsys):
 
 def test_convergence_stops_at_a_non_finite_error(tmp_path):
     # at T = 170 the squared errors overflow although the lattice and the
-    # truth e^{3.5T} are finite; the run stops at n = 50 and writes nothing
+    # truth e^{3.5T} are finite; the run stops at n = 50, writes nothing and
+    # warns of nothing
     out = tmp_path / "overflow.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match=r"ErrorRow\(n=50, e_y=inf"):
-            main(["convergence", "--case", "exp", "--T", "170", "--n", "50,100,200",
-                  "--M", "200", "--seed", "1", "--out", str(out)])
+    with pytest.raises(FloatingPointError, match=r"ErrorRow\(n=50, e_y=inf"):
+        main(["convergence", "--case", "exp", "--T", "170", "--n", "50,100,200",
+              "--M", "200", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_convergence_reports_overflowing_squares_without_a_warning(tmp_path):
+    # at T = 147 some squared errors overflow and the finite ones sum past the
+    # largest double; no np.errstate here, so a RuntimeWarning would fail the test
+    out = tmp_path / "fsum.csv"
+    with pytest.raises(FloatingPointError, match=r"ErrorRow\(n=50, e_y=inf"):
+        main(["convergence", "--case", "exp", "--T", "147", "--n", "50,100,200",
+              "--M", "4096", "--seed", "1", "--out", str(out)])
     assert not out.exists()
 
 

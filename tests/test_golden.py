@@ -18,30 +18,30 @@ from rwbsde.cli import main
 from rwbsde.solver import solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
-    (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6dp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f2fp-3"),
-    (16, "0x1.1a0e7b445734fp+0", "0x1.5ca3412f1fa6dp-3", "0x1.89cd08945cc3bp+0", "0x1.0b9b90a82f853p-3"),
+    (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6cp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f2fp-3"),
+    (16, "0x1.1a0e7b445734fp+0", "0x1.5ca3412f1fa6dp-3", "0x1.89cd08945cc3ap+0", "0x1.0b9b90a82f853p-3"),
     (32, "0x1.97d68b3a548dbp-1", "0x1.f231dca786c9ep-3", "0x1.e7bd9f874f4c8p-1", "0x1.04066c5bdd1e7p-3"),
 ]
 SQRT_EXPLICIT = [
-    (8, "0x1.6c4637004c74ep-4", "0x1.93a7a000a1a6cp-8", None, None),
-    (16, "0x1.ad6ecb2abefb6p-5", "0x1.328503133580cp-8", None, None),
-    (32, "0x1.e7f995c50e9d2p-6", "0x1.243a738f3767fp-8", None, None),
+    (8, "0x1.6c4637004c74fp-4", "0x1.93a7a000a1a6cp-8", None, None),
+    (16, "0x1.ad6ecb2abefb5p-5", "0x1.328503133580ap-8", None, None),
+    (32, "0x1.e7f995c50e9d4p-6", "0x1.243a738f3767fp-8", None, None),
 ]
 SQUARE_IMPLICIT = [
-    (8, "0x1.9fafe7f56a754p-1", "0x1.c0652fb2e26bep-4", "0x1.92d0f2e1553fcp+0", "0x1.0a31ff83d280ep-3"),
-    (16, "0x1.226817a2f4a2cp+0", "0x1.5b343157e97b2p-3", "0x1.772ffe1f0cf6fp+0", "0x1.03da8976ccf24p-3"),
+    (8, "0x1.9fafe7f56a754p-1", "0x1.c0652fb2e26bdp-4", "0x1.92d0f2e1553fbp+0", "0x1.0a31ff83d280ep-3"),
+    (16, "0x1.226817a2f4a2cp+0", "0x1.5b343157e97b1p-3", "0x1.772ffe1f0cf6fp+0", "0x1.03da8976ccf24p-3"),
     (32, "0x1.9320321cfb793p-1", "0x1.e76de62e73b77p-3", "0x1.dbfecb46685b0p-1", "0x1.fcf7612bfe541p-4"),
 ]
 # blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
 SQUARE_EXPLICIT_BLOCK_128 = [
-    (8, "0x1.7e3dfa1745730p+0", "0x1.aa0fd3bd6bd3dp-3", "0x1.217d24cc17654p+1", "0x1.6f32f14a8a435p-3"),
-    (16, "0x1.bf899e14db180p-1", "0x1.92eb0be92ef34p-3", "0x1.3236c8d0f10a0p+0", "0x1.068e400c1a19ap-3"),
-    (32, "0x1.a350d67b7b171p-1", "0x1.37abe2883298ep-2", "0x1.bae228372c17bp-1", "0x1.ca6137f718461p-4"),
+    (8, "0x1.7e3dfa174572ep+0", "0x1.aa0fd3bd6bd3bp-3", "0x1.217d24cc17654p+1", "0x1.6f32f14a8a433p-3"),
+    (16, "0x1.bf899e14db180p-1", "0x1.92eb0be92ef33p-3", "0x1.3236c8d0f109fp+0", "0x1.068e400c1a199p-3"),
+    (32, "0x1.a350d67b7b171p-1", "0x1.37abe2883298ep-2", "0x1.bae228372c17bp-1", "0x1.ca6137f718460p-4"),
 ]
 # n = 64, 128 and 256 at t = T/2: windows of columns 22..32, 50..64 and 109..128
 SQUARE_EXPLICIT_TRUNCATED = [
-    (64, "0x1.d2d42fc91bca7p-2", "0x1.426655aa6338dp-4", "0x1.53a93b1d4c18bp-1", "0x1.e3f73c1287535p-5"),
-    (128, "0x1.0c47c661e0f6ap-2", "0x1.631180fe5a008p-5", "0x1.718c0a6f66d15p-2", "0x1.1d426498c37c1p-5"),
+    (64, "0x1.d2d42fc91bca7p-2", "0x1.426655aa6338ep-4", "0x1.53a93b1d4c18cp-1", "0x1.e3f73c1287535p-5"),
+    (128, "0x1.0c47c661e0f6ap-2", "0x1.631180fe5a008p-5", "0x1.718c0a6f66d17p-2", "0x1.1d426498c37c1p-5"),
     (256, "0x1.5a9f67cf6f10fp-2", "0x1.41eff0c30d1c4p-4", "0x1.5a348f40d59b1p-2", "0x1.449d0c2ccb0c8p-5"),
 ]
 SQUARE_ROOTS_N64 = {
@@ -61,14 +61,14 @@ SQUARE_ROOTS_DEEP = {
 # t = 0.5 from default_rng(n)
 COUPLE_BLOCK_N = {
     1: ("2740c958029024797fa517b256fb3f4ee7bf3573eba07ef477abaf14a68616f8",
-        "48815fb0c0ca823d96a99a37ca27d68d4325aeb488a377e4d392903553609ebd",
-        "35df72b7feb58663d03c57995dcf37b29b5d24da6aeb1303a09e11d922d39527"),
+        "7d00ff835391927a8e537d4b687c5ab187ebeb61658f3c3c4a940ed37f11ba32",
+        "ed1d5f7e36a4612479397e800cdebb11198813768721eca5926ccd0dff8c5f97"),
     37: ("1da12406e58b9e1601d19fa6a6909f3ec8507b0150464363e428f8b4e9c173b8",
-         "2edc9aaa4fbd471ca7f2f3bc016074b6765b2f94f290261e7e12d767a4568a28",
-         "5c1bc4f2b50b70b1374b9cea4bbc4e3ad02027418d82ae13f9e52bf16d6f71c4"),
+         "aeb6589733686f932f7c36613fa1a1c04d2f2fa07210621e2f61ceadee12a4e7",
+         "1b115bcd7e34ba3fa90a36c0161e86b5955675812c897887b28accab99aa6e50"),
     64: ("4a68a38b4e432ec2c49457a9a3dcd8f9abe8f7f5f7c384ad2a7c436f558d528c",
-         "440154f2ec75a16a793a4ccc138060f58ce7ab656f3fd3d02ab6e01a83d5bd26",
-         "e87f72fb40056e5b4c785ea9044268467bc4d63d15e8d37872c218763a02f819"),
+         "fe03a93dab1792a8be7d5579e1303252a9875a52b347d294890ed99e4ebaac24",
+         "bb0e8cdc934dfd70810da4d1ee17b9f6609924d7d16f4ae25dd85ba2f6a60933"),
 }
 
 # the same digests of a narrow call's (S_k, tau_k, b_t) at k = n // 2, whose
@@ -78,11 +78,11 @@ COUPLE_BLOCK_NARROW = {
         "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
     37: ("c5a8c8f8f4099ac0cf721dc3acab4011c4fd700a63f7a4490cb9051902060db5",
-         "dd6f8dd9be1936910bb94d257189e9a0f1dbf247042b5a55d02e721efc476265",
-         "5184a6d1cbc64520f73638e416d2e4cc9f0d3cf99cbfcbc0f838ec1cea632a73"),
+         "a813ed04cc2dd1934e9eadd4d1c5030cea9043e3661cf791bc407f0926926e27",
+         "7c157122e983b69c320a95378b530ea5d5d6104e319a8fde0d315f0b30db33c8"),
     64: ("7608d8563ddf05c42bd77d3f786a209af984282c7d4e157d59ec89091d82e560",
-         "7e6036e7cb74bb1c385eaff238b2ff3bdb520f3c767c3901ce890935c71b4fa6",
-         "2919b7d5d562909d579566efbaeca37b85e9b29e66d4cdfd962329531bb55569"),
+         "9e6075fc195c5646a4454ca289e43449f2722ed4a580f428d89ecdec19a00b62",
+         "f2c213379746beea555dc4cd4ea4e2458115fc48ee76396c2444fbdcc76b8135"),
 }
 # and at skip margin 0, where it skips to column k: about half the rows are
 # late, with tau_k past t, and bracketed by gamma bridges before column k (at
@@ -102,8 +102,8 @@ COUPLE_BLOCK_REDONE = {
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
 # for a hand-made series whose Y slope is flagged (its se_y = 0 makes chi2_Y inf)
 REPORT_SHA256 = {
-    "square": "aad7f9096ffab9360ab09455bb51c3db678077e218cea94bc93d10a303ddde57",
-    "sqrt": "906241948419c0ac588bc5b278341eab5df570147608f3a3e2e003cfef93961e",
+    "square": "92f1b847f251dfeb25056b2beee466f8d174220c3a8e9553282e44e76a030b14",
+    "sqrt": "9982417f196d0e8ae9cb3a521bbd30844cc1cd273cdc31ff2d106f8c0c7f6621",
     "flagged": "9d0751f3f419a93b3bccd6df79bb8bfa3e59ff5cbdd1369bbeed7ffaa61afcf4",
 }
 # rwbsde convergence's stdout for the square config of _run, its --out masked
