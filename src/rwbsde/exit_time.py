@@ -1,7 +1,7 @@
 """Distribution of the first exit time of Brownian motion from [-sqrt(h), sqrt(h)].
 
 The law of sigma = inf{t : |B_t| = sqrt(h)} is a function of s = t/h alone
-(Brownian scaling). It is handled three ways that must agree:
+(Brownian scaling). It is handled four ways that must agree:
 
 * a closed Laplace transform, E exp(-lam*sigma) = sech(sqrt(2*lam*h)), by
   the one overflow-free sech, _sech;
@@ -21,9 +21,9 @@ The law of sigma = inf{t : |B_t| = sqrt(h)} is a function of s = t/h alone
   h * (2/pi^2) * sum_{i>=1} G_i / (i - 1/2)^2 with the G_i i.i.d. Gamma(m).
   Each G_i is a gamma process in m, so the series is one too.
   couple_block's skip past the first steps draws its gammas
-  (sample_exit_gammas) and adds them (exit_sum; sample_exit_sum does both),
-  and bracket_exit_sum bisects it by gamma bridges (bridge_exit_gammas) to
-  the step whose exit time passes t.
+  (sample_exit_gammas) and adds them (exit_sum), and bracket_exit_sum
+  bisects it by gamma bridges (bridge_exit_gammas) to the step whose exit
+  time passes t.
 
 sample_sigma inverts F through one quantile table in scaled time, built on
 first use and shared by every h. It is built from the C library's erfc
@@ -304,14 +304,15 @@ def sample_exit_gammas(rng: np.random.Generator, m: int, rows: int) -> np.ndarra
     tau_m / h = sum_i a_i G_i(m), G_i(m) ~ Gamma(m) with independent
     increments in m: the 12 head terms, then the tail gamma Gamma(m * kappa),
     kappa = _TAIL_MEAN^2 / _TAIL_VAR, whose mean m * _TAIL_MEAN and variance
-    m * _TAIL_VAR (in the scale exit_sum gives it) are the tail's own.
+    m * _TAIL_VAR (in the scale exit_sum gives it) are the tail's own, so
+    the third cumulant of tau_m is off by 5.5e-9 of its exact (16/15)*m*h^3.
 
     Draws from rng, in this order, the (rows, 12) head gammas and the (rows,)
-    tail gammas.
+    tail gammas. At m = 0 every gamma is 0 and none takes a draw.
     """
     m = operator.index(m)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
     gammas = np.empty((rows, _SERIES_WEIGHTS.size + 1))
     gammas[:, :-1] = rng.standard_gamma(m, (rows, _SERIES_WEIGHTS.size))
     gammas[:, -1] = rng.standard_gamma(m * _TAIL_SHAPE, rows)
@@ -331,19 +332,6 @@ def exit_sum(gammas: np.ndarray, h: float) -> np.ndarray:
     return total
 
 
-def sample_exit_sum(rng: np.random.Generator, h: float, m: int, rows: int) -> np.ndarray:
-    """(rows,) sums of m independent exit times at time scale h, by the
-    Pitman-Yor series: exit_sum(sample_exit_gammas(rng, m, rows), h).
-
-    The series is a gamma process in m, tau_m / h = sum_i a_i G_i(m), with
-    G_i(m) ~ Gamma(m), so its increments over m are sums of exit times too.
-    The mean m*h and variance (2/3)*m*h^2 are exact, and the third cumulant
-    is off by 5.5e-9 of its exact (16/15)*m*h^3.
-    """
-    _check_h(h)
-    return exit_sum(sample_exit_gammas(rng, m, rows), h)
-
-
 def bridge_exit_gammas(rng: np.random.Generator, lo_gammas: np.ndarray, hi_gammas: np.ndarray,
                        lo: np.ndarray, mid: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The gammas at mid of each row, given those at lo < mid < hi.
@@ -355,11 +343,8 @@ def bridge_exit_gammas(rng: np.random.Generator, lo_gammas: np.ndarray, hi_gamma
     hi_gammas term by term, so exit_sum keeps tau_lo <= tau_mid <= tau_hi.
     """
     left, right = (mid - lo)[:, None] * _SHAPES, (hi - mid)[:, None] * _SHAPES
-    mid_gammas = hi_gammas - lo_gammas
-    mid_gammas *= rng.beta(left, right)
-    mid_gammas += lo_gammas
     # the rounded sum may land one ulp past the right end
-    return np.minimum(mid_gammas, hi_gammas, out=mid_gammas)
+    return np.minimum(lo_gammas + (hi_gammas - lo_gammas) * rng.beta(left, right), hi_gammas)
 
 
 def bracket_exit_sum(rng: np.random.Generator, gammas: np.ndarray, m: int, h: float,

@@ -212,8 +212,8 @@ def ladder_ends(taus: np.ndarray, walks: np.ndarray, t: float) -> tuple:
     rows = np.arange(n_rows)
     # argmax gives 0 in rows with no column past t and in rows whose column 0
     # is past t, which the last column tells apart; on a row pass's ladders
-    # one scan beats bisection's Python loop over the bits of n (21 against
-    # 59 us at 40 x 801)
+    # one scan beats bisection's Python loop over the bits of n (68 against
+    # 306 us at 992 x 34, a pass at n = 800; 2-vCPU Xeon)
     j = (taus > t).argmax(axis=1) - 1
     j[taus[:, -1] <= t] = n
     np.maximum(j, 0, out=j)
@@ -238,14 +238,14 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     m0 = max(0, min(min(columns), floor(t/h - _SKIP * sqrt(2(t/h)/3 + 1)))).
     It draws from rng, in this order:
 
-    * when m0 > 0, S_m0 = 2 * Binomial(m0, 1/2) - m0 and the gammas of
-      tau_m0 (exit_time.sample_exit_gammas), for all rows;
-    * when m0 > 0, for the late rows, whose skip lands past t
-      (tau_m0 > t): the gamma bridges by which exit_time.bracket_exit_sum
-      finds the step j + 1 <= m0 whose exit time first passes t, then the
-      up-steps among the first j of the m0 as
-      Hypergeometric(U, m0 - U, j), with U = (S_m0 + m0) / 2 the up-steps
-      of all m0, and step j + 1 as one more draw from the m0 - j left;
+    * S_m0 = 2 * Binomial(m0, 1/2) - m0 and the gammas of tau_m0
+      (exit_time.sample_exit_gammas), for all rows;
+    * for the late rows, whose skip lands past t (tau_m0 > t): the gamma
+      bridges by which exit_time.bracket_exit_sum finds the step
+      j + 1 <= m0 whose exit time first passes t, then the up-steps among
+      the first j of the m0 as Hypergeometric(U, m0 - U, j), with
+      U = (S_m0 + m0) / 2 the up-steps of all m0, and step j + 1 as one
+      more draw from the m0 - j left;
     * the (rows, w - m0) sign bits and then the (rows, w - m0) exit-time
       uniforms of the window, in row passes of about _PASS uniforms, which give
       the doubles of one (rows, w - m0) draw.
@@ -258,8 +258,10 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     have the whole path's law, but for the series itself: its tail matches
     two cumulants (the third is off by 5.5e-9 relative), and one step of it
     lies within 1.3e-7 of the exit-time CDF, as sample_sigma lies within
-    1e-7. With m0 = 0 and w = n (as for columns=range(n + 1)) the draws are
-    those of the whole path, stepped from column 0.
+    1e-7. At m0 = 0 the skip's draws are empty (S_0 = tau_0 = 0 and no row
+    is late) and take nothing from the stream, so with w = n (as for
+    columns=range(n + 1)) the draws are those of the whole path, stepped
+    from column 0.
 
     It returns walks (rows, len(columns)) int32, the walk sums S_m at each
     m in columns (S_0 = 0); taus (rows, len(columns)), the exit-time
@@ -287,20 +289,18 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     _check_t(t)
     m0, w = _window(problem, t, columns)
     cdf = tabulate(problem.h)
-    tau0, walk0 = np.zeros(rows), np.zeros(rows, np.int32)
-    if m0:
-        walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
-        gammas = sample_exit_gammas(rng, m0, rows)
-        tau0 = exit_sum(gammas, problem.h)
-        late = np.flatnonzero(tau0 > t)
-        j, late_taus = bracket_exit_sum(rng, gammas[late], m0, problem.h, t)
-        # given S_m0, the m0 signs are ups = (S_m0 + m0)/2 up-steps in a uniformly
-        # random order: the ups among the first j are hypergeometric, and step
-        # j + 1 is one more draw without replacement from the m0 - j left
-        ups = (walk0[late] + m0) // 2
-        ups_j = rng.hypergeometric(ups, m0 - ups, j)
-        up = rng.hypergeometric(ups - ups_j, m0 - ups - j + ups_j, 1)
-        late_walks = np.stack((2 * ups_j - j, 2 * (ups_j + up) - j - 1), axis=1)
+    walk0 = (2 * rng.binomial(m0, 0.5, rows) - m0).astype(np.int32)
+    gammas = sample_exit_gammas(rng, m0, rows)
+    tau0 = exit_sum(gammas, problem.h)
+    late = np.flatnonzero(tau0 > t)
+    j, late_taus = bracket_exit_sum(rng, gammas[late], m0, problem.h, t)
+    # given S_m0, the m0 signs are ups = (S_m0 + m0)/2 up-steps in a uniformly
+    # random order: the ups among the first j are hypergeometric, and step
+    # j + 1 is one more draw without replacement from the m0 - j left
+    ups = (walk0[late] + m0) // 2
+    ups_j = rng.hypergeometric(ups, m0 - ups, j)
+    up = rng.hypergeometric(ups - ups_j, m0 - ups - j + ups_j, 1)
+    late_walks = np.stack((2 * ups_j - j, 2 * (ups_j + up) - j - 1), axis=1)
     width, columns = w - m0, columns - m0
     signs = rng.integers(0, 2, (rows, width), dtype=np.int8)
     signs *= 2
@@ -331,8 +331,7 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
         walks[start:stop] = walk[:, columns]
     walks += walk0[:, None]
     walk_ends += walk0[:, None]
-    if m0:
-        tau_ends[late], walk_ends[late] = late_taus, late_walks
+    tau_ends[late], walk_ends[late] = late_taus, late_walks
     return walks, taus, tau_ends, walk_ends
 
 

@@ -342,19 +342,12 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
 
     def rule(k, t, x, up, dn, z, base):
         yk = base
-        # the iterates take turns in two buffers of this level, so the one
-        # returned is never written again
-        buffers = np.empty_like(base), np.empty_like(base)
-        diff = np.empty_like(base)
         done, budget = 0, PICARD_MAX_ITER
         while done < budget:
-            ynew = buffers[done % 2]
-            np.multiply(h, f(t, x, yk, z), out=ynew)
-            np.add(base, ynew, out=ynew)
-            # sup |ynew - yk| without temporaries; maximum, unlike fmax,
-            # keeps a NaN, so a NaN update never passes the tolerance
-            np.subtract(ynew, yk, out=diff)
-            delta = np.maximum.reduce(np.abs(diff, out=diff))
+            ynew = base + h * f(t, x, yk, z)
+            # maximum, unlike fmax, keeps a NaN, so a NaN update never passes
+            # the tolerance
+            delta = np.maximum.reduce(np.abs(ynew - yk))
             yk = ynew
             done += 1
             if delta < PICARD_TOL:

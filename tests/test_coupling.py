@@ -278,17 +278,16 @@ def test_bracket_holds_t(monkeypatch, n, t, k, first):
     assert np.array_equal(tau_ends[~late], taus[rows, ends])
     assert np.array_equal(walk_ends[~late], walks[rows, ends])
     # a late row: tau_j <= t < tau_{j+1} <= tau_m0, equal at j + 1 = m0, one
-    # walk step of the parity of j, and S_m0 within reach of S_{j+1}
-    assert len(found) == int(bool(first))
-    if found:
-        (j, late_ends), = found
-        assert np.array_equal(late_ends, tau_ends[late]) and np.all(j + 1 <= m0)
-        assert np.all(t < tau_ends[late, 1]) and np.all(tau_ends[late, 1] <= taus[late, 0])
-        assert np.array_equal(tau_ends[late, 1] == taus[late, 0], j + 1 == m0)
-        s_j, s_next = walk_ends[late].T
-        assert np.all(np.abs(s_next - s_j) == 1)
-        assert np.all((s_j - j) % 2 == 0) and np.all(np.abs(s_j) <= j)
-        assert np.all(np.abs(walks[late, 0] - s_next) <= m0 - j - 1)
+    # walk step of the parity of j, and S_m0 within reach of S_{j+1}; a call
+    # that does not skip (m0 = 0) brackets zero rows
+    (j, late_ends), = found
+    assert np.array_equal(late_ends, tau_ends[late]) and np.all(j + 1 <= m0)
+    assert np.all(t < tau_ends[late, 1]) and np.all(tau_ends[late, 1] <= taus[late, 0])
+    assert np.array_equal(tau_ends[late, 1] == taus[late, 0], j + 1 == m0)
+    s_j, s_next = walk_ends[late].T
+    assert np.all(np.abs(s_next - s_j) == 1)
+    assert np.all((s_j - j) % 2 == 0) and np.all(np.abs(s_j) <= j)
+    assert np.all(np.abs(walks[late, 0] - s_next) <= m0 - j - 1)
 
 
 @pytest.mark.parametrize("n", [64, 800])

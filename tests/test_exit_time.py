@@ -25,7 +25,6 @@ from rwbsde.exit_time import (
     exit_sum,
     laplace_transform,
     sample_exit_gammas,
-    sample_exit_sum,
     sample_sigma,
     tabulate,
     tabulated_moment,
@@ -414,7 +413,7 @@ def test_exit_sum_matches_summed_ladders(m):
     # two-sample KS against m summed sample_sigma draws, 200k rows a side, at
     # level 1e-3 (p = 0.013 at m = 1 and 0.45 at m = 50 with these seeds)
     h, rows = 0.01, 200_000
-    series = sample_exit_sum(np.random.default_rng(31), h, m, rows)
+    series = exit_sum(sample_exit_gammas(np.random.default_rng(31), m, rows), h)
     ladders = sample_sigma(tabulate(h), open_uniforms(np.random.default_rng(32), (rows, m)))
     assert ks_2samp(series, ladders.sum(axis=1)).pvalue > 1e-3
 
@@ -422,7 +421,7 @@ def test_exit_sum_matches_summed_ladders(m):
 def test_exit_sum_of_one_follows_the_series_cdf():
     # sup |F_N - F| against the series CDF, within the DKW bound at level 1e-3
     h, rows = 0.3, 200_000
-    draws = np.sort(sample_exit_sum(np.random.default_rng(33), h, 1, rows))
+    draws = np.sort(exit_sum(sample_exit_gammas(np.random.default_rng(33), 1, rows), h))
     cdf = cdf_series(draws, h)
     ranks = np.arange(1, rows + 1) / rows
     gap = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / rows)))
@@ -431,15 +430,34 @@ def test_exit_sum_of_one_follows_the_series_cdf():
 
 def test_exit_sum_refuses_bad_input():
     rng = np.random.default_rng(0)
-    for h, m in ((0.0, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5)):
+    for m in (-1, 2.5):
         with pytest.raises((ValueError, TypeError)):
-            sample_exit_sum(rng, h, m, 4)
+            sample_exit_gammas(rng, m, 4)
+    assert np.array_equal(sample_exit_gammas(rng, 0, 4), np.zeros((4, 13)))
+    for h in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            exit_sum(sample_exit_gammas(rng, 3, 4), h)
+
+
+def test_an_empty_skip_takes_nothing_from_the_stream():
+    # couple_block's skip to m0 = 0 runs the draws of any other skip: they
+    # must be zeros and leave the stream where it was, or every whole path
+    # would move
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    assert np.array_equal(sample_exit_gammas(rng, 0, 8), np.zeros((8, 13)))
+    assert np.array_equal(rng.binomial(0, 0.5, 8), np.zeros(8))
+    empty = np.zeros(0, np.int64)
+    assert rng.hypergeometric(empty, empty, empty).size == 0
+    j, tau_ends = bracket_exit_sum(rng, np.zeros((0, 13)), 0, 0.01, 0.5)
+    assert j.size == 0 and tau_ends.shape == (0, 2)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("lo,mid,hi", [(0, 1, 2), (0, 15, 37), (10, 25, 37)])
 def test_bridged_exit_sum_has_the_law_of_an_exit_sum(lo, mid, hi):
     # the series at lo and hi of one gamma process, then at mid by its
-    # bridge: tau_mid has the law of sample_exit_sum(mid) and tau_mid - tau_lo
+    # bridge: tau_mid has the law of the series at mid and tau_mid - tau_lo
     # that of mid - lo exit times (KS, 100k rows a side), and its mean given
     # both ends is tau_lo + (tau_hi - tau_lo)(mid - lo)/(hi - lo) within 4 SE
     h, rows = 0.01, 100_000
@@ -451,9 +469,10 @@ def test_bridged_exit_sum_has_the_law_of_an_exit_sum(lo, mid, hi):
     assert np.all((lo_gammas <= mid_gammas) & (mid_gammas <= hi_gammas))
     tau_lo, tau_mid, tau_hi = (exit_sum(g, h) for g in (lo_gammas, mid_gammas, hi_gammas))
     assert np.all((tau_lo <= tau_mid) & (tau_mid <= tau_hi))
-    assert ks_2samp(tau_mid, sample_exit_sum(np.random.default_rng(52), h, mid, rows)).pvalue > 1e-3
-    assert ks_2samp(tau_mid - tau_lo,
-                    sample_exit_sum(np.random.default_rng(53), h, mid - lo, rows)).pvalue > 1e-3
+    fresh = [exit_sum(sample_exit_gammas(np.random.default_rng(seed), m, rows), h)
+             for seed, m in ((52, mid), (53, mid - lo))]
+    assert ks_2samp(tau_mid, fresh[0]).pvalue > 1e-3
+    assert ks_2samp(tau_mid - tau_lo, fresh[1]).pvalue > 1e-3
     gap = tau_mid - tau_lo - (tau_hi - tau_lo) * (mid - lo) / (hi - lo)
     assert abs(gap.mean()) <= 4.0 * gap.std(ddof=1) / math.sqrt(rows)
 
