@@ -293,8 +293,8 @@ def sample_sigma(cdf: ExitTimeCdf, u: ArrayLike) -> ArrayLike:
     np.clip(pos, 0.0, _Q_INTERVALS, out=pos)
     idx = pos.astype(np.intp)   # truncates: the cell of pos >= 0
     pos -= idx
-    pos *= diff[idx]
-    pos += nodes[idx]
+    pos *= diff.take(idx)
+    pos += nodes.take(idx)
     pos *= cdf.h
     return pos[()]
 

@@ -1,7 +1,8 @@
 """Monte Carlo convergence harness.
 
-For each step count n the lattice is solved once; then the M replications
-run in blocks of _BLOCK rows through four stages:
+For each step count n the lattice is solved once, from level n down to the
+evaluation level k that it reads; then the M replications run in blocks of
+_BLOCK rows through four stages:
 
 * embed to the bracket: couple_block, the one coupling draw, which
   acceptance criterion 4 and the coupling tests run too, gives each row's
@@ -9,8 +10,8 @@ run in blocks of _BLOCK rows through four stages:
 * Brownian value: bridge_sample_batch across that step;
 * evaluate: (Y^n, Z^n) at each row's level-k node (evaluate_walks) and
   the exact solution at the Brownian value;
-* accumulate: each row's squared errors, stored in place and summed once
-  by math.fsum.
+* accumulate: each row's squared errors, stored in place and summed once,
+  exactly rounded, by _exact_sum.
 
 fit_slopes regresses the per-n L2 errors log-log against n, for
 `rwbsde convergence` and criteria 7-9 alike.
@@ -132,8 +133,40 @@ class RegressionResult:
     chi2: float       # lack of fit, on (#n - 2) degrees of freedom
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of x, math.fsum's bits, without a Python
+    float per entry.
+
+    Each finite x is an integer mantissa (53 bits, from np.frexp) times a
+    power of two. The mantissas are cut into pieces of 53 - bit_length(x.size)
+    bits, so that x.size pieces add up below 2^53: np.bincount sums each
+    piece by binary exponent exactly, for any length, and the partial sums
+    are combined as Python ints, with one true division at the end. The
+    non-finite entries are summed apart, by math.fsum, so that an inf or a
+    NaN comes out as fsum gives it, with no floating-point warning.
+    """
+    finite = np.isfinite(x)
+    if not finite.all():
+        return math.fsum(x[~finite].tolist())
+    mant, exp = np.frexp(x)
+    ints = (mant * 2.0**53).astype(np.int64)   # x = ints * 2^(exp - 53), exactly
+    low = int(exp.min(initial=0))
+    bins = (exp - low).astype(np.intp)
+    width = 53 - x.size.bit_length()
+    total = 0
+    for shift in range(0, 53, width):
+        piece = ints >> shift
+        if shift + width < 53:
+            piece &= (1 << width) - 1
+        sums = np.bincount(bins, weights=piece)
+        total += sum(int(s) << (b + shift) for b, s in enumerate(sums.tolist()) if s)
+    scale = low - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
 def _mean_and_se(d2: np.ndarray) -> tuple:
-    """Mean of the squared errors and its standard error, from exact sums.
+    """Mean of the squared errors and its standard error, from exact sums
+    (_exact_sum).
 
     The sums run on d2 * 2^-e, with 2^e the power of two at or below the
     largest finite d2, so that neither they nor the squares overflow on
@@ -145,11 +178,10 @@ def _mean_and_se(d2: np.ndarray) -> tuple:
     # within the normal doubles, so that 2^e and 2^-e are both finite
     e = min(max(math.frexp(top)[1] - 1, -1022), 1023)
     scaled = d2 * 2.0**-e
-    # fsum reads a list of floats faster than it walks an array
-    mean = math.fsum(scaled.tolist()) / m
+    mean = _exact_sum(scaled) / m
     if m < 2:
         return mean * 2.0**e, 0.0
-    var = max(math.fsum((scaled * scaled).tolist()) - m * mean * mean, 0.0) / (m - 1)
+    var = max(_exact_sum(scaled * scaled) - m * mean * mean, 0.0) / (m - 1)
     return mean * 2.0**e, math.sqrt(var / m) * 2.0**e
 
 
@@ -320,7 +352,8 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
         rng.random(out=uniforms)
         # rng.random gives multiples of 2^-53 in [0, 1): this lifts an exact 0
         # alone into the open interval
-        sigma = sample_sigma(cdf, np.maximum(uniforms, 2.0**-53))
+        np.maximum(uniforms, 2.0**-53, out=uniforms)
+        sigma = sample_sigma(cdf, uniforms)
         # at m0 = 0, tau0 = walk0 = 0 and neither offset moves a bit
         sigma[:, :1] += tau0[start:stop, None]
         ladder[:, 0] = tau0[start:stop]

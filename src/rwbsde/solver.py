@@ -255,32 +255,37 @@ def _sweep(problem: BsdeProblem, rule: LevelRule, scheme: str,
            levels: Iterable[int] = (0,)) -> SolutionLattice:
     """Backward sweep from the terminal level; rule gives Y at each level.
 
-    Runs _levels once, so memory is O(n) plus the levels kept: y[k] and
-    z[k] (z has no level n) are stored over the window swept, with its
-    first node, for each k in levels, and every other level is left empty.
-    The root is checked whether kept or not; when it is not finite the
-    levels are built once more and counted as they come, still in O(n)
-    memory, and the error names the highest level with non-finite nodes
-    and counts them out of the nodes swept there.
+    Runs _levels once, down to the lowest level in levels (0 when levels is
+    empty), so memory is O(n) plus the levels kept: y[k] and z[k] (z has no
+    level n) are stored over the window swept, with its first node, for each
+    k in levels, and every other level is left empty. Every node of that
+    lowest level is checked, whether kept or not; when one is not finite the
+    levels are built once more, down to the same level, and counted as they
+    come, still in O(n) memory, and the error names the highest level with
+    non-finite nodes and counts them out of the nodes swept there.
     """
     n = problem.n
     keep = {operator.index(k) for k in levels}
     outside = sorted(k for k in keep if not 0 <= k <= n)
     if outside:
         raise IndexError(f"levels {outside} outside 0..{n}")
+    lowest = min(keep, default=0)
     y = [_DROPPED] * (n + 1)
     z = [_DROPPED] * (n + 1)   # z[n] is the terminal level's None, cut below
     firsts = [0] * (n + 1)
     for k, first, y_k, z_k in _levels(problem, rule):
         if k in keep:
             y[k], z[k], firsts[k] = y_k, z_k, first
-    if not (np.isfinite(y_k[0]) and np.isfinite(z_k[0])):
+        if k == lowest:
+            break
+    if not (np.isfinite(y_k).all() and (z_k is None or np.isfinite(z_k).all())):
         # failure path only, so a run that succeeds scans nothing
         for k, _, y_k, z_k in _levels(problem, rule):
             bad = np.count_nonzero(~np.isfinite(y_k) | ~np.isfinite(0.0 if z_k is None else z_k))
             if bad:
+                where = "root" if lowest == 0 else f"level {lowest}"
                 raise FloatingPointError(
-                    f"non-finite root at n={n}: level {k} is the highest with "
+                    f"non-finite {where} at n={n}: level {k} is the highest with "
                     f"non-finite nodes ({bad} of {y_k.size})"
                 )
     return SolutionLattice(problem=problem, y=tuple(y), z=tuple(z[:n]), scheme=scheme,
@@ -295,9 +300,9 @@ def solve_explicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
     level's mass window (whole levels when lip_f is unknown or the guard on
     g fails; see _levels). Keeps the levels named in levels (the root by
     default; range(n + 1) keeps all) and holds two levels at a time
-    besides, so memory is O(n) plus the kept levels. A root that is not
-    finite raises FloatingPointError naming the highest level with
-    non-finite nodes.
+    besides, so memory is O(n) plus the kept levels. It sweeps down to the
+    lowest kept level, no further, and a non-finite node there raises
+    FloatingPointError naming the highest level with non-finite nodes.
     """
     f, h = problem.f, problem.h
 
@@ -332,9 +337,9 @@ def solve_implicit(problem: BsdeProblem, levels: Iterable[int] = (0,)) -> Soluti
     PicardConvergenceError, as does an update that turns non-finite from
     finite input. A level whose input already holds a non-finite node takes
     its first update as it is, so an overflow is reported as solve_explicit
-    reports it. Sweeps each level's mass window and keeps the levels named
-    in levels, as solve_explicit does; the sup-norm is taken over the
-    window.
+    reports it. Sweeps each level's mass window down to the lowest level
+    named in levels, keeps those levels and checks the lowest, as
+    solve_explicit does; the sup-norm is taken over the window.
     """
     check_contraction(problem)
     f, h = problem.f, problem.h

@@ -103,6 +103,28 @@ def test_error_sums_are_exact_and_order_free():
     assert forward[0] == float(exact)
 
 
+def test_exact_sum_is_fsum_bit_for_bit():
+    # many binades, from the subnormals up, with zeros among them; then one
+    # inf, one NaN, and both infinities, which fsum refuses
+    rng = np.random.default_rng(9)
+    for size in (0, 1, 2, 3, 1000, 20000):
+        x = np.ldexp(rng.standard_normal(size), rng.integers(-1100, 1000, size))
+        x[rng.random(size) < 0.1] = 0.0
+        tiny = np.ldexp(rng.random(size), rng.integers(-1080, -1010, size))
+        squares = rng.standard_normal(size) ** 2 * 2.0 ** rng.integers(-60, 3, size)
+        for values in (x, tiny, squares):
+            assert experiment._exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+    x = rng.random(1000)
+    for special in ([math.inf], [math.nan], [math.inf, math.nan], [-math.inf, 1e300]):
+        values = np.append(x, special)
+        assert experiment._exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+    for values in (np.array([math.inf, -math.inf]), np.append(x, [math.inf, 1.0, -math.inf])):
+        with pytest.raises(ValueError, match="inf"):
+            math.fsum(values.tolist())
+        with pytest.raises(ValueError, match="inf"):
+            experiment._exact_sum(values)
+
+
 def test_error_sums_do_not_overflow_on_finite_errors():
     # the sums of finite squared errors, and their squares, can pass the
     # largest double where their mean and standard error do not; the sums are
