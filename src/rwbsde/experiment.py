@@ -133,9 +133,9 @@ class RegressionResult:
     chi2: float       # lack of fit, on (#n - 2) degrees of freedom
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of x, math.fsum's bits, without a Python
-    float per entry.
+def _exact_sum(x: np.ndarray, divisor: int = 1) -> float:
+    """sum(x) / divisor, rounded once and correctly: with divisor 1,
+    math.fsum's bits, without a Python float per entry.
 
     Each finite x is an integer mantissa (53 bits, from np.frexp) times a
     power of two. The mantissas are cut into pieces of 53 - bit_length(x.size)
@@ -147,7 +147,7 @@ def _exact_sum(x: np.ndarray) -> float:
     """
     finite = np.isfinite(x)
     if not finite.all():
-        return math.fsum(x[~finite].tolist())
+        return math.fsum(x[~finite].tolist()) / divisor
     mant, exp = np.frexp(x)
     ints = (mant * 2.0**53).astype(np.int64)   # x = ints * 2^(exp - 53), exactly
     low = int(exp.min(initial=0))
@@ -161,27 +161,33 @@ def _exact_sum(x: np.ndarray) -> float:
         sums = np.bincount(bins, weights=piece)
         total += sum(int(s) << (b + shift) for b, s in enumerate(sums.tolist()) if s)
     scale = low - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+    return (total << scale) / divisor if scale >= 0 else total / (divisor << -scale)
 
 
 def _mean_and_se(d2: np.ndarray) -> tuple:
-    """Mean of the squared errors and its standard error, from exact sums
-    (_exact_sum).
+    """Mean of the squared errors and its standard error, each an exact sum
+    rounded once (_exact_sum): the mean, then the variance
+    sum((d2 - mean)^2) / (m - 1) about it. The variance does not cancel, and
+    m equal errors have that error as their mean, so their SE is 0.
 
     The sums run on d2 * 2^-e, with 2^e the power of two at or below the
     largest finite d2, so that neither they nor the squares overflow on
     finite errors; the scaling is exact and commutes with rounding, so a d2
-    that would not have overflowed gives the bits of the unscaled sums.
+    that would not have overflowed gives the bits of the unscaled sums. A
+    d2 with an inf or a NaN has a non-finite mean and a NaN SE, with no
+    floating-point warning.
     """
     m = d2.size
     top = float(d2[np.isfinite(d2)].max(initial=0.0))
     # within the normal doubles, so that 2^e and 2^-e are both finite
     e = min(max(math.frexp(top)[1] - 1, -1022), 1023)
     scaled = d2 * 2.0**-e
-    mean = _exact_sum(scaled) / m
+    mean = _exact_sum(scaled, m)
     if m < 2:
         return mean * 2.0**e, 0.0
-    var = max(_exact_sum(scaled * scaled) - m * mean * mean, 0.0) / (m - 1)
+    if not math.isfinite(mean):
+        return mean * 2.0**e, math.nan
+    var = _exact_sum(np.square(scaled - mean), m - 1)
     return mean * 2.0**e, math.sqrt(var / m) * 2.0**e
 
 

@@ -152,6 +152,18 @@ def test_convergence_writes_series(tmp_path, capsys):
     assert "slope_Y" in capsys.readouterr().out
 
 
+def test_equal_errors_have_a_zero_standard_error(tmp_path):
+    # at t_eval = 0 every row sits at the root: each n's 5,000 squared errors
+    # are one value, so their variance about the mean is exactly 0, and so
+    # are the slopes' standard errors
+    out = tmp_path / "t0.csv"
+    assert main(["convergence", "--case", "square", "--t-eval", "0", "--n", "50,100,200",
+                 "--M", "5000", "--out", str(out)]) == 0
+    series, footer = experiment.parse_csv(out)
+    assert [(row.se_y, row.se_z) for row in series.rows] == [(0.0, 0.0)] * 3
+    assert footer["slope_se_Y"] == footer["slope_se_Z"] == 0.0
+
+
 def test_convergence_prints_the_slope_flag(monkeypatch, tmp_path, capsys):
     # the flagged series of test_flagged_report_bytes_are_golden: its Y slope
     # sits above -alpha/2 + SLOPE_SLACK

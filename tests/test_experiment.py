@@ -114,6 +114,9 @@ def test_exact_sum_is_fsum_bit_for_bit():
         squares = rng.standard_normal(size) ** 2 * 2.0 ** rng.integers(-60, 3, size)
         for values in (x, tiny, squares):
             assert experiment._exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+            if size <= 1000:   # and a quotient, rounded once
+                exact = sum(map(Fraction, values.tolist())) / 7
+                assert experiment._exact_sum(values, 7).hex() == float(exact).hex()
     x = rng.random(1000)
     for special in ([math.inf], [math.nan], [math.inf, math.nan], [-math.inf, 1e300]):
         values = np.append(x, special)
@@ -134,8 +137,8 @@ def test_error_sums_do_not_overflow_on_finite_errors():
     mean, se = experiment._mean_and_se(np.array([1e200, 3e200]))
     assert mean == 2e200 and se == pytest.approx(1e200, rel=1e-15)
     d2 = np.random.default_rng(4).random(1000) * 50.0
-    mean = math.fsum(d2.tolist()) / d2.size
-    var = (math.fsum((d2 * d2).tolist()) - d2.size * mean * mean) / (d2.size - 1)
+    mean = float(sum(map(Fraction, d2.tolist())) / d2.size)
+    var = float(sum(map(Fraction, ((d2 - mean) ** 2).tolist())) / (d2.size - 1))
     assert experiment._mean_and_se(d2) == (mean, math.sqrt(var / d2.size))
 
 

@@ -18,30 +18,30 @@ from rwbsde.cli import main
 from rwbsde.solver import solve_explicit, solve_implicit
 
 SQUARE_EXPLICIT = [
-    (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6cp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f2fp-3"),
-    (16, "0x1.1a0e7b445734fp+0", "0x1.5ca3412f1fa6dp-3", "0x1.89cd08945cc3ap+0", "0x1.0b9b90a82f853p-3"),
-    (32, "0x1.97d68b3a548dbp-1", "0x1.f231dca786c9ep-3", "0x1.e7bd9f874f4c8p-1", "0x1.04066c5bdd1e7p-3"),
+    (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6cp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f30p-3"),
+    (16, "0x1.1a0e7b445734ep+0", "0x1.5ca3412f1fa6dp-3", "0x1.89cd08945cc3ap+0", "0x1.0b9b90a82f853p-3"),
+    (32, "0x1.97d68b3a548dbp-1", "0x1.f231dca786c9dp-3", "0x1.e7bd9f874f4c7p-1", "0x1.04066c5bdd1e7p-3"),
 ]
 SQRT_EXPLICIT = [
-    (8, "0x1.6c4637004c74fp-4", "0x1.93a7a000a1a6cp-8", None, None),
-    (16, "0x1.ad6ecb2abefb5p-5", "0x1.328503133580ap-8", None, None),
-    (32, "0x1.e7f995c50e9d4p-6", "0x1.243a738f3767fp-8", None, None),
+    (8, "0x1.6c4637004c74ep-4", "0x1.93a7a000a1a6dp-8", None, None),
+    (16, "0x1.ad6ecb2abefb5p-5", "0x1.328503133580bp-8", None, None),
+    (32, "0x1.e7f995c50e9d4p-6", "0x1.243a738f37680p-8", None, None),
 ]
 SQUARE_IMPLICIT = [
-    (8, "0x1.9fafe7f56a754p-1", "0x1.c0652fb2e26bdp-4", "0x1.92d0f2e1553fbp+0", "0x1.0a31ff83d280ep-3"),
-    (16, "0x1.226817a2f4a2cp+0", "0x1.5b343157e97b1p-3", "0x1.772ffe1f0cf6fp+0", "0x1.03da8976ccf24p-3"),
-    (32, "0x1.9320321cfb793p-1", "0x1.e76de62e73b77p-3", "0x1.dbfecb46685b0p-1", "0x1.fcf7612bfe541p-4"),
+    (8, "0x1.9fafe7f56a753p-1", "0x1.c0652fb2e26bdp-4", "0x1.92d0f2e1553fbp+0", "0x1.0a31ff83d280ep-3"),
+    (16, "0x1.226817a2f4a2bp+0", "0x1.5b343157e97b1p-3", "0x1.772ffe1f0cf6fp+0", "0x1.03da8976ccf24p-3"),
+    (32, "0x1.9320321cfb793p-1", "0x1.e76de62e73b78p-3", "0x1.dbfecb46685afp-1", "0x1.fcf7612bfe541p-4"),
 ]
 # blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
 SQUARE_EXPLICIT_BLOCK_128 = [
-    (8, "0x1.7e3dfa174572ep+0", "0x1.aa0fd3bd6bd3bp-3", "0x1.217d24cc17654p+1", "0x1.6f32f14a8a433p-3"),
-    (16, "0x1.bf899e14db180p-1", "0x1.92eb0be92ef33p-3", "0x1.3236c8d0f109fp+0", "0x1.068e400c1a199p-3"),
-    (32, "0x1.a350d67b7b171p-1", "0x1.37abe2883298ep-2", "0x1.bae228372c17bp-1", "0x1.ca6137f718460p-4"),
+    (8, "0x1.7e3dfa174572ep+0", "0x1.aa0fd3bd6bd3bp-3", "0x1.217d24cc17655p+1", "0x1.6f32f14a8a433p-3"),
+    (16, "0x1.bf899e14db17fp-1", "0x1.92eb0be92ef33p-3", "0x1.3236c8d0f109fp+0", "0x1.068e400c1a199p-3"),
+    (32, "0x1.a350d67b7b171p-1", "0x1.37abe2883298ep-2", "0x1.bae228372c17cp-1", "0x1.ca6137f718460p-4"),
 ]
 # n = 64, 128 and 256 at t = T/2: windows of columns 22..32, 50..64 and 109..128
 SQUARE_EXPLICIT_TRUNCATED = [
-    (64, "0x1.d2d42fc91bca7p-2", "0x1.426655aa6338ep-4", "0x1.53a93b1d4c18cp-1", "0x1.e3f73c1287535p-5"),
-    (128, "0x1.0c47c661e0f6ap-2", "0x1.631180fe5a008p-5", "0x1.718c0a6f66d17p-2", "0x1.1d426498c37c1p-5"),
+    (64, "0x1.d2d42fc91bca8p-2", "0x1.426655aa6338ep-4", "0x1.53a93b1d4c18cp-1", "0x1.e3f73c1287535p-5"),
+    (128, "0x1.0c47c661e0f6ap-2", "0x1.631180fe5a009p-5", "0x1.718c0a6f66d17p-2", "0x1.1d426498c37c1p-5"),
     (256, "0x1.5a9f67cf6f10fp-2", "0x1.41eff0c30d1c4p-4", "0x1.5a348f40d59b1p-2", "0x1.449d0c2ccb0c8p-5"),
 ]
 SQUARE_ROOTS_N64 = {
@@ -102,8 +102,8 @@ COUPLE_BLOCK_REDONE = {
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
 # for a hand-made series whose Y slope is flagged (its se_y = 0 makes chi2_Y inf)
 REPORT_SHA256 = {
-    "square": "92f1b847f251dfeb25056b2beee466f8d174220c3a8e9553282e44e76a030b14",
-    "sqrt": "9982417f196d0e8ae9cb3a521bbd30844cc1cd273cdc31ff2d106f8c0c7f6621",
+    "square": "c90636d6930a8e43b82bb5d641b94614d582a310ee5e6a8cac4fb9497413153b",
+    "sqrt": "5954485d18cd8618f024ff0ac9d29230d7a1d02856014329b1c5cba597a38e37",
     "flagged": "9d0751f3f419a93b3bccd6df79bb8bfa3e59ff5cbdd1369bbeed7ffaa61afcf4",
 }
 # rwbsde convergence's stdout for the square config of _run, its --out masked
