@@ -492,3 +492,28 @@ def test_bracket_exit_sum_finds_the_step_past_t(m):
     assert np.all(tau_ends[:, 1] <= tau_m[late])
     assert np.array_equal(tau_ends[:, 1] == tau_m[late], j + 1 == m)
     assert np.all((tau_ends[:, 0] == 0.0) == (j == 0))
+
+
+@pytest.mark.parametrize("m", [2, 367])
+def test_bracket_exit_sum_clamps_its_first_bridge_inside_the_ends(m, monkeypatch):
+    # t next to either end puts the interpolated column at 0 or m, which the
+    # clamp moves one step inside: t just above 0 is bracketed by step 1 and
+    # t just below tau_m by step m, each after one round of bridges
+    h, rows = 0.01, 20
+    rounds = []
+    bridge = exit_time.bridge_exit_gammas
+
+    def counted(rng, lo_gammas, *args):
+        rounds.append(lo_gammas.shape[0])
+        return bridge(rng, lo_gammas, *args)
+
+    monkeypatch.setattr(exit_time, "bridge_exit_gammas", counted)
+    gammas = sample_exit_gammas(np.random.default_rng(56), m, rows)
+    tau_m = exit_sum(gammas, h)
+    j, tau_ends = bracket_exit_sum(np.random.default_rng(57), gammas, m, h, 5e-324)
+    assert rounds == [rows] and np.all(j == 0) and np.all(tau_ends[:, 0] == 0.0)
+    for row in range(rows):
+        rounds.clear()
+        t = np.nextafter(tau_m[row], 0.0)
+        j, tau_ends = bracket_exit_sum(np.random.default_rng(58), gammas[row:row + 1], m, h, t)
+        assert rounds == [1] and j.tolist() == [m - 1] and tau_ends[0, 1] == tau_m[row]

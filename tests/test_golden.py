@@ -20,29 +20,29 @@ from rwbsde.solver import solve_explicit, solve_implicit
 SQUARE_EXPLICIT = [
     (8, "0x1.8e1e9bee1a0aep-1", "0x1.96ce749a19a6cp-4", "0x1.c8d6f9b3b66c4p+0", "0x1.19c5ae9d96f30p-3"),
     (16, "0x1.1a0e7b445734ep+0", "0x1.5ca3412f1fa6dp-3", "0x1.89cd08945cc3ap+0", "0x1.0b9b90a82f853p-3"),
-    (32, "0x1.97d68b3a548dbp-1", "0x1.f231dca786c9dp-3", "0x1.e7bd9f874f4c7p-1", "0x1.04066c5bdd1e7p-3"),
+    (32, "0x1.eafca0e02be52p-2", "0x1.882b3796f7fc6p-4", "0x1.ac7d513695df6p-1", "0x1.89ac4e15b065ep-4"),
 ]
 SQRT_EXPLICIT = [
     (8, "0x1.6c4637004c74ep-4", "0x1.93a7a000a1a6dp-8", None, None),
     (16, "0x1.ad6ecb2abefb5p-5", "0x1.328503133580bp-8", None, None),
-    (32, "0x1.e7f995c50e9d4p-6", "0x1.243a738f37680p-8", None, None),
+    (32, "0x1.97895dad85471p-6", "0x1.bc6c917ff463fp-9", None, None),
 ]
 SQUARE_IMPLICIT = [
     (8, "0x1.9fafe7f56a753p-1", "0x1.c0652fb2e26bdp-4", "0x1.92d0f2e1553fbp+0", "0x1.0a31ff83d280ep-3"),
     (16, "0x1.226817a2f4a2bp+0", "0x1.5b343157e97b1p-3", "0x1.772ffe1f0cf6fp+0", "0x1.03da8976ccf24p-3"),
-    (32, "0x1.9320321cfb793p-1", "0x1.e76de62e73b78p-3", "0x1.dbfecb46685afp-1", "0x1.fcf7612bfe541p-4"),
+    (32, "0x1.facf08a8efb09p-2", "0x1.9f873228d1864p-4", "0x1.a46e170883de8p-1", "0x1.8b82868acc948p-4"),
 ]
 # blocks of 128 rows: M = 300 draws from three streams of 128, 128 and 44 rows
 SQUARE_EXPLICIT_BLOCK_128 = [
     (8, "0x1.7e3dfa174572ep+0", "0x1.aa0fd3bd6bd3bp-3", "0x1.217d24cc17655p+1", "0x1.6f32f14a8a433p-3"),
     (16, "0x1.bf899e14db17fp-1", "0x1.92eb0be92ef33p-3", "0x1.3236c8d0f109fp+0", "0x1.068e400c1a199p-3"),
-    (32, "0x1.a350d67b7b171p-1", "0x1.37abe2883298ep-2", "0x1.bae228372c17cp-1", "0x1.ca6137f718460p-4"),
+    (32, "0x1.2b8210a21cbc3p-1", "0x1.a2da091c2b9fdp-4", "0x1.9059e052f652fp-1", "0x1.3e59de8b453bbp-4"),
 ]
 # n = 64, 128 and 256 at t = T/2: windows of columns 22..32, 50..64 and 109..128
 SQUARE_EXPLICIT_TRUNCATED = [
-    (64, "0x1.d2d42fc91bca8p-2", "0x1.426655aa6338ep-4", "0x1.53a93b1d4c18cp-1", "0x1.e3f73c1287535p-5"),
-    (128, "0x1.0c47c661e0f6ap-2", "0x1.631180fe5a009p-5", "0x1.718c0a6f66d17p-2", "0x1.1d426498c37c1p-5"),
-    (256, "0x1.5a9f67cf6f10fp-2", "0x1.41eff0c30d1c4p-4", "0x1.5a348f40d59b1p-2", "0x1.449d0c2ccb0c8p-5"),
+    (64, "0x1.77d418d35d037p-2", "0x1.fb5c4386fc13ap-5", "0x1.2109b04be15a8p-1", "0x1.f4b385f50ad75p-5"),
+    (128, "0x1.58d78827cd170p-2", "0x1.910f7893dade9p-5", "0x1.d04e16a8a5a61p-2", "0x1.4695fb23ddb30p-5"),
+    (256, "0x1.902b8e5e16d95p-3", "0x1.ed2bd4a304369p-6", "0x1.34f260fc4103dp-2", "0x1.e951ebd9e363fp-6"),
 ]
 SQUARE_ROOTS_N64 = {
     "explicit": ("0x1.515fd41c339ebp+2", "0x1.497d0ec5c1204p+2"),
@@ -77,12 +77,12 @@ COUPLE_BLOCK_NARROW = {
     1: ("25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "25a9565d0048ee6e0f2cd4af565459ddb6f52d3256c1ca756d146cdae10e610b",
         "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
-    37: ("c5a8c8f8f4099ac0cf721dc3acab4011c4fd700a63f7a4490cb9051902060db5",
-         "a813ed04cc2dd1934e9eadd4d1c5030cea9043e3661cf791bc407f0926926e27",
-         "7c157122e983b69c320a95378b530ea5d5d6104e319a8fde0d315f0b30db33c8"),
-    64: ("7608d8563ddf05c42bd77d3f786a209af984282c7d4e157d59ec89091d82e560",
-         "9e6075fc195c5646a4454ca289e43449f2722ed4a580f428d89ecdec19a00b62",
-         "f2c213379746beea555dc4cd4ea4e2458115fc48ee76396c2444fbdcc76b8135"),
+    37: ("f1861439910b0caf36fe7cda70ba8ef7db9977f5e6af66b4dd632c9151cb0ce0",
+         "b9ecf74364695a2298a41b3a1437d45fd48fdb4c1699097c34c2e878c733380a",
+         "730c43cc025e6fd10d344513dda5fe408c13781995a179a35de6d335670c5da5"),
+    64: ("7ac4631ee74a97b59085f92fc03815e140655648774193cbd1b285b9e521f34b",
+         "ab1652d77178ce3ddeed07c6ef8b40183cfd6a20ba64e6a0cd1e4ba563e6483c",
+         "54e77f8bf2adb9d8abf3b9840c55e594f8839daeb0f0c6becb82f527f901b68e"),
 }
 # and at skip margin 0, where it skips to column k: about half the rows are
 # late, with tau_k past t, and bracketed by gamma bridges before column k (at
@@ -93,23 +93,23 @@ COUPLE_BLOCK_REDONE = {
         "602aaa6a63036366462fb88bc40e52aef6d0a0b34bc207a778bb3c60bc9211b4"),
     37: ("2f78241740f62b0e0e5a7814f9f8184c5c6d0e7837cf2f17849bfd0f00e936ca",
          "de2c5d3547ee92739b3e940c7c1ca0284eadce99d9803d981b225ad23dc4ebdd",
-         "b6ac76814cf3094e73bb637cdb93a35d21fde7669ca014c2b11c92437c2c3570"),
+         "1209630309d95463cfd4f13f655ee92d9fa381998dfdb8a8e7b0e7e72019ec94"),
     64: ("5f6631aba2416ffbd9411b694011714e554a65473d71929b369f4bba751ba6bf",
          "7a751e56dede9dee62d9bef0e9fc21260cacbd05d440d5269f999b50cf63b07c",
-         "307d043af980e49be0eed25773d02b18965537b074a9f7e50272ad2e24841c25"),
+         "e44ac1a70cb88132429895bfd2d3b10eb15a294383bd9b4b4dfd042264d768a9"),
 }
 
 # sha256 of emit_csv's file for the config of _run with fit_slopes' fits, and
 # for a hand-made series whose Y slope is flagged (its se_y = 0 makes chi2_Y inf)
 REPORT_SHA256 = {
-    "square": "c90636d6930a8e43b82bb5d641b94614d582a310ee5e6a8cac4fb9497413153b",
-    "sqrt": "5954485d18cd8618f024ff0ac9d29230d7a1d02856014329b1c5cba597a38e37",
+    "square": "b8ad4cc0e5cd6c363ef084128623a964b66e74717c8cd37c8ba878cf7efa5706",
+    "sqrt": "d0e1e0b0cd66784d83ea286faa8fdc163ba6481aa5e4cd0e9161a6c0e1748922",
     "flagged": "9d0751f3f419a93b3bccd6df79bb8bfa3e59ff5cbdd1369bbeed7ffaa61afcf4",
 }
 # rwbsde convergence's stdout for the square config of _run, its --out masked
 CONVERGENCE_STDOUT = (
-    "slope_Y = +0.0174  (r2 = 0.0038)  [flag: above -alpha/2 + 0.15]\n"
-    "slope_Z = -0.4528  (r2 = 0.9153)\n"
+    "slope_Y = -0.3488  (r2 = 0.3348)  [flag: above -alpha/2 + 0.15]\n"
+    "slope_Z = -0.5462  (r2 = 0.8904)\n"
     "theory slope = -0.5000   wrote <out>\n"
 )
 
