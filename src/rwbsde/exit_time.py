@@ -362,10 +362,10 @@ def bracket_exit_sum(rng: np.random.Generator, gammas: np.ndarray, m: int, h: fl
     its ends are one step apart. A bridge at a column chosen from the ends
     has the series' law there, so each draw is exact. Each round draws the
     betas of the rows not yet done: m - 1 rounds at most, and in measure,
-    over the late rows of 20 blocks of 4096 at t = T/2 on the square case
+    over the late rows of 20 blocks of 8192 at t = T/2 on the square case
     (skips to m = 38, 176, 367, 1534 and 6269 at n = 100, 400, 800, 3200 and
-    12800), a mean of 4.1, 4.8, 5.2, 5.8 and 6.1 rounds and at most 6, 6, 7,
-    7 and 8, where bisecting [0, m] took 6, 8, 9, 11 and 13.
+    12800), a mean of 4.3, 5.0, 5.6, 6.0 and 6.2 rounds and at most 5, 7, 7,
+    7 and 7, where bisecting [0, m] took 6, 8, 9, 11 and 13.
     tau_ends is (rows, 2); at j + 1 = m its right end is exit_sum(gammas, h)
     bit for bit.
     """

@@ -18,7 +18,8 @@ fit_slopes regresses the per-n L2 errors log-log against n, for
 
 Reproducibility: the master seed feeds numpy's SeedSequence; one child is
 spawned per entry of n_list (in order) and child j spawns one stream per
-block of _BLOCK rows. Row r at n-index j therefore comes from stream
+block of _BLOCK = 8192 rows (M = 20000 rows are three streams, of 8192,
+8192 and 3616 rows). Row r at n-index j therefore comes from stream
 (seed, j, r // _BLOCK), which draws couple_block's block, then its bridge
 normals. The error sums are exactly rounded, so they do not depend on the
 order of the rows, and a given config gives the same bits on every run.
@@ -38,8 +39,13 @@ from .exit_time import (bracket_exit_sum, check_scale, exit_sum, sample_exit_gam
 from .solver import (SCHEMES, BsdeProblem, check_contraction, evaluate_walks, solve_explicit,
                      solve_implicit)
 
-# rows per random stream, which are also the rows drawn and evaluated at once
-_BLOCK = 4096
+# rows per random stream, which are also the rows drawn and evaluated at once;
+# each block pays a fixed cost (its stream, table, skip draws and bracket
+# rounds). The mc_square run_mc, 30 calls at each size alternated in one
+# process, took a median 0.1675, 0.1616 and 0.1552 s of CPU (1, 0.965 and
+# 0.926; fastest calls 1, 0.959 and 0.949) at 4096, 8192 and 16384 rows,
+# where couple_block's peak at n = 800 is 2.6, 3.4 and 4.8 MiB (2-vCPU Xeon)
+_BLOCK = 8192
 # uniforms per row pass of couple_block (256 KiB of doubles), so that a
 # pass's uniforms, exit times, ladders, walks and sample_sigma's temporaries
 # stay in cache; a 4096-row block at n = 800 (33 columns) took a median
@@ -311,8 +317,8 @@ def couple_block(rng: np.random.Generator, rows: int, problem: BsdeProblem,
     with sqrt(h) * walk_ends. With
     columns=range(n + 1) walks and taus are the whole paths. A block holds
     the int8 signs of its window, the gammas of tau_m0, one row pass of its
-    work and per-row answers: a 2.9 MiB peak at n = 800 and 4096 rows,
-    0.13 MiB of it signs and 0.4 MiB gammas.
+    work and per-row answers: a 3.4 MiB peak at n = 800 and 8192 rows,
+    0.26 MiB of it signs and 0.8 MiB gammas.
     A column outside 0..n raises IndexError, a column that is not a whole
     number TypeError, and a t that is negative, infinite or NaN ValueError,
     before anything is drawn.

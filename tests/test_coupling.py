@@ -327,12 +327,12 @@ def _block_peak(n, rows):
 
 
 def test_couple_block_memory_is_bounded():
-    # a block holds the int8 signs of its window (0.13 MiB at 4096 rows and
-    # n = 800, columns 367..400), the gammas of tau_367 (0.4 MiB), one row
+    # a block holds the int8 signs of its window (0.26 MiB at 8192 rows and
+    # n = 800, columns 367..400), the gammas of tau_367 (0.8 MiB), one row
     # pass of uniforms, exit times, walks and ladders, and per-row answers:
-    # ~2.9 MiB, against ~5 MiB with all n signs and ~42 MiB with whole-block
-    # walks and ladders
-    peak = _block_peak(800, 4096)
+    # ~3.4 MiB, where all n signs alone would be 6.3 MiB and whole-block
+    # walks and ladders 75 MiB
+    peak = _block_peak(800, 8192)
     assert peak <= 5, f"peak {peak:.1f} MiB"
 
 
