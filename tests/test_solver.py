@@ -287,21 +287,27 @@ def test_failing_sweep_memory_is_linear_in_n():
     assert traced_peak(failing_solve) <= 2 << 20
 
 
-@pytest.mark.parametrize("levels,where", [((0,), "root"), ((20, 30), "level 20")])
-def test_interior_failure_names_its_level(levels, where):
+def test_interior_failure_names_its_level():
     # g is finite everywhere; f = y*y overflows the whole of level n-1
     problem = BsdeProblem(T=1.0, n=50, g=lambda x: 1e200 + 0.0 * x, f=lambda t, x, y, z: y * y)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match=rf"^non-finite {where} at n=50: level 49 is "
+        with pytest.raises(FloatingPointError, match=r"^non-finite root at n=50: level 49 is "
                            r"the highest with non-finite nodes \(50 of 50\)$"):
-            solve_explicit(problem, levels=levels)
+            solve_explicit(problem)
 
 
 def test_a_failure_at_the_lowest_kept_level_is_found():
-    # f overflows at the top nodes of level k = 20 alone: the sweep stops
-    # there, and the nodes it checks are all of that level, not its first
+    # a sweep that keeps levels 20 and 30 stops at level 20 and names the
+    # highest failing level as a root-only sweep does
     n, k = 50, 20
+    problem = BsdeProblem(T=1.0, n=n, g=lambda x: 1e200 + 0.0 * x, f=lambda t, x, y, z: y * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=rf"^non-finite level {k} at n={n}: level 49 "
+                           r"is the highest with non-finite nodes \(50 of 50\)$"):
+            solve_explicit(problem, levels=(k, 30))
 
+    # f overflows at the top nodes of level k alone: the sweep stops there,
+    # and the nodes it checks are all of that level, not its first
     def f(t, x, y, z):
         return np.where((t == (k + 1) / n) & (x > 0.0), 1e200 * y * y, 0.0 * y)
 
@@ -385,17 +391,16 @@ def test_kept_levels_are_bit_identical_to_the_full_sweep(case_name, solve, n):
 @pytest.mark.parametrize("n,k", [(1, 0), (64, 32), (1000, 500), (1000, 1000)])
 def test_a_sweep_stops_at_its_lowest_kept_level(n, k):
     # two generator calls per level swept: levels n-1..k, none below
-    case = make_case("square", 1.0)
+    whole = make_case("square", 1.0).problem(n)
     calls = []
 
     def counted(t, x, y, z):
         calls.append(t)
-        return case.problem(n).f(t, x, y, z)
+        return whole.f(t, x, y, z)
 
-    problem = dataclasses.replace(case.problem(n), f=counted)
-    sol = solve_explicit(problem, levels=(k,))
+    sol = solve_explicit(dataclasses.replace(whole, f=counted), levels=(k,))
     assert len(calls) == 2 * (n - k)
-    full = solve_explicit(case.problem(n), levels=range(n + 1))
+    full = solve_explicit(whole, levels=range(n + 1))
     assert [v.hex() for v in sol.y[k]] == [v.hex() for v in full.y[k]]
     assert k == n or [v.hex() for v in sol.z[k]] == [v.hex() for v in full.z[k]]
 
